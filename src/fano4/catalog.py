@@ -118,14 +118,25 @@ def threefold(z_id: int) -> FanoThreefold:
     return _CATALOG[z_id - 1]
 
 
+def _check_domain(z_id: int, a: int, d: int) -> None:
+    if type(z_id) is not int or type(a) is not int or type(d) is not int:
+        raise TypeError(f"(z_id, a, d) must be three ints, got {(z_id, a, d)!r}")
+    if not 1 <= z_id <= 7:
+        raise ValueError(f"z_id must be in 1..7, got {z_id}")
+    if a < 0:
+        raise ValueError(f"a must be >= 0, got {a}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+
+
 @dataclass(frozen=True, order=True)
 class FamilyParams:
     """A triple (z_id, a, d) naming the family X^{z_id}_{a,d}.
 
-    The constructor checks only the basic domain (z_id in 1..7, a >= 0,
-    d >= 1); admissibility is the job of :func:`validate_params`, so that
-    non-admissible triples can still be talked about (e.g. to show they fail
-    the Fano criterion).
+    The constructor checks only the basic domain (three ints with z_id in
+    1..7, a >= 0, d >= 1); admissibility is the job of
+    :func:`validate_params`, so that non-admissible triples can still be
+    talked about (e.g. to show they fail the Fano criterion).
     """
 
     z_id: int
@@ -133,12 +144,7 @@ class FamilyParams:
     d: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.z_id <= 7:
-            raise ValueError(f"z_id must be in 1..7, got {self.z_id}")
-        if self.a < 0:
-            raise ValueError(f"a must be >= 0, got {self.a}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_domain(self.z_id, self.a, self.d)
 
     @property
     def threefold(self) -> FanoThreefold:
@@ -152,16 +158,12 @@ class FamilyParams:
 def validate_params(z_id: int, a: int, d: int) -> bool:
     """Whether (z_id, a, d) is an admissible triple.
 
-    Out-of-domain input (z_id outside 1..7, a < 0, d < 1) raises ValueError
-    rather than returning False: those triples are malformed, not just
-    non-admissible.
+    Out-of-domain input (z_id outside 1..7, a < 0, d < 1) raises ValueError,
+    and a component that is not an ``int`` (a ``bool`` or ``float``, say)
+    raises TypeError, rather than returning False: those triples are
+    malformed, not just non-admissible.
     """
-    if not 1 <= z_id <= 7:
-        raise ValueError(f"z_id must be in 1..7, got {z_id}")
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    _check_domain(z_id, a, d)
     i = _CATALOG[z_id - 1].index
     if not (a > d or 2 * a <= d):
         return False

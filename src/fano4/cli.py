@@ -6,7 +6,8 @@ Subcommands:
 * ``info``    -- full record for one family, cones and pairings included;
 * ``verify``  -- check all records against the reference tables
                  (exit 0 all pass, 1 any mismatch, 2 internal error);
-* ``export``  -- write all records as json, csv or markdown;
+* ``export``  -- write all records as json, csv or markdown (exit 2 when the
+                 output file cannot be written);
 * ``cones``   -- curve/nef cone generators and pairings for one family.
 
 All numeric output is exact; non-integral rationals (which only the pairing
@@ -17,18 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__, cones, report
 from .catalog import FamilyParams, enumerate_families, threefold, validate_params
 from .errors import ConsistencyError, IntegrityError
 
 __all__ = ["main"]
-
-
-def _fmt(value: Fraction | int) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _family_arg(args: argparse.Namespace) -> FamilyParams:
@@ -54,11 +49,11 @@ def _print_cones(params: FamilyParams) -> None:
     generators = cones.ne_generators(params)
     print("NE(X) generators and -K degrees:")
     for C in generators:
-        print(f"  {C.kind.value:7s}  -K . C = {_fmt(cones.pairing(antiK, C))}")
+        print(f"  {C.kind.value:7s}  -K . C = {cones.pairing(antiK, C)}")
     print("nef cone rays:")
     for ray in cones.nef_rays(params):
         face = ", ".join(sorted(g.value for g in ray.vanishing_face)) or "-"
-        coords = ", ".join(_fmt(c) for c in ray.generator.coords)
+        coords = ", ".join(map(str, ray.generator.coords))
         print(f"  {ray.label.value}: {ray.name}  = ({coords}) over "
               f"(phi*H, Ghat, E); face {{{face}}}; {ray.contraction}")
     print("pairing matrix (rows phi*H, Ghat, E; columns F, Fhat, C_G, C_Ghat):")
@@ -118,8 +113,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.buffer.write(payload)
     else:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         if not args.quiet:
             print(f"wrote {len(payload)} bytes to {args.out}")
     return 0

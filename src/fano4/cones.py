@@ -23,6 +23,12 @@ N_G = O_Z(-a), N_Ghat = O_Z(-(d-a)):
 
 The effective curve cone NE(X) needs only three of the four generators unless
 0 < a < d; the nef cone is its dual, with three or four extremal rays.
+
+All of this data is integral, so coordinates and pairing values are Python
+``int``.  A ``Fraction`` appears only for a value that is not an integer,
+which only rational input can produce; an integral ``Fraction`` is stored as
+an ``int``.  Scalars must be ``int`` or ``Fraction``: ``float`` and ``bool``
+raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .catalog import FamilyParams, validate_params
@@ -64,40 +71,56 @@ __all__ = [
 Rational = int | Fraction
 
 
+def _exact(value: Rational) -> Rational:
+    """The canonical form of an exact scalar: an ``int``, or a ``Fraction``
+    that is not an integer."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"expected an int or Fraction scalar, got "
+                    f"{type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class DivisorClass:
-    """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E)."""
+    """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E).
 
-    coords: tuple[Fraction, Fraction, Fraction]
+    Each coordinate is an ``int``, or a ``Fraction`` only when it is not
+    integral; build classes with :func:`divisor`, which normalises them.
+    """
+
+    coords: tuple[Rational, Rational, Rational]
     context: FamilyParams
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_context(self.context, other.context)
-        return DivisorClass(tuple(x + y for x, y in zip(self.coords, other.coords)),
-                            self.context)
+        (x, y, z), (u, v, w) = self.coords, other.coords
+        return divisor(self.context, x + u, y + v, z + w)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         _same_context(self.context, other.context)
-        return DivisorClass(tuple(x - y for x, y in zip(self.coords, other.coords)),
-                            self.context)
+        (x, y, z), (u, v, w) = self.coords, other.coords
+        return divisor(self.context, x - u, y - v, z - w)
 
     def __rmul__(self, scalar: Rational) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(tuple(s * x for x in self.coords), self.context)
+        s = _exact(scalar)
+        x, y, z = self.coords
+        return divisor(self.context, s * x, s * y, s * z)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 
 
 def _same_context(a: FamilyParams, b: FamilyParams) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ContextMismatchError(f"mixed family contexts {a} and {b}")
 
 
 def divisor(params: FamilyParams, alpha: Rational, beta: Rational,
             gamma: Rational) -> DivisorClass:
     """alpha*phi*H + beta*Ghat + gamma*E."""
-    return DivisorClass((Fraction(alpha), Fraction(beta), Fraction(gamma)), params)
+    return DivisorClass((_exact(alpha), _exact(beta), _exact(gamma)), params)
 
 
 def phi_star_H(params: FamilyParams) -> DivisorClass:
@@ -129,9 +152,13 @@ class CurveGen(Enum):
 
 @dataclass(frozen=True)
 class CurveClass:
-    """A formal non-negative rational combination of the four curve generators."""
+    """A formal non-negative combination of the four curve generators.
 
-    combo: tuple[tuple[CurveGen, Fraction], ...]
+    Each coefficient is a positive ``int``, or a ``Fraction`` only when it is
+    not integral; build classes with :func:`curve` or :func:`curve_combo`.
+    """
+
+    combo: tuple[tuple[CurveGen, Rational], ...]
     context: FamilyParams
 
     @property
@@ -146,25 +173,25 @@ class CurveClass:
         _same_context(self.context, other.context)
         out = dict(self.combo)
         for gen, c in other.combo:
-            out[gen] = out.get(gen, Fraction(0)) + c
+            out[gen] = out.get(gen, 0) + c
         return curve_combo(self.context, out)
 
     def __rmul__(self, scalar: Rational) -> "CurveClass":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         if s < 0:
             raise ValueError("curve classes carry non-negative coefficients")
         return curve_combo(self.context, {g: s * c for g, c in self.combo})
 
 
 def curve(params: FamilyParams, gen: CurveGen) -> CurveClass:
-    return CurveClass(((gen, Fraction(1)),), params)
+    return CurveClass(((gen, 1),), params)
 
 
 def curve_combo(params: FamilyParams,
                 combo: Mapping[CurveGen, Rational]) -> CurveClass:
     terms = []
     for gen in CurveGen:
-        c = Fraction(combo.get(gen, 0))
+        c = _exact(combo.get(gen, 0))
         if c < 0:
             raise ValueError(f"negative coefficient {c} for {gen.value}")
         if c != 0:
@@ -172,9 +199,9 @@ def curve_combo(params: FamilyParams,
     return CurveClass(tuple(terms), params)
 
 
-def pairing_matrix(params: FamilyParams) -> dict[CurveGen, tuple[int, int, int]]:
-    """Columns of the divisor-curve pairing over the basis (phi*H, Ghat, E)."""
-    a, d = params.a, params.d
+@lru_cache(maxsize=128)
+def _pairing_columns(a: int, d: int) -> dict[CurveGen, tuple[int, int, int]]:
+    # Shared by every caller: read it, never mutate it.
     return {
         CurveGen.F: (0, 1, -1),
         CurveGen.F_HAT: (0, 0, 1),
@@ -183,18 +210,24 @@ def pairing_matrix(params: FamilyParams) -> dict[CurveGen, tuple[int, int, int]]
     }
 
 
-def pairing(D: DivisorClass, C: CurveClass) -> Fraction:
+def pairing_matrix(params: FamilyParams) -> dict[CurveGen, tuple[int, int, int]]:
+    """Columns of the divisor-curve pairing over the basis (phi*H, Ghat, E)."""
+    return dict(_pairing_columns(params.a, params.d))
+
+
+def pairing(D: DivisorClass, C: CurveClass) -> Rational:
     """The intersection number D . C, extended bilinearly."""
     _same_context(D.context, C.context)
-    matrix = pairing_matrix(D.context)
-    total = Fraction(0)
+    columns = _pairing_columns(D.context.a, D.context.d)
+    x, y, z = D.coords
+    total = 0
     for gen, c in C.combo:
-        col = matrix[gen]
-        total += c * sum(x * m for x, m in zip(D.coords, col))
-    return total
+        p, q, r = columns[gen]
+        total += c * (x * p + y * q + z * r)
+    return _exact(total)
 
 
-def to_alternate_basis(D: DivisorClass) -> tuple[Fraction, Fraction, Fraction]:
+def to_alternate_basis(D: DivisorClass) -> tuple[Rational, Rational, Rational]:
     """Coordinates of D over the second basis (phi*H, G, Ehat).
 
     From alpha*phi*H + beta*Ghat + (beta+gamma)*E
@@ -204,14 +237,14 @@ def to_alternate_basis(D: DivisorClass) -> tuple[Fraction, Fraction, Fraction]:
     """
     a, d = D.context.a, D.context.d
     x, y, z = D.coords
-    return (x + a * y + d * (z - y), y, y - z)
+    return (_exact(x + a * y + d * (z - y)), y, _exact(y - z))
 
 
 def from_alternate_basis(params: FamilyParams,
                          coords: tuple[Rational, Rational, Rational]) -> DivisorClass:
     """Inverse of :func:`to_alternate_basis`."""
     a, d = params.a, params.d
-    x, y, z = (Fraction(c) for c in coords)
+    x, y, z = map(_exact, coords)
     return divisor(params, x - a * y + d * z, y, y - z)
 
 

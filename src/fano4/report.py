@@ -134,22 +134,25 @@ def verify_all(records: list[FamilyRecord] | None = None,
                tables: GoldenTables | None = None) -> VerificationReport:
     """Diff the computed records against the reference tables.
 
-    Counts families: a family passes when every field of its table-2 and
-    table-3 rows matches.  ``records``/``tables`` can be overridden to probe
-    the sensitivity of the comparison (fault injection); by default the 28
-    canonical records are built and checked against the embedded tables.
+    Counts families: a family passes when it has exactly one record and
+    every field of its table-2 and table-3 rows matches.
+    ``records``/``tables`` can be overridden to probe the sensitivity of the
+    comparison (fault injection); by default the 28 canonical records are
+    built and checked against the embedded tables.
     """
     if records is None:
         records = build_all_records()
     if tables is None:
         tables = golden_tables()
-    by_label = {r.label: r for r in records}
+    by_label: dict[str, list[FamilyRecord]] = {}
+    for r in records:
+        by_label.setdefault(r.label, []).append(r)
     table3 = {row.label: row for row in tables.table3}
 
     mismatches: list[Mismatch] = []
     passed = failed = 0
     for expected in tables.table2:
-        row_mismatches = list(_diff_family(by_label.get(expected.label),
+        row_mismatches = list(_diff_family(by_label.get(expected.label, []),
                                            expected,
                                            table3.get(expected.label)))
         if row_mismatches:
@@ -157,19 +160,24 @@ def verify_all(records: list[FamilyRecord] | None = None,
             mismatches.extend(row_mismatches)
         else:
             passed += 1
+    table2_labels = {row.label for row in tables.table2}
     for record in records:
-        if not any(row.label == record.label for row in tables.table2):
+        if record.label not in table2_labels:
             failed += 1
             mismatches.append(Mismatch(record.label, "label",
                                        expected=None, computed=record.label))
     return VerificationReport(passed, failed, tuple(mismatches))
 
 
-def _diff_family(record, expected: golden.GoldenFamilyRow,
+def _diff_family(found: list[FamilyRecord], expected: golden.GoldenFamilyRow,
                  tangent: golden.GoldenTangentRow | None):
-    if record is None:
+    if not found:
         yield Mismatch(expected.label, "label", expected.label, None)
         return
+    if len(found) > 1:
+        yield Mismatch(expected.label, "label", "1 record",
+                       f"{len(found)} records")
+    record = found[0]
     for field in ("K4", "K2c2", "h0_antiK", "h12", "h13", "h22"):
         got = getattr(record, field)
         want = getattr(expected, field)

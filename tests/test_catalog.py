@@ -114,6 +114,19 @@ def test_family_params_domain():
         FamilyParams(1, 0, 0)
 
 
+def test_family_params_reject_non_int_components():
+    with pytest.raises(TypeError):
+        validate_params(7, 0.5, 1)
+    with pytest.raises(TypeError):
+        validate_params(7.0, 0, 1)
+    with pytest.raises(TypeError):
+        validate_params(7, 0, True)
+    with pytest.raises(TypeError):
+        FamilyParams(7, True, 2)
+    with pytest.raises(TypeError):
+        FamilyParams(7, 1, 2.0)
+
+
 def test_family_label_format():
     assert FamilyParams(7, 3, 6).label == "X^7_{3,6}"
     assert FamilyParams(1, 0, 1).label == "X^1_{0,1}"

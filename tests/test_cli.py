@@ -106,6 +106,17 @@ def test_export_to_file_quiet(capsys, tmp_path):
     assert target.exists()
 
 
+def test_export_io_error_exits_two_with_one_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "families.json"
+    code, out, err = run(capsys, "export", "--format", "json",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

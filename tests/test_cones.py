@@ -138,6 +138,64 @@ def test_curve_combo_rejects_negative_coefficients():
         Fraction(-1, 2) * curve(p, CurveGen.F)
 
 
+def test_float_and_bool_scalars_are_rejected():
+    p = FamilyParams(7, 0, 1)
+    with pytest.raises(TypeError):
+        divisor(p, 0.5, 0, 0)
+    with pytest.raises(TypeError):
+        divisor(p, 0, True, 0)
+    with pytest.raises(TypeError):
+        curve_combo(p, {CurveGen.F: 0.5})
+    with pytest.raises(TypeError):
+        curve_combo(p, {CurveGen.F: True})
+    with pytest.raises(TypeError):
+        2.0 * phi_star_H(p)
+    with pytest.raises(TypeError):
+        True * phi_star_H(p)
+    with pytest.raises(TypeError):
+        2.0 * curve(p, CurveGen.F)
+    with pytest.raises(TypeError):
+        from_alternate_basis(p, (0.5, 0, 0))
+
+
+def test_cone_data_of_every_family_is_plain_int():
+    # the 28 families live in the integer lattice; a Fraction here means the
+    # cone layer has slid back to rational arithmetic
+    for p in enumerate_families():
+        for ray in nef_rays(p):
+            assert all(type(x) is int for x in ray.generator.coords), ray
+        antiK = anticanonical(p)
+        assert all(type(x) is int for x in antiK.coords)
+        assert all(type(x) is int for x in to_alternate_basis(antiK))
+        for C in ne_generators(p):
+            assert all(type(c) is int for _, c in C.combo)
+            assert type(pairing(antiK, C)) is int
+
+
+def test_rational_input_keeps_exact_fractions():
+    p = FamilyParams(6, 2, 4)
+    half = curve_combo(p, {CurveGen.F: Fraction(1, 2)})
+    value = pairing(phi_star_H(p) + G_hat(p), half)
+    assert type(value) is Fraction and value == Fraction(1, 2)
+    assert divisor(p, Fraction(1, 3), 0, 0).coords[0] == Fraction(1, 3)
+    # integral Fractions are stored as int, at input and after arithmetic
+    D = divisor(p, Fraction(4, 2), Fraction(1, 2), 0)
+    assert type(D.coords[0]) is int and D.coords[0] == 2
+    assert [type(x) for x in (2 * D).coords] == [int, int, int]
+    twice_F = curve_combo(p, {CurveGen.F: 2})
+    assert pairing(D, twice_F) == 1 and type(pairing(D, twice_F)) is int
+    assert dict((2 * half).combo) == {CurveGen.F: 1}
+    assert (2 * half).kind is CurveGen.F
+
+
+def test_pairing_matrix_returns_a_fresh_copy():
+    p = FamilyParams(6, 1, 2)
+    matrix = pairing_matrix(p)
+    matrix[CurveGen.F] = (9, 9, 9)
+    assert pairing_matrix(p)[CurveGen.F] == (0, 1, -1)
+    assert pairing(G_hat(p), curve(p, CurveGen.F)) == 1
+
+
 def test_relation_class_is_numerically_trivial():
     # d*phi*H - E - Ehat is the zero class, so it pairs to 0 with everything
     for p in enumerate_families():

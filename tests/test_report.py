@@ -118,6 +118,16 @@ def test_verify_all_detects_missing_record(records):
     assert result.mismatches[0].family == "X^7_{3,6}"
 
 
+def test_verify_all_detects_duplicate_record(records):
+    result = verify_all(records + [records[16]])
+    assert not result.ok
+    assert (result.pass_count, result.fail_count) == (27, 1)
+    assert len(result.mismatches) == 1
+    m = result.mismatches[0]
+    assert (m.family, m.field) == ("X^7_{0,1}", "label")
+    assert m.computed == "2 records"
+
+
 def test_verify_all_detects_dropped_k4_terms(records):
     """Dropping any single summand of the K^4 closed form must be caught."""
     term_names = list(k4_closed_terms(threefold(7), 1, 2))
