@@ -112,7 +112,10 @@ def catalog() -> list[FanoThreefold]:
 
 
 def threefold(z_id: int) -> FanoThreefold:
-    """The catalogue row with the given id (1..7)."""
+    """The catalogue row with the given id (1..7).  An id that is not
+    exactly an ``int`` (a ``bool`` or ``float``, say) raises TypeError."""
+    if type(z_id) is not int:
+        raise TypeError(f"z_id must be an int, got {z_id!r}")
     if not 1 <= z_id <= 7:
         raise ValueError(f"z_id must be in 1..7, got {z_id}")
     return _CATALOG[z_id - 1]

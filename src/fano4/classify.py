@@ -128,15 +128,19 @@ def rationality(params: FamilyParams) -> Rationality:
 
 def h0_line_bundle(Z: FanoThreefold, d: int) -> int:
     """h^0(O_Z(d)) = 1 + 2d/i + (d*delta/12)(i^2 + 3di + 2d^2), by
-    Riemann-Roch plus Kodaira vanishing.  Must come out a positive integer."""
+    Riemann-Roch plus Kodaira vanishing.  The integer numerator over 12i
+    must divide to a positive integer, else IntegrityError shows the p/q."""
+    if type(d) is not int:
+        raise TypeError(f"d must be an int, got {d!r}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     i, delta = Z.index, Z.degree
-    value = (1 + Fraction(2 * d, i)
-             + Fraction(d * delta, 12) * (i * i + 3 * d * i + 2 * d * d))
-    if value.denominator != 1 or value <= 0:
-        raise IntegrityError(f"h^0(O_Z(d)) = {value} for Z_{Z.id}, d={d}")
-    return value.numerator
+    numerator = 12 * i + 24 * d + d * delta * i * (i * i + 3 * d * i + 2 * d * d)
+    value, remainder = divmod(numerator, 12 * i)
+    if remainder or value <= 0:
+        raise IntegrityError(f"h^0(O_Z(d)) = {Fraction(numerator, 12 * i)} "
+                             f"for Z_{Z.id}, d={d}")
+    return value
 
 
 def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int,

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``list``    -- the 28 family labels with their (z_id, a, d);
-* ``info``    -- full record for one family, cones and pairings included;
+* ``info``    -- full record for one family, cones and pairings included
+                 (exit 2 on a malformed or inadmissible triple, as ``cones``);
 * ``verify``  -- check all records against the reference tables
                  (exit 0 all pass, 1 any mismatch, 2 internal error);
 * ``export``  -- write all records as json, csv or markdown (exit 2 when the
@@ -20,22 +21,24 @@ import argparse
 import sys
 
 from . import __version__, cones, report
-from .catalog import FamilyParams, enumerate_families, threefold, validate_params
+from .catalog import FamilyParams, enumerate_families, validate_params
 from .errors import ConsistencyError, IntegrityError
 
 __all__ = ["main"]
 
 
 def _family_arg(args: argparse.Namespace) -> FamilyParams:
+    # exit 2, not 1: exit 1 means a verify mismatch
     try:
-        ok = validate_params(args.i, args.a, args.d)
+        if validate_params(args.i, args.a, args.d):
+            return FamilyParams(args.i, args.a, args.d)
+        message = (f"(z_id={args.i}, a={args.a}, d={args.d}) is not an "
+                   f"admissible family; run 'list' for the 28 admissible "
+                   f"triples")
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if not ok:
-        raise SystemExit(
-            f"error: (z_id={args.i}, a={args.a}, d={args.d}) is not an "
-            f"admissible family; run 'list' for the 28 admissible triples")
-    return FamilyParams(args.i, args.a, args.d)
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

@@ -44,6 +44,8 @@ class HodgePolynomial:
 
     Coefficients are indexed by (p, q); zero entries are dropped.  Supports
     +, - and * (polynomial product), which is all the structure formulas need.
+    The terms are kept as a tuple sorted by (p, q), the most compact form;
+    ``coeff`` scans it rather than building a dict.
     """
 
     __slots__ = ("_terms",)
@@ -60,7 +62,11 @@ class HodgePolynomial:
         self._terms = tuple(terms)
 
     def coeff(self, p: int, q: int) -> int:
-        return dict(self._terms).get((p, q), 0)
+        key = (p, q)
+        for pq, c in self._terms:
+            if pq == key:
+                return c
+        return 0
 
     def items(self) -> Iterable[tuple[tuple[int, int], int]]:
         return iter(self._terms)

@@ -15,8 +15,9 @@ Specialised to a family (Z, a, d) these reproduce the closed forms
 
 (and the analogous ones for K^2.c2 and chi(O(-K))), which are evaluated
 independently and must agree.  A third route recovers chi(O(-K)) from K^4 and
-K^2.c2 by Riemann-Roch.  Everything is exact: no floats enter this module,
-and every 1/2, 3/2 or 1/12 must cancel to an integer.
+K^2.c2 by Riemann-Roch.  Everything is exact and no floats enter this module:
+each chi(O(-K)) formula is one integer numerator over a fixed denominator
+(6, 2 or 12) that must divide it, and a float input raises TypeError.
 """
 
 from __future__ import annotations
@@ -88,10 +89,32 @@ class FourfoldInvariants:
     h0_antiK: int
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
+def _ratio(numerator: int, denominator: int) -> int | Fraction:
+    """numerator/denominator exactly: an ``int`` when the division leaves no
+    remainder, else a Fraction, which refuses a float with TypeError."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder or type(quotient) is not int:
+        return Fraction(numerator, denominator)
+    return quotient
+
+
+def _as_int(numerator: int, denominator: int, what: str) -> int:
+    """numerator/denominator, or IntegrityError showing the exact p/q."""
+    value = _ratio(numerator, denominator)
+    if type(value) is not int:
         raise IntegrityError(f"{what} = {value} is not an integer")
-    return value.numerator
+    return value
+
+
+def _degrees(K4: int, K2c2: int, chi_numerator: int, chi_denominator: int,
+             what: str) -> CanonicalDegrees:
+    """CanonicalDegrees with chi(O(-K)) = chi_numerator/chi_denominator.
+    TypeError when K^4 or K^2.c2 is not an ``int`` (after a float input, say)."""
+    if type(K4) is not int or type(K2c2) is not int:
+        raise TypeError(f"{what}: K^4 = {K4!r} and K^2.c2 = {K2c2!r} must "
+                        f"be ints")
+    return CanonicalDegrees(K4, K2c2, _as_int(chi_numerator, chi_denominator,
+                                              f"chi(O(-K)) of {what}"))
 
 
 def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
@@ -104,10 +127,9 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     """
     K4 = -8 * data.KW_c1sq + 32 * data.KW_c2E - 8 * data.KW3
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
-    chi = (Fraction(data.chi_O) + 6 * data.KW_c2E
-           - Fraction(3 * data.KW3 + 3 * data.KW_c1sq, 2)
-           - Fraction(data.KW_c2W, 3))
-    return CanonicalDegrees(K4, K2c2, _as_int(chi, "chi(O(-K)) of the bundle"))
+    chi6 = (6 * data.chi_O + 36 * data.KW_c2E
+            - 9 * (data.KW3 + data.KW_c1sq) - 2 * data.KW_c2W)
+    return _degrees(K4, K2c2, chi6, 6, "the bundle")
 
 
 def surface_blowup_invariants(base: CanonicalDegrees,
@@ -122,16 +144,17 @@ def surface_blowup_invariants(base: CanonicalDegrees,
           + centre.c2N - centre.KV_sq)
     K2c2 = (base.K2c2 - 12 * centre.chi_OV + 2 * centre.KV_sq
             - 2 * centre.KV_KYV - 2 * centre.c2N)
-    chi = (Fraction(base.chi_antiK) - centre.chi_OV
-           - Fraction(centre.KYV_sq + centre.KV_KYV, 2))
-    return CanonicalDegrees(K4, K2c2, _as_int(chi, "chi(O(-K)) of the blow-up"))
+    chi2 = (2 * (base.chi_antiK - centre.chi_OV)
+            - centre.KYV_sq - centre.KV_KYV)
+    return _degrees(K4, K2c2, chi2, 2, "the blow-up")
 
 
-def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> Fraction:
+def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
     """chi(O(-K)) on a smooth 4-fold from Riemann-Roch:
-    chi(O) + (2 K^4 + K^2.c2)/12.  Returned exactly; callers assert
-    integrality where they are entitled to it."""
-    return Fraction(chi_O) + Fraction(2 * K4 + K2c2, 12)
+    chi(O) + (2 K^4 + K^2.c2)/12.  An ``int`` when 12 divides the numerator,
+    else the exact Fraction; callers assert integrality where they are
+    entitled to it."""
+    return _ratio(12 * chi_O + 2 * K4 + K2c2, 12)
 
 
 def split_bundle_base(Z: FanoThreefold, a: int) -> BundleInput:
@@ -169,9 +192,8 @@ def surface_centre(Z: FanoThreefold, a: int, d: int) -> BlowupCentreData:
 def _closed_bundle_degrees(Z: FanoThreefold, a: int) -> CanonicalDegrees:
     i, delta = Z.index, Z.degree
     core = delta * i * (a * a + i * i)
-    chi = Fraction(9) + Fraction(3, 2) * core
     return CanonicalDegrees(8 * core, 2 * core + 96,
-                            _as_int(chi, "chi(O_Y(-K_Y))"))
+                            _as_int(18 + 3 * core, 2, "chi(O_Y(-K_Y))"))
 
 
 def p1_bundle_invariants(Z: FanoThreefold, a: int) -> CanonicalDegrees:
@@ -227,10 +249,9 @@ def closed_k2c2(Z: FanoThreefold, a: int, d: int) -> int:
 
 def closed_chi_antiK(Z: FanoThreefold, a: int, d: int) -> int:
     i, delta = Z.index, Z.degree
-    chi = (Fraction(8) + Fraction(3, 2) * delta * i * (a * a + i * i)
-           - surface_h02(Z, d)
-           - Fraction(d * delta * (a + i) * (a - d + 2 * i), 2))
-    return _as_int(chi, "chi(O_X(-K_X))")
+    chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(Z, d)
+            - d * delta * (a + i) * (a - d + 2 * i))
+    return _as_int(chi2, 2, "chi(O_X(-K_X))")
 
 
 def fano4_invariants(Z: FanoThreefold, a: int, d: int) -> FourfoldInvariants:

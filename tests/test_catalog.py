@@ -78,6 +78,12 @@ def test_threefold_domain():
         threefold(8)
 
 
+@pytest.mark.parametrize("z_id", [True, 2.0, 1.0, "1", None])
+def test_threefold_rejects_non_int_id(z_id):
+    with pytest.raises(TypeError):
+        threefold(z_id)
+
+
 def test_validate_params_examples():
     assert validate_params(7, 3, 6) is True
     assert validate_params(1, 1, 1) is False

@@ -121,6 +121,14 @@ def test_h0_line_bundle_integral_and_positive_on_wide_grid():
 def test_h0_line_bundle_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
         h0_line_bundle(threefold(7), 0)
+    with pytest.raises(TypeError):
+        h0_line_bundle(threefold(7), 1.0)
+
+
+def test_h0_line_bundle_is_an_exact_int_on_all_families():
+    for p in enumerate_families():
+        value = h0_line_bundle(p.threefold, p.d)
+        assert type(value) is int and value > 0, (p.label, value)
 
 
 def test_h0_line_bundle_integrality_guard():
@@ -128,8 +136,9 @@ def test_h0_line_bundle_integrality_guard():
     fake = FanoThreefold(7, 4, 1, 0, 15, 0, HBaseLocus.EMPTY, True, "fake")
     broken = FanoThreefold(7, 5, 1, 0, 15, 0, HBaseLocus.EMPTY, True, "odd index")
     assert h0_line_bundle(fake, 1) == 4
-    with pytest.raises(IntegrityError):
-        h0_line_bundle(broken, 1)   # 2d/i = 2/5
+    # 1 + 2/5 + (1/12)*(25 + 15 + 2) = 7/5 + 7/2 = 49/10
+    with pytest.raises(IntegrityError, match=r"h\^0\(O_Z\(d\)\) = 49/10 for"):
+        h0_line_bundle(broken, 1)
 
 
 @pytest.mark.parametrize("label,expected", [

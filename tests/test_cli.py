@@ -45,6 +45,20 @@ def test_info_rejects_malformed_triple(capsys):
         cli.main(["info", "9", "0", "1"])
 
 
+@pytest.mark.parametrize("command", ["info", "cones"])
+@pytest.mark.parametrize("triple", [("9", "0", "1"), ("7", "5", "1")],
+                         ids=["malformed", "inadmissible"])
+def test_bad_triple_exits_two_with_one_error_line(capsys, command, triple):
+    # exit 1 is reserved for a verify mismatch
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *triple])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ")
+
+
 def test_cones_output(capsys):
     code, out, _ = run(capsys, "cones", "6", "2", "4")
     assert code == 0

@@ -50,6 +50,16 @@ def test_projective_space_p3_diagonal():
     assert projective_space(3).as_dict() == {(i, i): 1 for i in range(4)}
 
 
+def test_insertion_order_does_not_show():
+    forward = HodgePolynomial({(0, 0): 1, (1, 2): 3, (2, 1): 3, (2, 0): 0})
+    backward = HodgePolynomial({(2, 1): 3, (1, 2): 3, (0, 0): 1})
+    assert forward == backward and hash(forward) == hash(backward)
+    assert repr(forward) == repr(backward) == \
+        "HodgePolynomial({(0,0): 1, (1,2): 3, (2,1): 3})"
+    assert list(backward.items()) == [((0, 0), 1), ((1, 2), 3), ((2, 1), 3)]
+    assert hash(backward) == hash((((0, 0), 1), ((1, 2), 3), ((2, 1), 3)))
+
+
 def test_projective_space_rejects_negative():
     with pytest.raises(ValueError):
         projective_space(-1)

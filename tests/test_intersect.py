@@ -12,6 +12,7 @@ from fano4.intersect import (
     BlowupCentreData,
     BundleInput,
     CanonicalDegrees,
+    closed_chi_antiK,
     closed_k4,
     fano4_invariants,
     k4_closed_terms,
@@ -52,10 +53,14 @@ def test_bundle_K2c2_degenerates_without_chern_classes(KW3, chi_O, KW_c2W):
 
 
 def test_bundle_invariants_integrality_guard():
-    # odd K_W^3 makes chi(O(-K)) half-integral
-    with pytest.raises(IntegrityError):
+    # odd K_W^3 makes chi(O(-K)) half-integral: 1 + 189/2 + 8 = 207/2
+    with pytest.raises(IntegrityError, match=r" = 207/2 is not an integer"):
         projective_bundle_invariants(
             BundleInput(KW3=-63, KW_c1sq=0, KW_c2E=0, KW_c2W=-24, chi_O=1))
+    # K_W.c2(W) not divisible by 3: 1 - (-1)/3 = 4/3
+    with pytest.raises(IntegrityError, match=r" = 4/3 is not an integer"):
+        projective_bundle_invariants(
+            BundleInput(KW3=0, KW_c1sq=0, KW_c2E=0, KW_c2W=-1, chi_O=1))
 
 
 @pytest.mark.parametrize("z_id,a,expected", [
@@ -145,6 +150,55 @@ def test_riemann_roch_chi_examples(K4, K2c2, chi_O, expected):
 
 def test_riemann_roch_chi_is_exact_rational():
     assert riemann_roch_chi(1, 1, 0) == Fraction(3, 12)
+    # a non-integral value stays the exact Fraction, never an int or float
+    assert type(riemann_roch_chi(1, 1, 0)) is Fraction
+    assert riemann_roch_chi(5, 0, 2) == Fraction(17, 6)   # 2 + 10/12
+
+
+def test_invariants_are_exact_ints_on_all_families():
+    for p in enumerate_families():
+        Z = threefold(p.z_id)
+        inv = fano4_invariants(Z, p.a, p.d)
+        bundle = p1_bundle_invariants(Z, p.a)
+        values = [inv.K4, inv.K2c2, inv.h0_antiK,
+                  bundle.K4, bundle.K2c2, bundle.chi_antiK,
+                  closed_chi_antiK(Z, p.a, p.d),
+                  riemann_roch_chi(inv.K4, inv.K2c2, 1)]
+        assert all(type(v) is int for v in values), (p.label, values)
+
+
+def test_non_integral_blowup_input_reports_exact_value():
+    base = CanonicalDegrees(K4=512, K2c2=224, chi_antiK=105)
+    centre = BlowupCentreData(KYV_sq=3, KV_KYV=0, KV_sq=0, c2N=0, chi_OV=1)
+    # chi = 105 - 1 - 3/2 = 205/2
+    with pytest.raises(IntegrityError,
+                       match=r"chi\(O\(-K\)\) of the blow-up = 205/2 "):
+        surface_blowup_invariants(base, centre)
+
+
+BUNDLE_P3 = dict(KW3=-64, KW_c1sq=0, KW_c2E=0, KW_c2W=-24, chi_O=1)
+CENTRE = dict(KYV_sq=16, KV_KYV=12, KV_sq=9, c2N=0, chi_OV=1)
+
+
+@pytest.mark.parametrize("field", sorted(BUNDLE_P3))
+def test_float_bundle_input_is_refused(field):
+    with pytest.raises(TypeError):
+        projective_bundle_invariants(
+            BundleInput(**{**BUNDLE_P3, field: float(BUNDLE_P3[field])}))
+
+
+@pytest.mark.parametrize("field", sorted(CENTRE))
+def test_float_blowup_input_is_refused(field):
+    base = projective_bundle_invariants(BundleInput(**BUNDLE_P3))
+    surface_blowup_invariants(base, BlowupCentreData(**CENTRE))  # integral
+    with pytest.raises(TypeError):
+        surface_blowup_invariants(
+            base, BlowupCentreData(**{**CENTRE, field: float(CENTRE[field])}))
+
+
+def test_float_riemann_roch_input_is_refused():
+    with pytest.raises(TypeError):
+        riemann_roch_chi(431.0, 206, 1)
 
 
 def test_triple_path_agreement_on_all_families():
