@@ -7,7 +7,8 @@ divisor of Picard rank 1, and every such 4-fold arises from a triple
 twist a >= 0, and the degree d >= 1 of a smooth surface in |O_Z(d)|.
 """
 
-from fano4 import catalog, enumerate_families, validate_params
+from fano4 import enumerate_families, validate_params
+from fano4.catalog import catalog
 
 print("The seven base 3-folds:")
 for z in catalog():

@@ -9,108 +9,60 @@ anticanonical degrees and tangent-sheaf cohomology from first principles
 (several independent routes each, all in exact integer/rational arithmetic),
 models the curve and nef cones, and verifies everything against embedded
 reference tables.
+
+Importing the package loads no submodule.  A public name such as
+``fano4.verify_all`` imports its home module on first access (PEP 562), so a
+program pays only for the modules it uses; the ``fano4`` command line loads
+``catalog`` and ``errors`` for ``list``, adds ``cones`` for ``cones``, and
+loads the rest only for ``info``, ``verify`` and ``export`` (see
+:mod:`fano4.cli`).  ``fano4.catalog`` is always the module; the catalogue
+itself is ``fano4.catalog.catalog()``.
 """
 
 __version__ = "0.1.0"
 
-from .catalog import (
-    FamilyParams,
-    FanoThreefold,
-    HBaseLocus,
-    catalog,
-    enumerate_families,
-    threefold,
-    validate_params,
-)
-from .classify import (
-    BaseLocusKind,
-    BaseLocusResult,
-    Rationality,
-    TangentBounds,
-    ToricLabel,
-    base_locus,
-    chi_tangent,
-    h0_line_bundle,
-    rationality,
-    tangent_bounds,
-    toric_label,
-)
-from .cones import (
-    CurveClass,
-    CurveGen,
-    DivisorClass,
-    FibreLike,
-    NefRay,
-    RayLabel,
-    anticanonical,
-    is_fano,
-    is_fibre_like,
-    ne_generators,
-    nef_rays,
-    pairing,
-    pairing_matrix,
-    to_alternate_basis,
-)
-from .errors import ConsistencyError, ContextMismatchError, IntegrityError
-from .golden import GoldenTables, golden_tables
-from .hodge import (
-    FourfoldHodge,
-    HodgePolynomial,
-    SurfaceHodge,
-    blowup_formula,
-    bundle_formula,
-    hodge_of_fourfold,
-    hodge_of_threefold,
-    projective_space,
-    surface_h02,
-    surface_h11,
-)
-from .intersect import (
-    BlowupCentreData,
-    BundleInput,
-    CanonicalDegrees,
-    FourfoldInvariants,
-    fano4_invariants,
-    p1_bundle_invariants,
-    projective_bundle_invariants,
-    riemann_roch_chi,
-    surface_blowup_invariants,
-)
-from .report import (
-    FamilyRecord,
-    Mismatch,
-    VerificationReport,
-    build_all_records,
-    build_record,
-    export,
-    verify_all,
-)
+#: home module -> the public names the package re-exports from it
+_EXPORTS = {
+    "catalog": ("FanoThreefold", "FamilyParams", "HBaseLocus", "threefold",
+                "validate_params", "enumerate_families"),
+    "hodge": ("HodgePolynomial", "SurfaceHodge", "FourfoldHodge",
+              "projective_space", "bundle_formula", "blowup_formula",
+              "surface_h02", "surface_h11", "hodge_of_threefold",
+              "hodge_of_fourfold"),
+    "intersect": ("BundleInput", "BlowupCentreData", "CanonicalDegrees",
+                  "FourfoldInvariants", "projective_bundle_invariants",
+                  "surface_blowup_invariants", "riemann_roch_chi",
+                  "p1_bundle_invariants", "fano4_invariants"),
+    "cones": ("DivisorClass", "CurveClass", "CurveGen", "NefRay", "RayLabel",
+              "FibreLike", "anticanonical", "pairing", "pairing_matrix",
+              "to_alternate_basis", "ne_generators", "nef_rays", "is_fano",
+              "is_fibre_like"),
+    "classify": ("BaseLocusKind", "BaseLocusResult", "Rationality",
+                 "ToricLabel", "TangentBounds", "base_locus", "rationality",
+                 "toric_label", "h0_line_bundle", "chi_tangent",
+                 "tangent_bounds"),
+    "report": ("FamilyRecord", "Mismatch", "VerificationReport",
+               "build_record", "build_all_records", "verify_all", "export"),
+    "golden": ("GoldenTables", "golden_tables"),
+    "errors": ("ConsistencyError", "IntegrityError", "ContextMismatchError"),
+}
 
-__all__ = [
-    "__version__",
-    # catalog
-    "FanoThreefold", "FamilyParams", "HBaseLocus",
-    "catalog", "threefold", "validate_params", "enumerate_families",
-    # hodge
-    "HodgePolynomial", "SurfaceHodge", "FourfoldHodge",
-    "projective_space", "bundle_formula", "blowup_formula",
-    "surface_h02", "surface_h11", "hodge_of_threefold", "hodge_of_fourfold",
-    # intersect
-    "BundleInput", "BlowupCentreData", "CanonicalDegrees", "FourfoldInvariants",
-    "projective_bundle_invariants", "surface_blowup_invariants",
-    "riemann_roch_chi", "p1_bundle_invariants", "fano4_invariants",
-    # cones
-    "DivisorClass", "CurveClass", "CurveGen", "NefRay", "RayLabel", "FibreLike",
-    "anticanonical", "pairing", "pairing_matrix", "to_alternate_basis",
-    "ne_generators", "nef_rays", "is_fano", "is_fibre_like",
-    # classify
-    "BaseLocusKind", "BaseLocusResult", "Rationality", "ToricLabel",
-    "TangentBounds", "base_locus", "rationality", "toric_label",
-    "h0_line_bundle", "chi_tangent", "tangent_bounds",
-    # report / golden
-    "FamilyRecord", "Mismatch", "VerificationReport",
-    "build_record", "build_all_records", "verify_all", "export",
-    "GoldenTables", "golden_tables",
-    # errors
-    "ConsistencyError", "IntegrityError", "ContextMismatchError",
-]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

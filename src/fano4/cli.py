@@ -13,6 +13,11 @@ Subcommands:
 
 All numeric output is exact; non-integral rationals (which only the pairing
 displays could ever produce) are rendered as p/q.
+
+Each command imports only the modules it needs, so a cold start pays for no
+more: ``list`` loads ``catalog`` and ``errors``; ``cones`` adds ``cones``;
+``info`` and ``export`` load everything except ``golden`` (the reference
+tables); ``verify`` loads everything except ``json`` and ``csv``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, cones, report
+from . import __version__
 from .catalog import FamilyParams, enumerate_families, validate_params
 from .errors import ConsistencyError, IntegrityError
 
@@ -48,6 +53,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _print_cones(params: FamilyParams) -> None:
+    from . import cones
+
     antiK = cones.anticanonical(params)
     generators = cones.ne_generators(params)
     print("NE(X) generators and -K degrees:")
@@ -68,6 +75,8 @@ def _print_cones(params: FamilyParams) -> None:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     params = _family_arg(args)
+    from . import report
+
     record = report.build_record(params)
     Z = params.threefold
     print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
@@ -101,6 +110,8 @@ def _cmd_cones(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import report
+
     result = report.verify_all()
     if not args.quiet:
         for m in result.mismatches:
@@ -112,6 +123,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from . import report
+
     payload = report.export(report.build_all_records(), args.format)
     if args.out is None:
         sys.stdout.buffer.write(payload)

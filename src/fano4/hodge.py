@@ -42,7 +42,8 @@ __all__ = [
 class HodgePolynomial:
     """A sparse two-variable polynomial with integer coefficients.
 
-    Coefficients are indexed by (p, q); zero entries are dropped.  Supports
+    Coefficients are indexed by (p, q) and must be exactly ``int`` (a
+    float, Fraction or bool raises TypeError); zero entries are dropped.  Supports
     +, - and * (polynomial product), which is all the structure formulas need.
     The terms are kept as a tuple sorted by (p, q), the most compact form;
     ``coeff`` scans it rather than building a dict.
@@ -53,6 +54,9 @@ class HodgePolynomial:
     def __init__(self, coeffs: Mapping[tuple[int, int], int]):
         terms = []
         for (p, q), c in coeffs.items():
+            if c.__class__ is not int:  # not type(c): no call per term
+                raise TypeError(f"coefficient of ({p},{q}) must be an int, "
+                                f"got {c!r}")
             if c == 0:
                 continue
             if p < 0 or q < 0:

@@ -216,12 +216,20 @@ def p1_bundle_invariants(Z: FanoThreefold, a: int) -> CanonicalDegrees:
     return closed
 
 
+def _check_twist(a: int, d: int) -> None:
+    """TypeError unless the closed forms' ``a`` and ``d`` are exactly ints
+    (a float would flow through them, a bool would pass for 0 or 1)."""
+    if type(a) is not int or type(d) is not int:
+        raise TypeError(f"a and d must be ints, got a={a!r}, d={d!r}")
+
+
 def k4_closed_terms(Z: FanoThreefold, a: int, d: int) -> dict[str, int]:
     """The five summands of the closed form for K_X^4, keyed by formula.
 
     Exposing the terms individually lets the verification suite check that
     the reference tables detect the loss of any single one.
     """
+    _check_twist(a, d)
     i, delta = Z.index, Z.degree
     return {
         "8*delta*i*(a^2+i^2)": 8 * delta * i * (a * a + i * i),
@@ -242,12 +250,14 @@ def closed_k4(Z: FanoThreefold, a: int, d: int, drop: str | None = None) -> int:
 
 
 def closed_k2c2(Z: FanoThreefold, a: int, d: int) -> int:
+    _check_twist(a, d)
     i, delta = Z.index, Z.degree
     return (84 + 2 * delta * i * (a * a + i * i) - 12 * surface_h02(Z, d)
             + 2 * d * delta * (d - i) * (a + d) - 2 * a * d * d * delta)
 
 
 def closed_chi_antiK(Z: FanoThreefold, a: int, d: int) -> int:
+    _check_twist(a, d)
     i, delta = Z.index, Z.degree
     chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(Z, d)
             - d * delta * (a + i) * (a - d + 2 * i))

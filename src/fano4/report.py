@@ -10,17 +10,17 @@ is an ordinary result, not a crash.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
-from . import classify, cones, golden, intersect
+from . import classify, cones, intersect
 from .catalog import FamilyParams, enumerate_families
 from .errors import ConsistencyError, IntegrityError
-from .golden import GoldenTables, golden_tables
 from .hodge import hodge_of_fourfold
+
+if TYPE_CHECKING:
+    from . import golden
 
 __all__ = [
     "FamilyRecord",
@@ -131,11 +131,12 @@ class VerificationReport:
 
 
 def verify_all(records: list[FamilyRecord] | None = None,
-               tables: GoldenTables | None = None) -> VerificationReport:
+               tables: golden.GoldenTables | None = None) -> VerificationReport:
     """Diff the computed records against the reference tables.
 
     Counts families: a family passes when it has exactly one record and
-    every field of its table-2 and table-3 rows matches.
+    every field of its table-2 and table-3 rows matches.  Each label that
+    has a record or a table-3 row but no table-2 row fails as one family.
     ``records``/``tables`` can be overridden to probe the sensitivity of the
     comparison (fault injection); by default the 28 canonical records are
     built and checked against the embedded tables.
@@ -143,6 +144,8 @@ def verify_all(records: list[FamilyRecord] | None = None,
     if records is None:
         records = build_all_records()
     if tables is None:
+        from .golden import golden_tables
+
         tables = golden_tables()
     by_label: dict[str, list[FamilyRecord]] = {}
     for r in records:
@@ -161,12 +164,18 @@ def verify_all(records: list[FamilyRecord] | None = None,
         else:
             passed += 1
     table2_labels = {row.label for row in tables.table2}
+    orphans: set[str] = set()
     for record in records:
         if record.label not in table2_labels:
-            failed += 1
+            orphans.add(record.label)
             mismatches.append(Mismatch(record.label, "label",
                                        expected=None, computed=record.label))
-    return VerificationReport(passed, failed, tuple(mismatches))
+    for row in tables.table3:
+        if row.label not in table2_labels:
+            orphans.add(row.label)
+            mismatches.append(Mismatch(row.label, "table2_row",
+                                       expected="present", computed=None))
+    return VerificationReport(passed, failed + len(orphans), tuple(mismatches))
 
 
 def _diff_family(found: list[FamilyRecord], expected: golden.GoldenFamilyRow,
@@ -255,9 +264,14 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
     if not records:
         raise ValueError("no records to export")
     if format == "json":
+        import json
+
         rows = [_record_row(r) for r in records]
         return (json.dumps(rows, indent=2) + "\n").encode("utf-8")
     if format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=EXPORT_FIELDS, lineterminator="\n")
         writer.writeheader()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -230,3 +231,10 @@ def test_integrity_error_for_impossible_surface():
     fake = FanoThreefold(7, 4, 60, 0, 15, 0, HBaseLocus.EMPTY, True, "fake")
     with pytest.raises(IntegrityError):
         surface_h11(fake, 6)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True, Fraction(0)],
+                         ids=["float", "fraction", "bool", "zero_fraction"])
+def test_non_int_coefficient_is_refused(bad):
+    with pytest.raises(TypeError):
+        HodgePolynomial({(0, 0): 1, (1, 1): bad})

@@ -13,6 +13,7 @@ from fano4.intersect import (
     BundleInput,
     CanonicalDegrees,
     closed_chi_antiK,
+    closed_k2c2,
     closed_k4,
     fano4_invariants,
     k4_closed_terms,
@@ -255,3 +256,14 @@ def test_split_bundle_base_specialization():
     assert data.KW_c2E == 0
     assert data.KW_c2W == -24
     assert data.chi_O == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+def test_closed_forms_reject_non_int_twist(bad):
+    Z = threefold(7)
+    for fn in (k4_closed_terms, closed_k4, closed_k2c2, closed_chi_antiK):
+        with pytest.raises(TypeError):
+            fn(Z, bad, 1)
+        with pytest.raises(TypeError):
+            fn(Z, 1, bad)
+    assert closed_k4(Z, 1, 1) == closed_k4(Z, int(True), 1)

@@ -1,0 +1,129 @@
+"""The package surface and its lazy loading.
+
+``import fano4`` loads no submodule; each public name imports its home
+module on first access, and each CLI command loads only what it uses.  The
+loading checks run in fresh interpreters, because this test session has
+long since imported everything.
+"""
+
+from __future__ import annotations
+
+import doctest
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import fano4
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLI_MODULES = {"fano4", "fano4.catalog", "fano4.errors", "fano4.cli"}
+
+
+def loaded_after(*argvs: list[str]) -> list[tuple[set[str], set[str]]]:
+    """In a fresh interpreter, import ``fano4.cli`` and run ``main`` on each
+    argv in turn.  Returns, after the import and after each command, the
+    loaded ``fano4`` modules and the modules that command added."""
+    script = f"""
+import contextlib, io, sys
+def fano4_modules():
+    return sorted(m for m in sys.modules if m == "fano4" or m.startswith("fano4."))
+before = set(sys.modules)
+import fano4.cli as cli
+steps = [(fano4_modules(), sorted(set(sys.modules) - before))]
+for argv in {argvs!r}:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    steps.append((fano4_modules(), sorted(set(sys.modules) - before)))
+import json
+print(json.dumps(steps))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    steps = json.loads(result.stdout.splitlines()[-1])
+    return [(set(fano4_mods), set(added)) for fano4_mods, added in steps]
+
+
+def test_cli_import_and_list_load_only_catalog_and_errors():
+    (after_import, _), (after_list, added) = loaded_after(["list"])
+    assert after_import <= CLI_MODULES
+    assert after_list <= CLI_MODULES
+    assert not {m for m in added if m.startswith("fano4.")}
+
+
+def test_cones_command_adds_only_the_cones_module():
+    (after_import, _), (after_cones, _) = loaded_after(["cones", "7", "1", "2"])
+    assert after_cones - after_import == {"fano4.cones"}
+
+
+def test_info_does_not_load_the_reference_tables():
+    (_, on_import), (after_info, added) = loaded_after(["info", "7", "1", "2"])
+    assert "fano4.report" in after_info
+    assert "fano4.golden" not in after_info
+    assert not {"json", "csv"} & (on_import | added)
+
+
+def test_verify_loads_the_tables_but_not_json_or_csv():
+    (_, on_import), (after_verify, added) = loaded_after(["verify"])
+    assert "fano4.golden" in after_verify
+    assert not {"json", "csv"} & (on_import | added)
+
+
+def test_every_export_resolves_to_its_home_module_object():
+    for name in fano4.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"fano4.{fano4._HOME[name]}")
+        assert getattr(fano4, name) is getattr(home, name), name
+
+
+def test_all_is_unique_and_listed_by_dir():
+    assert len(set(fano4.__all__)) == len(fano4.__all__)
+    listing = dir(fano4)
+    assert "__all__" in listing
+    assert set(fano4.__all__) <= set(listing)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fano4.no_such_name
+
+
+def test_catalog_is_the_module():
+    assert isinstance(fano4.catalog, ModuleType)
+    assert fano4.catalog is sys.modules["fano4.catalog"]
+    assert [z.id for z in fano4.catalog.catalog()] == list(range(1, 8))
+    assert "catalog" not in fano4.__all__
+
+
+def test_catalog_is_the_module_in_a_fresh_interpreter():
+    script = ("import fano4, types; "
+              "assert isinstance(fano4.catalog, types.ModuleType); "
+              "print(len(fano4.catalog.catalog()))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "7"
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict[str, object] = {}
+    exec("from fano4 import *", namespace)
+    assert set(fano4.__all__) <= set(namespace)
+    assert namespace["verify_all"] is fano4.report.verify_all
+
+
+def test_readme_quick_start():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted >= 5
+    assert result.failed == 0

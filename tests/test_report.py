@@ -221,3 +221,33 @@ def test_chi_equals_h0_minus_h1_for_exact_rows(records):
     assert len(exact_rows) == 14
     for r in exact_rows:
         assert r.tangent.h0_exact - r.tangent.h1_exact == r.tangent.chi
+
+
+def test_verify_all_fails_a_table3_row_without_a_table2_row(records):
+    from fano4.golden import GoldenTangentRow
+
+    tables = golden_tables()
+    orphan = GoldenTangentRow("X^8_{0,1}", h0=1, h0_is_exact=True, h1=0,
+                              h1_is_exact=True, chi=1)
+    extended = dataclasses.replace(tables, table3=tables.table3 + (orphan,))
+    result = verify_all(records, extended)
+    assert not result.ok
+    assert (result.pass_count, result.fail_count) == (28, 1)
+    assert len(result.mismatches) == 1
+    m = result.mismatches[0]
+    assert (m.family, m.field) == ("X^8_{0,1}", "table2_row")
+    assert verify_all(records, tables).pass_count == 28
+
+
+def test_an_unknown_label_fails_as_one_family(records):
+    from fano4.golden import GoldenTangentRow
+
+    tables = golden_tables()
+    stray = dataclasses.replace(records[0], label="X^8_{0,1}")
+    orphan = GoldenTangentRow("X^8_{0,1}", h0=1, h0_is_exact=True, h1=0,
+                              h1_is_exact=True, chi=1)
+    extended = dataclasses.replace(tables, table3=tables.table3 + (orphan,))
+    result = verify_all(records + [stray, stray], extended)
+    assert (result.pass_count, result.fail_count) == (28, 1)
+    assert [m.field for m in result.mismatches] == \
+        ["label", "label", "table2_row"]
