@@ -46,7 +46,7 @@ print(f"  chi(O) + (2K^4 + K^2.c2)/12 = {riemann_roch_chi(inv.K4, inv.K2c2, 1)}"
 
 print()
 print("Hodge numbers, closed forms vs polynomial calculus:")
-h = hodge_of_fourfold(Z, a, d)
+h = hodge_of_fourfold(Z, d)
 print(f"  closed: h^(1,2) = {h.h12}, h^(1,3) = {h.h13}, h^(2,2) = {h.h22}")
 eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
                     hodge_of_surface(Z, d), 2)

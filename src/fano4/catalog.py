@@ -28,6 +28,7 @@ __all__ = [
     "catalog",
     "threefold",
     "validate_params",
+    "require_admissible",
     "enumerate_families",
 ]
 
@@ -121,25 +122,16 @@ def threefold(z_id: int) -> FanoThreefold:
     return _CATALOG[z_id - 1]
 
 
-def _check_domain(z_id: int, a: int, d: int) -> None:
-    if type(z_id) is not int or type(a) is not int or type(d) is not int:
-        raise TypeError(f"(z_id, a, d) must be three ints, got {(z_id, a, d)!r}")
-    if not 1 <= z_id <= 7:
-        raise ValueError(f"z_id must be in 1..7, got {z_id}")
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-
-
 @dataclass(frozen=True, order=True)
 class FamilyParams:
     """A triple (z_id, a, d) naming the family X^{z_id}_{a,d}.
 
-    The constructor checks only the basic domain (three ints with z_id in
-    1..7, a >= 0, d >= 1); admissibility is the job of
-    :func:`validate_params`, so that non-admissible triples can still be
-    talked about (e.g. to show they fail the Fano criterion).
+    The constructor rejects only a triple outside the basic domain (three
+    ints with z_id in 1..7, a >= 0, d >= 1), so that non-admissible triples
+    can still be talked about (e.g. to show they fail the Fano criterion).
+    It stores the verdict of :func:`validate_params` as ``is_admissible``,
+    outside the dataclass fields, so equality, hashing, ordering and repr
+    see only the triple.
     """
 
     z_id: int
@@ -147,7 +139,8 @@ class FamilyParams:
     d: int
 
     def __post_init__(self) -> None:
-        _check_domain(self.z_id, self.a, self.d)
+        object.__setattr__(self, "is_admissible",
+                           validate_params(self.z_id, self.a, self.d))
 
     @property
     def threefold(self) -> FanoThreefold:
@@ -159,18 +152,33 @@ class FamilyParams:
 
 
 def validate_params(z_id: int, a: int, d: int) -> bool:
-    """Whether (z_id, a, d) is an admissible triple.
+    """Whether (z_id, a, d) is an admissible triple; the package's only
+    statement of the rule (guards go through :func:`require_admissible`).
 
     Out-of-domain input (z_id outside 1..7, a < 0, d < 1) raises ValueError,
     and a component that is not an ``int`` (a ``bool`` or ``float``, say)
     raises TypeError, rather than returning False: those triples are
     malformed, not just non-admissible.
     """
-    _check_domain(z_id, a, d)
+    if type(z_id) is not int or type(a) is not int or type(d) is not int:
+        raise TypeError(f"(z_id, a, d) must be three ints, got {(z_id, a, d)!r}")
+    if not 1 <= z_id <= 7:
+        raise ValueError(f"z_id must be in 1..7, got {z_id}")
+    if a < 0:
+        raise ValueError(f"a must be >= 0, got {a}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     i = _CATALOG[z_id - 1].index
     if not (a > d or 2 * a <= d):
         return False
     return a <= i - 1 and d - a <= i - 1
+
+
+def require_admissible(params: FamilyParams) -> None:
+    """The guard of every operation defined only on the 28 families:
+    ValueError naming the family unless it is admissible."""
+    if not params.is_admissible:
+        raise ValueError(f"{params.label} is not admissible")
 
 
 def enumerate_families() -> list[FamilyParams]:
@@ -179,11 +187,8 @@ def enumerate_families() -> list[FamilyParams]:
     The admissibility constraints bound the search grid outright:
     a <= i_Z - 1 and d <= 2*i_Z - 2.
     """
-    families = []
-    for z in _CATALOG:
-        for a in range(z.index):
-            for d in range(1, 2 * z.index - 1):
-                if validate_params(z.id, a, d):
-                    families.append(FamilyParams(z.id, a, d))
+    families = [p for z in _CATALOG for a in range(z.index)
+                for d in range(1, 2 * z.index - 1)
+                if (p := FamilyParams(z.id, a, d)).is_admissible]
     families.sort()
     return families

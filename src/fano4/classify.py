@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .catalog import FamilyParams, FanoThreefold, validate_params
+from .catalog import FamilyParams, FanoThreefold, require_admissible
 from .errors import IntegrityError
 
 __all__ = [
@@ -59,17 +59,20 @@ class BaseLocusResult:
     general_member_smooth: bool
 
     def display(self) -> str:
-        return {
-            BaseLocusKind.EMPTY: "empty",
-            BaseLocusKind.ONE_POINT: "{Q0}",
-            BaseLocusKind.TWO_POINTS: "{Q1, Q2}",
-        }[self.kind]
+        return _BASE_LOCUS_TEXT[self.kind]
+
+
+_BASE_LOCUS_TEXT = {
+    BaseLocusKind.EMPTY: "empty",
+    BaseLocusKind.ONE_POINT: "{Q0}",
+    BaseLocusKind.TWO_POINTS: "{Q1, Q2}",
+}
 
 
 def base_locus(params: FamilyParams) -> BaseLocusResult:
     """Base locus of |-K_X|: empty whenever |H| on Z is free, else one point
     for (z_id, a, d) = (1, 0, 1) and two for (1, 1, 2)."""
-    _require_admissible(params)
+    require_admissible(params)
     kind = BaseLocusKind.EMPTY
     if params.z_id == 1:
         kind = (BaseLocusKind.ONE_POINT if (params.a, params.d) == (0, 1)
@@ -103,7 +106,7 @@ _TORIC = {(7, 0, 1): ToricLabel.E3, (7, 2, 1): ToricLabel.E2,
 
 
 def toric_label(params: FamilyParams) -> ToricLabel | None:
-    _require_admissible(params)
+    require_admissible(params)
     return _TORIC.get((params.z_id, params.a, params.d))
 
 
@@ -116,7 +119,7 @@ def rationality(params: FamilyParams) -> Rationality:
     very general base is not stably rational); over the cubic (z_id = 3)
     stable rationality of the base is open and nothing is known.
     """
-    _require_admissible(params)
+    require_admissible(params)
     if (params.z_id, params.a, params.d) in _TORIC:
         return Rationality.TORIC
     if params.z_id >= 4:
@@ -151,52 +154,40 @@ def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int,
 
 @dataclass(frozen=True)
 class TangentBounds:
-    """chi(T_X) together with the known information on h^0 and h^1.
+    """chi(T_X) together with what is known of h^1(T_X), and so of h^0.
 
-    ``h1_upper``/``h0_upper`` are the best established upper bounds; the
-    ``*_exact`` fields repeat them when the bound is known to be attained
-    (and are None otherwise).
+    ``h1`` is the best established upper bound for h^1(T_X), and
+    ``h1_is_exact`` says whether it is attained.  ``h0`` follows from
+    h^0 - h^1 = chi, so it is exact exactly when ``h1`` is.
     """
 
     chi: int
-    h1_upper: int
-    h0_upper: int
-    h1_exact: int | None
-    h0_exact: int | None
+    h1: int
+    h1_is_exact: bool
 
     @property
-    def is_exact(self) -> bool:
-        return self.h1_exact is not None
+    def h0(self) -> int:
+        return self.chi + self.h1
 
 
 def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
-    """Bounds (exact values where known) for h^0(T_X) and h^1(T_X).
+    """h^1(T_X) as an exact value where known, else as an upper bound.
 
     The deformation count gives h^1(T_X) <= h^1(T_Z) + h^0(O_Z(d)) - 1.  The
     bound is attained for z_id <= 4; the families over P^3 with d <= 2 are
-    rigid, so there the sharper bound h^1 = 0 replaces it.  h^0 follows from
-    h^0 - h^1 = chi.
+    rigid, so there the sharper bound h^1 = 0 replaces it.  h^0 = chi + h^1
+    is exact or a bound with it.  A negative h^0 or h^1 raises
+    IntegrityError.
     """
-    _require_admissible(params)
+    require_admissible(params)
     Z = params.threefold
-    bound = Z.h1_tangent + h0_line_bundle(Z, params.d) - 1
-    if params.z_id <= 4:
-        h1_exact: int | None = bound
-    elif params.z_id == 7 and params.d <= 2:
-        h1_exact = 0
-    else:
-        h1_exact = None
-    h1_upper = bound if h1_exact is None else h1_exact
-    h0_exact = None if h1_exact is None else chi + h1_exact
-    h0_upper = chi + h1_upper
-    for name, value in (("h1_upper", h1_upper), ("h0_upper", h0_upper),
-                        ("h1_exact", h1_exact), ("h0_exact", h0_exact)):
-        if value is not None and value < 0:
+    h1 = Z.h1_tangent + h0_line_bundle(Z, params.d) - 1
+    rigid = params.z_id == 7 and params.d <= 2
+    if rigid:
+        h1 = 0
+    bounds = TangentBounds(chi=chi, h1=h1,
+                           h1_is_exact=params.z_id <= 4 or rigid)
+    for name, value in (("h1", bounds.h1), ("h0", bounds.h0)):
+        if value < 0:
             raise IntegrityError(f"{params.label}: {name} = {value} < 0")
-    return TangentBounds(chi=chi, h1_upper=h1_upper, h0_upper=h0_upper,
-                         h1_exact=h1_exact, h0_exact=h0_exact)
-
-
-def _require_admissible(params: FamilyParams) -> None:
-    if not validate_params(params.z_id, params.a, params.d):
-        raise ValueError(f"{params.label} is not admissible")
+    return bounds

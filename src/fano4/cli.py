@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``list``    -- the 28 family labels with their (z_id, a, d);
-* ``info``    -- full record for one family, cones and pairings included
-                 (exit 2 on a malformed or inadmissible triple, as ``cones``);
+* ``info``    -- full record for one family, printed from its flat row (the
+                 one the exports write), cones and pairings included (exit 2
+                 on a malformed or inadmissible triple, as ``cones``);
 * ``verify``  -- check all records against the reference tables
                  (exit 0 all pass, 1 any mismatch, 2 internal error);
 * ``export``  -- write all records as json, csv or markdown (exit 2 when the
@@ -26,7 +27,7 @@ import argparse
 import sys
 
 from . import __version__
-from .catalog import FamilyParams, enumerate_families, validate_params
+from .catalog import FamilyParams, enumerate_families
 from .errors import ConsistencyError, IntegrityError
 
 __all__ = ["main"]
@@ -35,8 +36,9 @@ __all__ = ["main"]
 def _family_arg(args: argparse.Namespace) -> FamilyParams:
     # exit 2, not 1: exit 1 means a verify mismatch
     try:
-        if validate_params(args.i, args.a, args.d):
-            return FamilyParams(args.i, args.a, args.d)
+        params = FamilyParams(args.i, args.a, args.d)
+        if params.is_admissible:
+            return params
         message = (f"(z_id={args.i}, a={args.a}, d={args.d}) is not an "
                    f"admissible family; run 'list' for the 28 admissible "
                    f"triples")
@@ -78,26 +80,26 @@ def _cmd_info(args: argparse.Namespace) -> int:
     from . import report
 
     record = report.build_record(params)
+    row = report._record_row(record)
     Z = params.threefold
     print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
           f"a={params.a}, d={params.d}")
     print(f"  base 3-fold: index {Z.index}, degree {Z.degree}, "
           f"h^{{1,2}} = {Z.h12}")
-    print(f"  K^4 = {record.K4}, K^2.c2 = {record.K2c2}, "
-          f"h^0(-K) = {record.h0_antiK}")
-    print(f"  h^{{1,2}} = {record.h12}, h^{{1,3}} = {record.h13}, "
-          f"h^{{2,2}} = {record.h22}")
+    print(f"  K^4 = {row['K4']}, K^2.c2 = {row['K2c2']}, "
+          f"h^0(-K) = {row['h0_antiK']}")
+    print(f"  h^{{1,2}} = {row['h12']}, h^{{1,3}} = {row['h13']}, "
+          f"h^{{2,2}} = {row['h22']}")
     print(f"  base locus of |-K|: {record.base_locus.display()} "
           f"(general member smooth)")
-    rat = record.rationality.value.replace("_", " ")
-    if record.toric_label is not None:
-        rat += f" ({record.toric_label.value})"
+    rat = row["rationality"].replace("_", " ")
+    if row["toric_label"] is not None:
+        rat += f" ({row['toric_label']})"
     print(f"  rationality: {rat}")
-    print(f"  fibre-like: {record.fibre_like.value.replace('_', ' ')}")
-    t = record.tangent
-    h0 = f"= {t.h0_exact}" if t.h0_exact is not None else f"<= {t.h0_upper}"
-    h1 = f"= {t.h1_exact}" if t.h1_exact is not None else f"<= {t.h1_upper}"
-    print(f"  tangent sheaf: chi(T) = {t.chi}, h^0(T) {h0}, h^1(T) {h1}")
+    print(f"  fibre-like: {row['fibre_like'].replace('_', ' ')}")
+    h0, h1 = (("= " if row[f"{key}_is_exact"] else "<= ") + str(row[key])
+              for key in ("h0_T", "h1_T"))
+    print(f"  tangent sheaf: chi(T) = {row['chi_T']}, h^0(T) {h0}, h^1(T) {h1}")
     _print_cones(params)
     return 0
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .catalog import FamilyParams, validate_params
+from .catalog import FamilyParams, require_admissible
 from .errors import ConsistencyError, ContextMismatchError
 
 __all__ = [
@@ -254,8 +254,7 @@ def anticanonical(params: FamilyParams) -> DivisorClass:
     Also expressible as i*phi*H + G + Ghat and, over the second basis, as
     (i+a-d, 2, 1); all three expressions are checked against each other.
     """
-    if not validate_params(params.z_id, params.a, params.d):
-        raise ValueError(f"{params.label} is not admissible")
+    require_admissible(params)
     i, a, d = params.threefold.index, params.a, params.d
     antiK = divisor(params, i - a, 2, 1)
     symmetric = i * phi_star_H(params) + G(params) + G_hat(params)
@@ -285,8 +284,7 @@ def ne_generators(params: FamilyParams) -> list[CurveClass]:
     C_G drops out when a = 0 (G then moves in a free pencil) and C_Ghat drops
     out when a >= d.
     """
-    if not validate_params(params.z_id, params.a, params.d):
-        raise ValueError(f"{params.label} is not admissible")
+    require_admissible(params)
     return [curve(params, g) for g in _ne_kinds(params.a, params.d)]
 
 
@@ -320,8 +318,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
     (plus R4 = d*G + a*Ehat when 0 < a < d), except that for a >= d the third
     ray is Ghat instead.  Faces are computed from the pairing.
     """
-    if not validate_params(params.z_id, params.a, params.d):
-        raise ValueError(f"{params.label} is not admissible")
+    require_admissible(params)
     a, d = params.a, params.d
     rays = [
         (RayLabel.R1, "phi*H", phi_star_H(params)),
@@ -381,8 +378,7 @@ class FibreLike(Enum):
 
 
 def is_fibre_like(params: FamilyParams) -> FibreLike:
-    if not validate_params(params.z_id, params.a, params.d):
-        raise ValueError(f"{params.label} is not admissible")
+    require_admissible(params)
     if 2 * params.a != params.d:
         return FibreLike.NOT_FIBRE_LIKE
     return FibreLike.UNDETERMINED

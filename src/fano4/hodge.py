@@ -223,12 +223,11 @@ class FourfoldHodge:
     h22: int
 
 
-def hodge_of_fourfold(Z: FanoThreefold, a: int, d: int) -> FourfoldHodge:
-    """Hodge numbers of the 4-fold built from (Z, a, d).
+def hodge_of_fourfold(Z: FanoThreefold, d: int) -> FourfoldHodge:
+    """Hodge numbers of the 4-fold built from (Z, a, d), for any twist a.
 
-    The result depends only on Z and d, never on a: the blow-up centre is a
-    surface in |O_Z(d)| whichever bundle twist a is used.  ``a`` is accepted
-    (and ignored) so call sites can pass full family parameters.
+    They depend only on Z and d: the blow-up centre is a surface in
+    |O_Z(d)| whichever bundle twist a is used, so ``a`` is not a parameter.
 
     Computed twice -- closed forms and the polynomial calculus
     e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import FanoThreefold, validate_params
+from .catalog import FamilyParams, FanoThreefold, require_admissible
 from .errors import ConsistencyError, IntegrityError
 from .hodge import surface_h02
 
@@ -271,8 +271,7 @@ def fano4_invariants(Z: FanoThreefold, a: int, d: int) -> FourfoldInvariants:
     insists they agree; then reconstructs chi(O(-K)) from K^4 and K^2.c2 by
     Riemann-Roch as a third, independent route.
     """
-    if not validate_params(Z.id, a, d):
-        raise ValueError(f"(z_id={Z.id}, a={a}, d={d}) is not admissible")
+    require_admissible(FamilyParams(Z.id, a, d))
     closed = CanonicalDegrees(
         K4=closed_k4(Z, a, d),
         K2c2=closed_k2c2(Z, a, d),

@@ -2,10 +2,12 @@
 
 :func:`build_record` runs every module on one family and bundles the results;
 all cross-checks of the underlying modules run as a side effect, and any
-failure is re-raised with the family label attached.  :func:`verify_all`
-diffs the 28 computed records field by field against the embedded reference
-tables and reports mismatches as data (never as exceptions), so a red table
-is an ordinary result, not a crash.
+failure is re-raised with the family label attached.  ``_record_row`` is the
+one flat view of a record, keyed by :data:`EXPORT_FIELDS`: the json and csv
+exports write it, ``fano4 info`` prints from it, and :func:`verify_all`
+compares the reference tables against it key by key, reporting mismatches
+as data (never as exceptions), so a red table is an ordinary result, not a
+crash.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ __all__ = [
     "EXPORT_FIELDS",
 ]
 
-#: ranks shared by all 28 families
-PICARD_NUMBER = 3
+#: the Fano index shared by all 28 families
 FANO_INDEX = 1
 
 
@@ -70,7 +71,7 @@ def build_record(params: FamilyParams) -> FamilyRecord:
 def _build_record(params: FamilyParams) -> FamilyRecord:
     Z = params.threefold
     inv = intersect.fano4_invariants(Z, params.a, params.d)
-    hdg = hodge_of_fourfold(Z, params.a, params.d)
+    hdg = hodge_of_fourfold(Z, params.d)
 
     antiK = cones.anticanonical(params)
     generators = cones.ne_generators(params)
@@ -78,7 +79,7 @@ def _build_record(params: FamilyParams) -> FamilyRecord:
     degrees = [cones.pairing(antiK, C) for C in generators]
     if any(v < 1 for v in degrees) or degrees[0] != 1:
         raise ConsistencyError(f"-K degrees on NE generators are {degrees}")
-    if gcd(*(int(v) for v in degrees)) != FANO_INDEX:
+    if gcd(*degrees) != FANO_INDEX:
         raise ConsistencyError(f"-K degrees {degrees} have gcd != {FANO_INDEX}")
 
     four_gens = 0 < params.a < params.d
@@ -134,12 +135,15 @@ def verify_all(records: list[FamilyRecord] | None = None,
                tables: golden.GoldenTables | None = None) -> VerificationReport:
     """Diff the computed records against the reference tables.
 
-    Counts families: a family passes when it has exactly one record and
-    every field of its table-2 and table-3 rows matches.  Each label that
-    has a record or a table-3 row but no table-2 row fails as one family.
-    ``records``/``tables`` can be overridden to probe the sensitivity of the
-    comparison (fault injection); by default the 28 canonical records are
-    built and checked against the embedded tables.
+    Each table-2 row, joined with the table-3 row of its label, gives the
+    expected values of a family under the keys of ``_record_row``; every key
+    whose value differs from the family's row is one :class:`Mismatch`.
+    Counts families: a family passes when it has exactly one record, a
+    table-3 row and no mismatch.  Each label that has a record or a table-3
+    row but no table-2 row fails as one family.  ``records``/``tables`` can
+    be overridden to probe the sensitivity of the comparison (fault
+    injection); by default the 28 canonical records are built and checked
+    against the embedded tables.
     """
     if records is None:
         records = build_all_records()
@@ -154,13 +158,30 @@ def verify_all(records: list[FamilyRecord] | None = None,
 
     mismatches: list[Mismatch] = []
     passed = failed = 0
-    for expected in tables.table2:
-        row_mismatches = list(_diff_family(by_label.get(expected.label, []),
-                                           expected,
-                                           table3.get(expected.label)))
-        if row_mismatches:
+    for reference in tables.table2:
+        label = reference.label
+        found = by_label.get(label, [])
+        tangent = table3.get(label)
+        if not found:
+            family = [Mismatch(label, "label", label, None)]
+        else:
+            family = ([] if len(found) == 1 else
+                      [Mismatch(label, "label", "1 record", f"{len(found)} records")])
+            # table-2 fields are named as the row keys (the label always
+            # matches); table-3 fields are renamed, in the order reported
+            expected = dict(vars(reference))
+            if tangent is not None:
+                expected.update(chi_T=tangent.chi, h0_T=tangent.h0,
+                                h0_T_is_exact=tangent.h0_is_exact,
+                                h1_T=tangent.h1, h1_T_is_exact=tangent.h1_is_exact)
+            row = _record_row(found[0])
+            family += [Mismatch(label, key, want, row[key])
+                       for key, want in expected.items() if row[key] != want]
+            if tangent is None:
+                family.append(Mismatch(label, "tangent_row", "present", None))
+        if family:
             failed += 1
-            mismatches.extend(row_mismatches)
+            mismatches.extend(family)
         else:
             passed += 1
     table2_labels = {row.label for row in tables.table2}
@@ -178,41 +199,6 @@ def verify_all(records: list[FamilyRecord] | None = None,
     return VerificationReport(passed, failed + len(orphans), tuple(mismatches))
 
 
-def _diff_family(found: list[FamilyRecord], expected: golden.GoldenFamilyRow,
-                 tangent: golden.GoldenTangentRow | None):
-    if not found:
-        yield Mismatch(expected.label, "label", expected.label, None)
-        return
-    if len(found) > 1:
-        yield Mismatch(expected.label, "label", "1 record",
-                       f"{len(found)} records")
-    record = found[0]
-    for field in ("K4", "K2c2", "h0_antiK", "h12", "h13", "h22"):
-        got = getattr(record, field)
-        want = getattr(expected, field)
-        if got != want:
-            yield Mismatch(expected.label, field, want, got)
-    if record.base_locus.kind.value != expected.base_locus:
-        yield Mismatch(expected.label, "base_locus", expected.base_locus,
-                       record.base_locus.kind.value)
-    if record.rationality.value != expected.rationality:
-        yield Mismatch(expected.label, "rationality", expected.rationality,
-                       record.rationality.value)
-    if tangent is None:
-        yield Mismatch(expected.label, "tangent_row", "present", None)
-        return
-    t = record.tangent
-    for field, want, got in (
-        ("chi_T", tangent.chi, t.chi),
-        ("h0_T", tangent.h0, t.h0_upper if t.h0_exact is None else t.h0_exact),
-        ("h0_T_is_exact", tangent.h0_is_exact, t.h0_exact is not None),
-        ("h1_T", tangent.h1, t.h1_upper if t.h1_exact is None else t.h1_exact),
-        ("h1_T_is_exact", tangent.h1_is_exact, t.h1_exact is not None),
-    ):
-        if got != want:
-            yield Mismatch(expected.label, field, want, got)
-
-
 EXPORT_FIELDS = (
     "z_id", "a", "d", "label", "K4", "K2c2", "h0_antiK", "h12", "h13", "h22",
     "base_locus", "rationality", "toric_label", "fibre_like",
@@ -221,11 +207,11 @@ EXPORT_FIELDS = (
 
 
 def _record_row(record: FamilyRecord) -> dict[str, object]:
-    t = record.tangent
+    p, t = record.params, record.tangent
     return {
-        "z_id": record.params.z_id,
-        "a": record.params.a,
-        "d": record.params.d,
+        "z_id": p.z_id,
+        "a": p.a,
+        "d": p.d,
         "label": record.label,
         "K4": record.K4,
         "K2c2": record.K2c2,
@@ -238,10 +224,10 @@ def _record_row(record: FamilyRecord) -> dict[str, object]:
         "toric_label": None if record.toric_label is None else record.toric_label.value,
         "fibre_like": record.fibre_like.value,
         "chi_T": t.chi,
-        "h0_T": t.h0_upper if t.h0_exact is None else t.h0_exact,
-        "h1_T": t.h1_upper if t.h1_exact is None else t.h1_exact,
-        "h0_T_is_exact": t.h0_exact is not None,
-        "h1_T_is_exact": t.h1_exact is not None,
+        "h0_T": t.h0,
+        "h1_T": t.h1,
+        "h0_T_is_exact": t.h1_is_exact,
+        "h1_T_is_exact": t.h1_is_exact,
     }
 
 
@@ -287,10 +273,9 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
             "|---|---|---|---|---|---|---|---|---|",
         ]
         for r in records:
-            bs = {"empty": "empty", "one_point": "{Q0}",
-                  "two_points": "{Q1, Q2}"}[r.base_locus.kind.value]
             lines.append(
                 f"| {r.label} | {r.K4} | {r.K2c2} | {r.h0_antiK} | {r.h12} "
-                f"| {r.h13} | {r.h22} | {bs} | {_RATIONALITY_TEXT[r.rationality]} |")
+                f"| {r.h13} | {r.h22} | {r.base_locus.display()} "
+                f"| {_RATIONALITY_TEXT[r.rationality]} |")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported format {format!r}")

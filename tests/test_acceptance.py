@@ -85,14 +85,14 @@ def test_c3_table3_reproduction(records):
         row = table3[r.label]
         t = r.tangent
         assert t.chi == row.chi, f"{r.label}: chi(T)"
+        assert (t.h0, t.h1) == (row.h0, row.h1), r.label
         if r.params.z_id <= 4 or (r.params.z_id == 7 and r.params.d <= 2):
             exact_rows += 1
             assert row.h0_is_exact and row.h1_is_exact
-            assert (t.h0_exact, t.h1_exact) == (row.h0, row.h1), r.label
+            assert t.h1_is_exact, r.label
         else:
             assert not row.h0_is_exact and not row.h1_is_exact
-            assert t.h0_exact is None and t.h1_exact is None
-            assert (t.h0_upper, t.h1_upper) == (row.h0, row.h1), r.label
+            assert not t.h1_is_exact, r.label
     assert exact_rows == 14
 
 
@@ -108,7 +108,7 @@ def test_c4_triple_path_consistency():
         # Riemann-Roch reconstruction of chi(O(-K))
         assert riemann_roch_chi(inv.K4, inv.K2c2, 1) == inv.h0_antiK
         # closed Hodge numbers vs polynomial calculus
-        h = hodge_of_fourfold(Z, p.a, p.d)
+        h = hodge_of_fourfold(Z, p.d)
         eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
                             hodge_of_surface(Z, p.d), 2)
         assert (h.h12, h.h13, h.h22) == \

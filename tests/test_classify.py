@@ -155,22 +155,21 @@ def test_chi_tangent_examples(label, expected):
 
 def test_tangent_bounds_weighted_sextic_first_family():
     t = tangent_bounds(FamilyParams(1, 0, 1), chi=-34)
-    assert (t.chi, t.h1_exact, t.h0_exact) == (-34, 36, 2)
-    assert t.is_exact
+    assert (t.chi, t.h1, t.h0) == (-34, 36, 2)
+    assert t.h1_is_exact
 
 
 def test_tangent_bounds_rigid_family():
     t = tangent_bounds(FamilyParams(7, 3, 2), chi=11)
-    assert (t.chi, t.h1_exact, t.h0_exact) == (11, 0, 11)
-    assert (t.h1_upper, t.h0_upper) == (0, 11)
+    assert (t.chi, t.h1, t.h0) == (11, 0, 11)
+    assert t.h1_is_exact
 
 
 def test_tangent_bounds_gives_only_bounds_for_grassmannian_section():
     t = tangent_bounds(FamilyParams(5, 0, 1), chi=-1)
     assert t.chi == -1
-    assert (t.h1_upper, t.h0_upper) == (6, 5)
-    assert t.h1_exact is None and t.h0_exact is None
-    assert not t.is_exact
+    assert (t.h1, t.h0) == (6, 5)
+    assert not t.h1_is_exact
 
 
 def test_tangent_bounds_arithmetic_invariants():
@@ -178,15 +177,15 @@ def test_tangent_bounds_arithmetic_invariants():
     for r in build_all_records():
         t = r.tangent
         p = r.params
-        if t.h1_exact is not None:
-            assert t.h0_exact - t.h1_exact == t.chi
-            assert t.h1_exact == t.h1_upper
-            assert t.h0_exact == t.h0_upper
-        assert t.h0_upper == t.chi + t.h1_upper
-        assert t.h0_upper >= 0 and t.h1_upper >= 0
-        # the bound never exceeds the raw deformation count
+        assert t.h0 - t.h1 == t.chi
+        assert t.h0 >= 0 and t.h1 >= 0
+        # the bound never exceeds the raw deformation count, and is that
+        # count wherever Z has no infinitesimal automorphisms
         Z = p.threefold
-        assert t.h1_upper <= Z.h1_tangent + h0_line_bundle(Z, p.d) - 1
+        count = Z.h1_tangent + h0_line_bundle(Z, p.d) - 1
+        assert t.h1 <= count
+        if p.z_id <= 4:
+            assert t.h1 == count
 
 
 def test_tangent_exactness_pattern():
@@ -194,7 +193,7 @@ def test_tangent_exactness_pattern():
     for p in enumerate_families():
         t = tangent_bounds(p, chi=chi_for(p))
         expected = p.z_id <= 4 or (p.z_id == 7 and p.d <= 2)
-        assert t.is_exact == expected
+        assert t.h1_is_exact == expected
 
 
 def chi_for(p: FamilyParams) -> int:

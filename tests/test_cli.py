@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 import fano4.cli as cli
 import fano4.report as report
 from fano4.errors import IntegrityError
+from fano4.golden import golden_tables
 from fano4.report import Mismatch, VerificationReport
 
 
@@ -33,6 +35,39 @@ def test_info_shows_record_and_cones(capsys):
     assert "E3" in out
     assert "pairing matrix" in out
     assert "R1: phi*H" in out
+
+
+def test_info_matches_the_reference_tables_on_every_family(capsys):
+    tables = golden_tables()
+    table3 = {row.label: row for row in tables.table3}
+    base_locus_text = {"empty": "empty", "one_point": "{Q0}",
+                       "two_points": "{Q1, Q2}"}
+    exact_rows = 0
+    for row in tables.table2:
+        triple = re.fullmatch(r"X\^(\d)_\{(\d),(\d)\}", row.label).groups()
+        code, out, _ = run(capsys, "info", *triple)
+        assert code == 0
+        t = table3[row.label]
+        h0 = f"= {t.h0}" if t.h0_is_exact else f"<= {t.h0}"
+        h1 = f"= {t.h1}" if t.h1_is_exact else f"<= {t.h1}"
+        exact_rows += t.h0_is_exact and t.h1_is_exact
+        lines = out.splitlines()
+        assert lines[0].startswith(f"{row.label}: ")
+        assert f"  K^4 = {row.K4}, K^2.c2 = {row.K2c2}, " \
+               f"h^0(-K) = {row.h0_antiK}" in lines
+        assert f"  h^{{1,2}} = {row.h12}, h^{{1,3}} = {row.h13}, " \
+               f"h^{{2,2}} = {row.h22}" in lines
+        assert f"  base locus of |-K|: {base_locus_text[row.base_locus]} " \
+               f"(general member smooth)" in lines
+        [rationality] = [line for line in lines
+                         if line.startswith("  rationality: ")]
+        toric = r" \(E[123]\)" if row.rationality == "toric" else ""
+        assert re.fullmatch(r"  rationality: "
+                            + re.escape(row.rationality.replace("_", " "))
+                            + toric, rationality), row.label
+        assert f"  tangent sheaf: chi(T) = {t.chi}, h^0(T) {h0}, " \
+               f"h^1(T) {h1}" in lines
+    assert exact_rows == 14
 
 
 def test_info_rejects_inadmissible_triple(capsys):

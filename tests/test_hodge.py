@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano4.catalog import enumerate_families, threefold
+from fano4.catalog import enumerate_families, threefold, validate_params
 from fano4.errors import IntegrityError
 from fano4.hodge import (
     HodgePolynomial,
@@ -188,19 +187,9 @@ def test_hodge_of_threefold_total_for_z4():
     (5, 0, 1, (0, 0, 7)),
 ])
 def test_hodge_of_fourfold_examples(z_id, a, d, expected):
-    h = hodge_of_fourfold(threefold(z_id), a, d)
+    assert validate_params(z_id, a, d)   # each example is one of the 28
+    h = hodge_of_fourfold(threefold(z_id), d)
     assert (h.h12, h.h13, h.h22) == expected
-
-
-def test_hodge_of_fourfold_is_independent_of_a():
-    families = enumerate_families()
-    by_zd = itertools.groupby(sorted(families, key=lambda p: (p.z_id, p.d)),
-                              key=lambda p: (p.z_id, p.d))
-    for (z_id, d), group in by_zd:
-        values = {hodge_of_fourfold(threefold(z_id), p.a, d) for p in group}
-        assert len(values) == 1
-        # and any other a gives the same triple
-        assert hodge_of_fourfold(threefold(z_id), 17, d) in values
 
 
 def test_fourfold_polynomial_invariants():
@@ -217,7 +206,7 @@ def test_fourfold_polynomial_invariants():
 def test_hodge_of_fourfold_agrees_with_polynomial_route():
     for p in enumerate_families():
         Z = threefold(p.z_id)
-        h = hodge_of_fourfold(Z, p.a, p.d)
+        h = hodge_of_fourfold(Z, p.d)
         eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
                             hodge_of_surface(Z, p.d), 2)
         assert (h.h12, h.h13, h.h22) == \

@@ -9,10 +9,11 @@ import pytest
 
 from fano4.catalog import FamilyParams, catalog, enumerate_families, threefold
 from fano4.classify import BaseLocusKind, Rationality
-from fano4.golden import golden_tables
+from fano4.golden import GoldenFamilyRow, GoldenTangentRow, golden_tables
 from fano4.intersect import closed_k4, k4_closed_terms
 from fano4.report import (
     EXPORT_FIELDS,
+    Mismatch,
     build_all_records,
     build_record,
     export,
@@ -39,7 +40,7 @@ def test_build_record_p3_extreme_family(by_label):
 def test_build_record_grassmannian_family(by_label):
     r = by_label["X^5_{1,2}"]
     assert r.h0_antiK == 37
-    assert r.tangent.h1_upper == 22
+    assert r.tangent.h1 == 22
 
 
 def test_build_record_weighted_sextic_family(by_label):
@@ -110,6 +111,40 @@ def test_verify_all_detects_tampered_reference(records):
     m = result.mismatches[0]
     assert (m.family, m.field, m.expected, m.computed) == \
         ("X^7_{0,1}", "K4", 430, 431)
+
+
+#: the export key under which verify_all reports each table-3 field
+TABLE3_EXPORT_KEY = {"h0": "h0_T", "h0_is_exact": "h0_T_is_exact", "h1": "h1_T",
+                     "h1_is_exact": "h1_T_is_exact", "chi": "chi_T"}
+
+
+def tampered_value(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value + "_tampered"
+
+
+# the label is the join key, not a compared field
+@pytest.mark.parametrize("table,field", [
+    *(("table2", f.name) for f in dataclasses.fields(GoldenFamilyRow)
+      if f.name != "label"),
+    *(("table3", f.name) for f in dataclasses.fields(GoldenTangentRow)
+      if f.name != "label"),
+])
+def test_verify_all_names_each_tampered_field(records, table, field):
+    tables = golden_tables()
+    rows = getattr(tables, table)
+    key = field if table == "table2" else TABLE3_EXPORT_KEY[field]
+    for k, row in enumerate(rows):
+        bad = dataclasses.replace(row, **{field: tampered_value(getattr(row, field))})
+        tampered = dataclasses.replace(
+            tables, **{table: rows[:k] + (bad,) + rows[k + 1:]})
+        result = verify_all(records, tampered)
+        assert (result.pass_count, result.fail_count) == (27, 1), row.label
+        assert result.mismatches == (
+            Mismatch(row.label, key, getattr(bad, field), getattr(row, field)),)
 
 
 def test_verify_all_detects_missing_record(records):
@@ -217,10 +252,13 @@ def test_export_rejects_unknown_format(records):
 
 
 def test_chi_equals_h0_minus_h1_for_exact_rows(records):
-    exact_rows = [r for r in records if r.tangent.is_exact]
+    table3 = {row.label: row for row in golden_tables().table3}
+    exact_rows = [r for r in records if r.tangent.h1_is_exact]
     assert len(exact_rows) == 14
     for r in exact_rows:
-        assert r.tangent.h0_exact - r.tangent.h1_exact == r.tangent.chi
+        row = table3[r.label]
+        assert (r.tangent.h0, r.tangent.h1) == (row.h0, row.h1)
+        assert row.h0 - row.h1 == r.tangent.chi
 
 
 def test_verify_all_fails_a_table3_row_without_a_table2_row(records):
