@@ -35,8 +35,8 @@ _EXPORTS = {
                   "p1_bundle_invariants", "fano4_invariants"),
     "cones": ("DivisorClass", "CurveClass", "CurveGen", "NefRay", "RayLabel",
               "FibreLike", "anticanonical", "pairing", "pairing_matrix",
-              "to_alternate_basis", "ne_generators", "nef_rays", "is_fano",
-              "is_fibre_like"),
+              "to_alternate_basis", "ne_generators", "nef_rays", "ConeData",
+              "cone_data", "is_fano", "is_fibre_like"),
     "classify": ("BaseLocusKind", "BaseLocusResult", "Rationality",
                  "ToricLabel", "TangentBounds", "base_locus", "rationality",
                  "toric_label", "h0_line_bundle", "chi_tangent",

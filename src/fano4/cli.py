@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import FamilyParams, enumerate_families
 from .errors import ConsistencyError, IntegrityError
+
+if TYPE_CHECKING:
+    from . import cones
 
 __all__ = ["main"]
 
@@ -54,22 +58,20 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_cones(params: FamilyParams) -> None:
+def _print_cones(cone: cones.ConeData) -> None:
     from . import cones
 
-    antiK = cones.anticanonical(params)
-    generators = cones.ne_generators(params)
     print("NE(X) generators and -K degrees:")
-    for C in generators:
-        print(f"  {C.kind.value:7s}  -K . C = {cones.pairing(antiK, C)}")
+    for C, degree in zip(cone.generators, cone.degrees):
+        print(f"  {C.kind.value:7s}  -K . C = {degree}")
     print("nef cone rays:")
-    for ray in cones.nef_rays(params):
+    for ray in cone.rays:
         face = ", ".join(sorted(g.value for g in ray.vanishing_face)) or "-"
         coords = ", ".join(map(str, ray.generator.coords))
         print(f"  {ray.label.value}: {ray.name}  = ({coords}) over "
               f"(phi*H, Ghat, E); face {{{face}}}; {ray.contraction}")
     print("pairing matrix (rows phi*H, Ghat, E; columns F, Fhat, C_G, C_Ghat):")
-    matrix = cones.pairing_matrix(params)
+    matrix = cones.pairing_matrix(cone.antiK.context)
     for row_name, idx in (("phi*H", 0), ("Ghat", 1), ("E", 2)):
         row = "  ".join(f"{matrix[g][idx]:4d}" for g in cones.CurveGen)
         print(f"  {row_name:6s} {row}")
@@ -79,7 +81,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     params = _family_arg(args)
     from . import report
 
-    record = report.build_record(params)
+    record, cone = report._record_and_cones(params)
     row = report._record_row(record)
     Z = params.threefold
     print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
@@ -100,14 +102,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
     h0, h1 = (("= " if row[f"{key}_is_exact"] else "<= ") + str(row[key])
               for key in ("h0_T", "h1_T"))
     print(f"  tangent sheaf: chi(T) = {row['chi_T']}, h^0(T) {h0}, h^1(T) {h1}")
-    _print_cones(params)
+    _print_cones(cone)
     return 0
 
 
 def _cmd_cones(args: argparse.Namespace) -> int:
     params = _family_arg(args)
+    from . import cones
+
     print(f"{params.label}:")
-    _print_cones(params)
+    _print_cones(cones.cone_data(params))
     return 0
 
 

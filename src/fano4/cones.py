@@ -23,6 +23,11 @@ N_G = O_Z(-a), N_Ghat = O_Z(-(d-a)):
 
 The effective curve cone NE(X) needs only three of the four generators unless
 0 < a < d; the nef cone is its dual, with three or four extremal rays.
+:func:`cone_data` computes -K, the NE generators, the nef rays and the -K
+degree of each generator once per family, and runs every cone cross-check
+on them: the three expressions of -K, the sign of each ray on each
+generator, the -K degrees (all >= 1, the first equal to 1, gcd 1) and the
+cone sizes.  Each failure raises ``ConsistencyError`` naming the family.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Mapping
 
 from .catalog import FamilyParams, require_admissible
@@ -48,6 +54,7 @@ __all__ = [
     "CurveClass",
     "RayLabel",
     "NefRay",
+    "ConeData",
     "FibreLike",
     "divisor",
     "phi_star_H",
@@ -64,6 +71,7 @@ __all__ = [
     "anticanonical",
     "ne_generators",
     "nef_rays",
+    "cone_data",
     "is_fano",
     "is_fibre_like",
 ]
@@ -123,24 +131,41 @@ def divisor(params: FamilyParams, alpha: Rational, beta: Rational,
     return DivisorClass((_exact(alpha), _exact(beta), _exact(gamma)), params)
 
 
+def _divisor_coords(a: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """Coordinates of phi*H, Ghat, E, G and Ehat over (phi*H, Ghat, E)."""
+    return ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-a, 1, 1), (d, 0, -1))
+
+
+def _named(params: FamilyParams, k: int) -> DivisorClass:
+    return DivisorClass(_divisor_coords(params.a, params.d)[k], params)
+
+
+def _add(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
+
+
+def _scale(s: int, u: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (s * u[0], s * u[1], s * u[2])
+
+
 def phi_star_H(params: FamilyParams) -> DivisorClass:
-    return divisor(params, 1, 0, 0)
+    return _named(params, 0)
 
 
 def G_hat(params: FamilyParams) -> DivisorClass:
-    return divisor(params, 0, 1, 0)
+    return _named(params, 1)
 
 
 def E(params: FamilyParams) -> DivisorClass:
-    return divisor(params, 0, 0, 1)
+    return _named(params, 2)
 
 
 def G(params: FamilyParams) -> DivisorClass:
-    return divisor(params, -params.a, 1, 1)
+    return _named(params, 3)
 
 
 def E_hat(params: FamilyParams) -> DivisorClass:
-    return divisor(params, params.d, 0, -1)
+    return _named(params, 4)
 
 
 class CurveGen(Enum):
@@ -227,6 +252,11 @@ def pairing(D: DivisorClass, C: CurveClass) -> Rational:
     return _exact(total)
 
 
+def _alternate(a: int, d: int, coords: tuple) -> tuple:
+    x, y, z = coords
+    return (x + a * y + d * (z - y), y, y - z)
+
+
 def to_alternate_basis(D: DivisorClass) -> tuple[Rational, Rational, Rational]:
     """Coordinates of D over the second basis (phi*H, G, Ehat).
 
@@ -235,9 +265,8 @@ def to_alternate_basis(D: DivisorClass) -> tuple[Rational, Rational, Rational]:
     a divisor (x, y, z) over (phi*H, Ghat, E) has gamma = z - y, so it reads
     (x + a*y + d*(z - y), y, y - z) over (phi*H, G, Ehat).
     """
-    a, d = D.context.a, D.context.d
-    x, y, z = D.coords
-    return (_exact(x + a * y + d * (z - y)), y, _exact(y - z))
+    x, y, z = _alternate(D.context.a, D.context.d, D.coords)
+    return (_exact(x), y, _exact(z))
 
 
 def from_alternate_basis(params: FamilyParams,
@@ -256,18 +285,18 @@ def anticanonical(params: FamilyParams) -> DivisorClass:
     """
     require_admissible(params)
     i, a, d = params.threefold.index, params.a, params.d
-    antiK = divisor(params, i - a, 2, 1)
-    symmetric = i * phi_star_H(params) + G(params) + G_hat(params)
+    h, ghat, e, g, _ = _divisor_coords(a, d)
+    antiK = _add(_add(_scale(i - a, h), _scale(2, ghat)), e)
+    symmetric = _add(_add(_scale(i, h), g), ghat)
     if antiK != symmetric:
         raise ConsistencyError(
-            f"{params.label}: -K expressions disagree: {antiK.coords} vs "
-            f"{symmetric.coords}")
-    alternate = to_alternate_basis(antiK)
+            f"{params.label}: -K expressions disagree: {antiK} vs {symmetric}")
+    alternate = _alternate(a, d, antiK)
     if alternate != (i + a - d, 2, 1):
         raise ConsistencyError(
             f"{params.label}: -K over (phi*H, G, Ehat) is {alternate}, "
             f"expected {(i + a - d, 2, 1)}")
-    return antiK
+    return DivisorClass(antiK, params)
 
 
 def _ne_kinds(a: int, d: int) -> tuple[CurveGen, ...]:
@@ -311,42 +340,102 @@ class NefRay:
     contraction: str
 
 
-def nef_rays(params: FamilyParams) -> list[NefRay]:
+def nef_rays(params: FamilyParams,
+             generators: list[CurveClass] | None = None) -> list[NefRay]:
     """Extremal rays of the nef cone: three rays, or four when 0 < a < d.
 
     Generators: R1 = phi*H and R2 = a*phi*H + G always; then R3 = G + Ehat
     (plus R4 = d*G + a*Ehat when 0 < a < d), except that for a >= d the third
-    ray is Ghat instead.  Faces are computed from the pairing.
+    ray is Ghat instead.  Faces are computed from the pairing of each ray with
+    ``generators``, the NE generators of the family as :func:`ne_generators`
+    returns them; they are built when not given.  A ray that pairs negatively
+    with a generator raises ``ConsistencyError``.
     """
     require_admissible(params)
+    if generators is None:
+        generators = ne_generators(params)
     a, d = params.a, params.d
+    h, ghat, _, g, ehat = _divisor_coords(a, d)
     rays = [
-        (RayLabel.R1, "phi*H", phi_star_H(params)),
-        (RayLabel.R2, "G" if a == 0 else f"{a}*phi*H + G",
-         a * phi_star_H(params) + G(params)),
+        (RayLabel.R1, "phi*H", h),
+        (RayLabel.R2, "G" if a == 0 else f"{a}*phi*H + G", _add(_scale(a, h), g)),
     ]
     if a >= d:
-        rays.append((RayLabel.R3, "Ghat", G_hat(params)))
+        rays.append((RayLabel.R3, "Ghat", ghat))
     else:
-        rays.append((RayLabel.R3, "G + Ehat", G(params) + E_hat(params)))
+        rays.append((RayLabel.R3, "G + Ehat", _add(g, ehat)))
         if a > 0:
             rays.append((RayLabel.R4, f"{d}*G + {a}*Ehat",
-                         d * G(params) + a * E_hat(params)))
-    generators = ne_generators(params)
+                         _add(_scale(d, g), _scale(a, ehat))))
+    kinds = []
+    for C in generators:
+        if C.context is not params:
+            _same_context(params, C.context)
+        if C.kind is None:
+            raise ValueError(f"{C.combo} is not one of the four curve generators")
+        kinds.append(C.kind)
+    columns = _pairing_columns(a, d)
     out = []
-    for label, name, gen in rays:
+    for label, name, coords in rays:
+        x, y, z = coords
         face = set()
-        for C in generators:
-            value = pairing(gen, C)
+        for kind in kinds:
+            p, q, r = columns[kind]
+            value = x * p + y * q + z * r
             if value == 0:
-                face.add(C.kind)
+                face.add(kind)
             elif value < 0:
                 raise ConsistencyError(
                     f"{params.label}: ray {name} pairs {value} < 0 with "
-                    f"{C.kind.value}")
+                    f"{kind.value}")
         contraction = "fibre type" if label is RayLabel.R1 else "divisorial"
-        out.append(NefRay(label, name, gen, frozenset(face), contraction))
+        out.append(NefRay(label, name, DivisorClass(coords, params),
+                          frozenset(face), contraction))
     return out
+
+
+#: the Fano index shared by all 28 families
+FANO_INDEX = 1
+
+
+@dataclass(frozen=True)
+class ConeData:
+    """The cone data of one family, as :func:`cone_data` computes it."""
+
+    antiK: DivisorClass
+    generators: tuple[CurveClass, ...]
+    rays: tuple[NefRay, ...]
+    #: -K . C for each C in ``generators``
+    degrees: tuple[int, ...]
+
+
+def cone_data(params: FamilyParams) -> ConeData:
+    """-K, the NE generators, the nef rays and the -K degrees of one family,
+    each computed once, with every cone cross-check run on them.
+
+    Besides the checks of :func:`anticanonical` and :func:`nef_rays`: the -K
+    degrees have gcd equal to the Fano index, they are all >= 1 and the first
+    (on F) is 1, and there are four generators and four rays when 0 < a < d,
+    three of each otherwise.
+    """
+    antiK = anticanonical(params)
+    generators = ne_generators(params)
+    rays = nef_rays(params, generators)
+    degrees = [pairing(antiK, C) for C in generators]
+    if gcd(*degrees) != FANO_INDEX:
+        raise ConsistencyError(
+            f"{params.label}: -K degrees {degrees} have gcd != {FANO_INDEX}")
+    if any(v < 1 for v in degrees) or degrees[0] != 1:
+        raise ConsistencyError(
+            f"{params.label}: -K degrees on NE generators are {degrees}")
+    four_gens = 0 < params.a < params.d
+    size = 4 if four_gens else 3
+    if len(generators) != size or len(rays) != size:
+        raise ConsistencyError(
+            f"{params.label}: cone sizes ({len(generators)} NE generators, "
+            f"{len(rays)} nef rays) do not match the case 0 < a < d = "
+            f"{four_gens}")
+    return ConeData(antiK, tuple(generators), tuple(rays), tuple(degrees))
 
 
 def is_fano(params: FamilyParams) -> bool:

@@ -17,6 +17,7 @@ must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -46,7 +47,9 @@ class HodgePolynomial:
     float, Fraction or bool raises TypeError); zero entries are dropped.  Supports
     +, - and * (polynomial product), which is all the structure formulas need.
     The terms are kept as a tuple sorted by (p, q), the most compact form;
-    ``coeff`` scans it rather than building a dict.
+    ``coeff`` scans it rather than building a dict.  Results of +, - and *
+    are built by ``_from_sums``, which skips the coefficient checks: sums and
+    products of checked terms are ints at non-negative exponents already.
     """
 
     __slots__ = ("_terms",)
@@ -64,6 +67,12 @@ class HodgePolynomial:
             terms.append(((p, q), c))
         terms.sort()
         self._terms = tuple(terms)
+
+    @classmethod
+    def _from_sums(cls, coeffs: dict[tuple[int, int], int]) -> "HodgePolynomial":
+        poly = object.__new__(cls)
+        poly._terms = tuple(sorted([t for t in coeffs.items() if t[1]]))
+        return poly
 
     def coeff(self, p: int, q: int) -> int:
         key = (p, q)
@@ -97,13 +106,13 @@ class HodgePolynomial:
         out = self.as_dict()
         for pq, c in other.items():
             out[pq] = out.get(pq, 0) + c
-        return HodgePolynomial(out)
+        return HodgePolynomial._from_sums(out)
 
     def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         out = self.as_dict()
         for pq, c in other.items():
             out[pq] = out.get(pq, 0) - c
-        return HodgePolynomial(out)
+        return HodgePolynomial._from_sums(out)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         out: dict[tuple[int, int], int] = {}
@@ -111,7 +120,7 @@ class HodgePolynomial:
             for (p2, q2), c2 in other.items():
                 pq = (p1 + p2, q1 + q2)
                 out[pq] = out.get(pq, 0) + c1 * c2
-        return HodgePolynomial(out)
+        return HodgePolynomial._from_sums(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HodgePolynomial):
@@ -126,8 +135,10 @@ class HodgePolynomial:
         return f"HodgePolynomial({{{inner}}})"
 
 
+@lru_cache(maxsize=16, typed=True)
 def projective_space(n: int) -> HodgePolynomial:
-    """e(P^n): ones on the diagonal up to (n, n)."""
+    """e(P^n): ones on the diagonal up to (n, n).  The polynomial is immutable,
+    so each small n is built once and shared."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return HodgePolynomial({(i, i): 1 for i in range(n + 1)})

@@ -2,18 +2,19 @@
 
 :func:`build_record` runs every module on one family and bundles the results;
 all cross-checks of the underlying modules run as a side effect, and any
-failure is re-raised with the family label attached.  ``_record_row`` is the
-one flat view of a record, keyed by :data:`EXPORT_FIELDS`: the json and csv
-exports write it, ``fano4 info`` prints from it, and :func:`verify_all`
-compares the reference tables against it key by key, reporting mismatches
-as data (never as exceptions), so a red table is an ordinary result, not a
-crash.
+failure is re-raised with the family label attached.  The cone checks run in
+:func:`cones.cone_data`, of whose result the record keeps only the two cone
+sizes; ``fano4 info`` prints the full cone data of the same build, through
+``_record_and_cones``.  ``_record_row`` is the one flat view of a record,
+keyed by :data:`EXPORT_FIELDS`: the json and csv exports write it,
+``fano4 info`` prints from it, and :func:`verify_all` compares the reference
+tables against it key by key, reporting mismatches as data (never as
+exceptions), so a red table is an ordinary result, not a crash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import TYPE_CHECKING
 
 from . import classify, cones, intersect
@@ -34,9 +35,6 @@ __all__ = [
     "export",
     "EXPORT_FIELDS",
 ]
-
-#: the Fano index shared by all 28 families
-FANO_INDEX = 1
 
 
 @dataclass(frozen=True)
@@ -62,34 +60,27 @@ class FamilyRecord:
 
 def build_record(params: FamilyParams) -> FamilyRecord:
     """Compute the full record for one admissible family."""
+    return _record_and_cones(params)[0]
+
+
+def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
+    """The record of one family and the cone data it was built from, which
+    the record does not keep."""
     try:
         return _build_record(params)
     except (ConsistencyError, IntegrityError) as exc:
+        if str(exc).startswith(f"{params.label}: "):
+            raise
         raise type(exc)(f"{params.label}: {exc}") from exc
 
 
-def _build_record(params: FamilyParams) -> FamilyRecord:
+def _build_record(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
     Z = params.threefold
     inv = intersect.fano4_invariants(Z, params.a, params.d)
     hdg = hodge_of_fourfold(Z, params.d)
-
-    antiK = cones.anticanonical(params)
-    generators = cones.ne_generators(params)
-    rays = cones.nef_rays(params)
-    degrees = [cones.pairing(antiK, C) for C in generators]
-    if any(v < 1 for v in degrees) or degrees[0] != 1:
-        raise ConsistencyError(f"-K degrees on NE generators are {degrees}")
-    if gcd(*degrees) != FANO_INDEX:
-        raise ConsistencyError(f"-K degrees {degrees} have gcd != {FANO_INDEX}")
-
-    four_gens = 0 < params.a < params.d
-    if (len(generators) == 4) != four_gens or (len(rays) == 4) != four_gens:
-        raise ConsistencyError(
-            f"cone sizes ({len(generators)} NE generators, {len(rays)} nef "
-            f"rays) do not match the case 0 < a < d = {four_gens}")
-
+    cone = cones.cone_data(params)
     chi = classify.chi_tangent(inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22)
-    return FamilyRecord(
+    record = FamilyRecord(
         params=params,
         label=params.label,
         K4=inv.K4,
@@ -103,9 +94,10 @@ def _build_record(params: FamilyParams) -> FamilyRecord:
         toric_label=classify.toric_label(params),
         fibre_like=cones.is_fibre_like(params),
         tangent=classify.tangent_bounds(params, chi),
-        ne_generator_count=len(generators),
-        nef_ray_count=len(rays),
+        ne_generator_count=len(cone.generators),
+        nef_ray_count=len(cone.rays),
     )
+    return record, cone
 
 
 def build_all_records() -> list[FamilyRecord]:
@@ -252,8 +244,12 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
     if format == "json":
         import json
 
-        rows = [_record_row(r) for r in records]
-        return (json.dumps(rows, indent=2) + "\n").encode("utf-8")
+        # the bytes of json.dumps(rows, indent=2), from the C encoder, which
+        # indent turns off: each row is flat, so only the frame is indented
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        rows = ",\n  ".join("{\n    " + encode(_record_row(r))[1:-1] + "\n  }"
+                            for r in records)
+        return ("[\n  " + rows + "\n]\n").encode("utf-8")
     if format == "csv":
         import csv
         import io

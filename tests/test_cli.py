@@ -102,6 +102,33 @@ def test_cones_output(capsys):
     assert "face {C_G, C_Ghat}" in out
 
 
+def test_info_computes_the_cone_data_once(capsys, monkeypatch):
+    import fano4.cones as cones
+
+    calls = {}
+    for name in ("anticanonical", "ne_generators", "nef_rays", "pairing"):
+        def counted(*args, _name=name, _original=getattr(cones, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(cones, name, counted)
+    code, out, _ = run(capsys, "info", "7", "1", "2")
+    assert code == 0 and "R4: 2*G + 1*Ehat" in out
+    assert calls == {"anticanonical": 1, "ne_generators": 1, "nef_rays": 1,
+                     "pairing": 4}
+
+
+def test_cones_runs_the_cone_checks(capsys, monkeypatch):
+    import fano4.cones as cones
+
+    monkeypatch.setattr(cones, "_ne_kinds",
+                        lambda a, d: (cones.CurveGen.F, cones.CurveGen.F_HAT))
+    code, out, err = run(capsys, "cones", "6", "0", "1")
+    assert code == 2 and out == "X^6_{0,1}:\n"
+    assert err == ("internal consistency error: X^6_{0,1}: cone sizes "
+                   "(2 NE generators, 3 nef rays) do not match the case "
+                   "0 < a < d = False\n")
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

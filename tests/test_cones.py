@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fano4.cones as cones
 from fano4.catalog import FamilyParams, enumerate_families
 from fano4.cones import (
     CurveGen,
@@ -16,6 +18,7 @@ from fano4.cones import (
     G_hat,
     RayLabel,
     anticanonical,
+    cone_data,
     curve,
     curve_combo,
     divisor,
@@ -29,7 +32,7 @@ from fano4.cones import (
     phi_star_H,
     to_alternate_basis,
 )
-from fano4.errors import ContextMismatchError
+from fano4.errors import ConsistencyError, ContextMismatchError
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 family_params = st.sampled_from(enumerate_families())
@@ -316,3 +319,101 @@ def test_is_fibre_like():
         expected = (FibreLike.UNDETERMINED if 2 * p.a == p.d
                     else FibreLike.NOT_FIBRE_LIKE)
         assert is_fibre_like(p) is expected
+
+
+def test_ray_and_antiK_coordinates_match_divisor_arithmetic():
+    # the int-tuple arithmetic inside nef_rays and anticanonical, against the
+    # DivisorClass arithmetic on the named divisors
+    for p in enumerate_families():
+        i, a, d = p.threefold.index, p.a, p.d
+        expected = {RayLabel.R1: phi_star_H(p),
+                    RayLabel.R2: a * phi_star_H(p) + G(p)}
+        if a >= d:
+            expected[RayLabel.R3] = G_hat(p)
+        else:
+            expected[RayLabel.R3] = G(p) + E_hat(p)
+            if a > 0:
+                expected[RayLabel.R4] = d * G(p) + a * E_hat(p)
+        rays = nef_rays(p)
+        assert {ray.label: ray.generator for ray in rays} == expected
+        assert anticanonical(p) == i * phi_star_H(p) + G(p) + G_hat(p)
+        assert rays == nef_rays(p, ne_generators(p))
+
+
+def test_cone_data_bundles_the_public_results():
+    for p in enumerate_families():
+        cone = cone_data(p)
+        assert cone.antiK == anticanonical(p)
+        assert cone.generators == tuple(ne_generators(p))
+        assert cone.rays == tuple(nef_rays(p))
+        assert cone.degrees == tuple(pairing(cone.antiK, C)
+                                     for C in cone.generators)
+
+
+def test_nef_rays_rejects_foreign_or_combined_generators():
+    p = FamilyParams(7, 2, 5)
+    with pytest.raises(ContextMismatchError):
+        nef_rays(p, ne_generators(FamilyParams(7, 1, 2)))
+    with pytest.raises(ValueError):
+        nef_rays(p, [2 * curve(p, CurveGen.F)])
+
+
+def _coords_with(**changed):
+    # the coordinate table of phi*H, Ghat, E, G and Ehat, with some entries
+    # replaced; each replacement is a function of (a, d)
+    names = ("h", "ghat", "e", "g", "ehat")
+    original = cones._divisor_coords
+
+    def table(a, d):
+        base = dict(zip(names, original(a, d)))
+        base.update({k: f(a, d) for k, f in changed.items()})
+        return tuple(base[n] for n in names)
+    return table
+
+
+def _columns_with(**changed):
+    original = cones._pairing_columns
+
+    def columns(a, d):
+        out = dict(original(a, d))
+        out.update({CurveGen[k]: v for k, v in changed.items()})
+        return out
+    return columns
+
+
+# one fault per cone check: (what to patch, replacement, family, message)
+CONE_FAULTS = {
+    "antiK_symmetric": (
+        "_divisor_coords", _coords_with(g=lambda a, d: (-a, 1, 2)),
+        FamilyParams(6, 2, 4), "-K expressions disagree"),
+    "antiK_alternate": (
+        # E and G moved together, so the first two expressions still agree
+        "_divisor_coords", _coords_with(e=lambda a, d: (0, 0, 2),
+                                        g=lambda a, d: (-a, 1, 2)),
+        FamilyParams(6, 2, 4), "-K over (phi*H, G, Ehat) is"),
+    "ray_sign": (
+        "_pairing_columns", _columns_with(F=(-1, 1, -1)),
+        FamilyParams(7, 2, 5), "ray phi*H pairs -1 < 0 with F"),
+    "degree_gcd": (
+        "_ne_kinds", lambda a, d: (CurveGen.C_G,),
+        FamilyParams(7, 2, 4), "-K degrees [2] have gcd != 1"),
+    "degree_first": (
+        "_ne_kinds", lambda a, d: (CurveGen.C_G, CurveGen.F, CurveGen.F_HAT),
+        FamilyParams(7, 2, 4), "-K degrees on NE generators are [2, 1, 1]"),
+    "degree_positive": (
+        "_pairing_columns", _columns_with(F_HAT=(0, 0, 0)),
+        FamilyParams(7, 2, 4), "-K degrees on NE generators are [1, 0, 2, 2]"),
+    "cone_sizes": (
+        "_ne_kinds", lambda a, d: (CurveGen.F, CurveGen.F_HAT, CurveGen.C_G),
+        FamilyParams(7, 2, 4), "cone sizes (3 NE generators, 4 nef rays)"),
+}
+
+
+@pytest.mark.parametrize("fault", CONE_FAULTS)
+def test_each_cone_check_fires_and_names_the_family(monkeypatch, fault):
+    attr, replacement, p, message = CONE_FAULTS[fault]
+    assert cone_data(p)   # sound before the fault
+    monkeypatch.setattr(cones, attr, replacement)
+    with pytest.raises(ConsistencyError,
+                       match=re.escape(f"{p.label}: {message}")):
+        cone_data(p)

@@ -118,6 +118,19 @@ def test_product_is_commutative_and_symmetric(f, g):
     assert (f * g).is_symmetric()
 
 
+def _signed_polynomials():
+    pair = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.dictionaries(pair, st.integers(-9, 9), max_size=6).map(HodgePolynomial)
+
+
+@given(_signed_polynomials(), _signed_polynomials())
+def test_arithmetic_results_equal_the_checked_constructor(f, g):
+    # +, - and * build their results without the coefficient checks; equality
+    # compares the sorted, zero-free term tuples
+    for result in (f + g, f - g, f * g, f - f):
+        assert result == HodgePolynomial(result.as_dict())
+
+
 @given(small_polynomials())
 def test_bundle_formula_scales_total(f):
     # a P^1-bundle doubles the coefficient total

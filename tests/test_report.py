@@ -14,6 +14,7 @@ from fano4.intersect import closed_k4, k4_closed_terms
 from fano4.report import (
     EXPORT_FIELDS,
     Mismatch,
+    _record_row,
     build_all_records,
     build_record,
     export,
@@ -61,6 +62,27 @@ def test_build_record_attaches_the_label_on_internal_errors(monkeypatch):
     monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d, drop=None: 0)
     with pytest.raises(ConsistencyError, match=r"X\^6_\{2,4\}"):
         build_record(FamilyParams(6, 2, 4))
+
+
+def test_build_record_names_the_family_once_on_a_cone_error(monkeypatch):
+    import fano4.cones as cones
+    from fano4.errors import ConsistencyError
+
+    monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
+    with pytest.raises(ConsistencyError) as exc:
+        build_record(FamilyParams(7, 2, 4))
+    assert str(exc.value) == "X^7_{2,4}: -K degrees [2] have gcd != 1"
+
+
+def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch):
+    import fano4.cones as cones
+
+    calls = []
+    original = cones.ne_generators
+    monkeypatch.setattr(cones, "ne_generators",
+                        lambda p: calls.append(p) or original(p))
+    build_all_records()
+    assert calls == enumerate_families()
 
 
 def test_record_cone_counts(records):
@@ -214,6 +236,18 @@ def test_export_json_round_trip(records):
     exact = by_label["X^1_{0,1}"]
     assert (exact["h0_T"], exact["h1_T"]) == (2, 36)
     assert (exact["h0_T_is_exact"], exact["h1_T_is_exact"]) == (True, True)
+
+
+def _reference_json(records):
+    return (json.dumps([_record_row(r) for r in records], indent=2)
+            + "\n").encode("utf-8")
+
+
+def test_export_json_equals_the_indented_dump(records):
+    assert export(records, "json") == _reference_json(records)
+    odd = dataclasses.replace(records[0], label='X "\\ \u00e9 \u2212')
+    assert export([odd, records[1]], "json") == _reference_json([odd, records[1]])
+    assert export([odd], "json") == _reference_json([odd])
 
 
 def test_export_csv_shape(records):
