@@ -340,20 +340,17 @@ class NefRay:
     contraction: str
 
 
-def nef_rays(params: FamilyParams,
-             generators: list[CurveClass] | None = None) -> list[NefRay]:
+def nef_rays(params: FamilyParams) -> list[NefRay]:
     """Extremal rays of the nef cone: three rays, or four when 0 < a < d.
 
     Generators: R1 = phi*H and R2 = a*phi*H + G always; then R3 = G + Ehat
     (plus R4 = d*G + a*Ehat when 0 < a < d), except that for a >= d the third
     ray is Ghat instead.  Faces are computed from the pairing of each ray with
-    ``generators``, the NE generators of the family as :func:`ne_generators`
-    returns them; they are built when not given.  A ray that pairs negatively
-    with a generator raises ``ConsistencyError``.
+    the NE generators of :func:`ne_generators`, read as their kinds without
+    building the curve classes.  A ray that pairs negatively with a generator
+    raises ``ConsistencyError``.
     """
     require_admissible(params)
-    if generators is None:
-        generators = ne_generators(params)
     a, d = params.a, params.d
     h, ghat, _, g, ehat = _divisor_coords(a, d)
     rays = [
@@ -367,13 +364,7 @@ def nef_rays(params: FamilyParams,
         if a > 0:
             rays.append((RayLabel.R4, f"{d}*G + {a}*Ehat",
                          _add(_scale(d, g), _scale(a, ehat))))
-    kinds = []
-    for C in generators:
-        if C.context is not params:
-            _same_context(params, C.context)
-        if C.kind is None:
-            raise ValueError(f"{C.combo} is not one of the four curve generators")
-        kinds.append(C.kind)
+    kinds = _ne_kinds(a, d)
     columns = _pairing_columns(a, d)
     out = []
     for label, name, coords in rays:
@@ -420,7 +411,7 @@ def cone_data(params: FamilyParams) -> ConeData:
     """
     antiK = anticanonical(params)
     generators = ne_generators(params)
-    rays = nef_rays(params, generators)
+    rays = nef_rays(params)
     degrees = [pairing(antiK, C) for C in generators]
     if gcd(*degrees) != FANO_INDEX:
         raise ConsistencyError(

@@ -47,9 +47,10 @@ class HodgePolynomial:
     float, Fraction or bool raises TypeError); zero entries are dropped.  Supports
     +, - and * (polynomial product), which is all the structure formulas need.
     The terms are kept as a tuple sorted by (p, q), the most compact form;
-    ``coeff`` scans it rather than building a dict.  Results of +, - and *
-    are built by ``_from_sums``, which skips the coefficient checks: sums and
-    products of checked terms are ints at non-negative exponents already.
+    ``coeff`` scans it rather than building a dict.  +, - and * take only
+    another ``HodgePolynomial``, and their results are built by
+    ``_from_sums``, which skips the coefficient checks: sums and products of
+    checked terms are ints at non-negative exponents already.
     """
 
     __slots__ = ("_terms",)
@@ -103,18 +104,24 @@ class HodgePolynomial:
         return max((p for (p, _), _ in self._terms), default=0)
 
     def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
+        if other.__class__ is not HodgePolynomial:
+            return NotImplemented
         out = self.as_dict()
         for pq, c in other.items():
             out[pq] = out.get(pq, 0) + c
         return HodgePolynomial._from_sums(out)
 
     def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
+        if other.__class__ is not HodgePolynomial:
+            return NotImplemented
         out = self.as_dict()
         for pq, c in other.items():
             out[pq] = out.get(pq, 0) - c
         return HodgePolynomial._from_sums(out)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
+        if other.__class__ is not HodgePolynomial:
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (p1, q1), c1 in self.items():
             for (p2, q2), c2 in other.items():

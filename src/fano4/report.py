@@ -1,11 +1,11 @@
 """Record assembly, verification against the reference tables, and export.
 
 :func:`build_record` runs every module on one family and bundles the results;
-all cross-checks of the underlying modules run as a side effect, and any
-failure is re-raised with the family label attached.  The cone checks run in
-:func:`cones.cone_data`, of whose result the record keeps only the two cone
-sizes; ``fano4 info`` prints the full cone data of the same build, through
-``_record_and_cones``.  ``_record_row`` is the one flat view of a record,
+all cross-checks of the underlying modules run as a side effect.  The cone
+checks run in :func:`cones.cone_data` and name the family themselves; any
+other failure is re-raised with the family label attached.  The record keeps
+only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
+data of the same build, through ``_record_and_cones``.  ``_record_row`` is the one flat view of a record,
 keyed by :data:`EXPORT_FIELDS`: the json and csv exports write it,
 ``fano4 info`` prints from it, and :func:`verify_all` compares the reference
 tables against it key by key, reporting mismatches as data (never as
@@ -65,22 +65,24 @@ def build_record(params: FamilyParams) -> FamilyRecord:
 
 def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
     """The record of one family and the cone data it was built from, which
-    the record does not keep."""
+    the record does not keep.
+
+    The cone checks name the family in their own messages; a failure of any
+    other module is re-raised here with the family label attached.
+    """
+    cone = cones.cone_data(params)
     try:
-        return _build_record(params)
+        return _build_record(params, cone), cone
     except (ConsistencyError, IntegrityError) as exc:
-        if str(exc).startswith(f"{params.label}: "):
-            raise
         raise type(exc)(f"{params.label}: {exc}") from exc
 
 
-def _build_record(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
+def _build_record(params: FamilyParams, cone: cones.ConeData) -> FamilyRecord:
     Z = params.threefold
     inv = intersect.fano4_invariants(Z, params.a, params.d)
     hdg = hodge_of_fourfold(Z, params.d)
-    cone = cones.cone_data(params)
     chi = classify.chi_tangent(inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22)
-    record = FamilyRecord(
+    return FamilyRecord(
         params=params,
         label=params.label,
         K4=inv.K4,
@@ -97,7 +99,6 @@ def _build_record(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
         ne_generator_count=len(cone.generators),
         nef_ray_count=len(cone.rays),
     )
-    return record, cone
 
 
 def build_all_records() -> list[FamilyRecord]:

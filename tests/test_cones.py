@@ -337,7 +337,6 @@ def test_ray_and_antiK_coordinates_match_divisor_arithmetic():
         rays = nef_rays(p)
         assert {ray.label: ray.generator for ray in rays} == expected
         assert anticanonical(p) == i * phi_star_H(p) + G(p) + G_hat(p)
-        assert rays == nef_rays(p, ne_generators(p))
 
 
 def test_cone_data_bundles_the_public_results():
@@ -348,14 +347,6 @@ def test_cone_data_bundles_the_public_results():
         assert cone.rays == tuple(nef_rays(p))
         assert cone.degrees == tuple(pairing(cone.antiK, C)
                                      for C in cone.generators)
-
-
-def test_nef_rays_rejects_foreign_or_combined_generators():
-    p = FamilyParams(7, 2, 5)
-    with pytest.raises(ContextMismatchError):
-        nef_rays(p, ne_generators(FamilyParams(7, 1, 2)))
-    with pytest.raises(ValueError):
-        nef_rays(p, [2 * curve(p, CurveGen.F)])
 
 
 def _coords_with(**changed):

@@ -131,6 +131,18 @@ def test_arithmetic_results_equal_the_checked_constructor(f, g):
         assert result == HodgePolynomial(result.as_dict())
 
 
+def test_arithmetic_takes_only_hodge_polynomials():
+    # a plain mapping would slip a float or a negative exponent past the
+    # checks that the results skip
+    f = HodgePolynomial({(0, 0): 1, (1, 1): 1})
+    with pytest.raises(TypeError):
+        f + {(0, 0): 0.5}
+    with pytest.raises(TypeError):
+        f - {(0, 0): 0.5}
+    with pytest.raises(TypeError):
+        f * {(-1, 0): 1}
+
+
 @given(small_polynomials())
 def test_bundle_formula_scales_total(f):
     # a P^1-bundle doubles the coefficient total
