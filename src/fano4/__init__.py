@@ -25,10 +25,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "catalog": ("FanoThreefold", "FamilyParams", "HBaseLocus", "threefold",
                 "validate_params", "enumerate_families"),
-    "hodge": ("HodgePolynomial", "SurfaceHodge", "FourfoldHodge",
-              "projective_space", "bundle_formula", "blowup_formula",
-              "surface_h02", "surface_h11", "hodge_of_threefold",
-              "hodge_of_fourfold"),
+    "hodge": ("HodgePolynomial", "FourfoldHodge", "projective_space",
+              "bundle_formula", "blowup_formula", "surface_h02",
+              "surface_h11", "hodge_of_threefold", "hodge_of_fourfold"),
     "intersect": ("BundleInput", "BlowupCentreData", "CanonicalDegrees",
                   "FourfoldInvariants", "projective_bundle_invariants",
                   "surface_blowup_invariants", "riemann_roch_chi",
@@ -37,10 +36,9 @@ _EXPORTS = {
               "FibreLike", "anticanonical", "pairing", "pairing_matrix",
               "to_alternate_basis", "ne_generators", "nef_rays", "ConeData",
               "cone_data", "is_fano", "is_fibre_like"),
-    "classify": ("BaseLocusKind", "BaseLocusResult", "Rationality",
-                 "ToricLabel", "TangentBounds", "base_locus", "rationality",
-                 "toric_label", "h0_line_bundle", "chi_tangent",
-                 "tangent_bounds"),
+    "classify": ("BaseLocusKind", "Rationality", "ToricLabel",
+                 "TangentBounds", "base_locus", "rationality", "toric_label",
+                 "h0_line_bundle", "chi_tangent", "tangent_bounds"),
     "report": ("FamilyRecord", "Mismatch", "VerificationReport",
                "build_record", "build_all_records", "verify_all", "export"),
     "golden": ("GoldenTables", "golden_tables"),

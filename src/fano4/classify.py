@@ -27,7 +27,6 @@ from .errors import IntegrityError
 
 __all__ = [
     "BaseLocusKind",
-    "BaseLocusResult",
     "Rationality",
     "ToricLabel",
     "TangentBounds",
@@ -41,25 +40,15 @@ __all__ = [
 
 
 class BaseLocusKind(Enum):
+    """Base locus of |-K_X|, as a point count; a general member of |-K_X| is
+    smooth in every family."""
+
     EMPTY = "empty"
     ONE_POINT = "one_point"
     TWO_POINTS = "two_points"
 
-    @property
-    def point_count(self) -> int:
-        return {"empty": 0, "one_point": 1, "two_points": 2}[self.value]
-
-
-@dataclass(frozen=True)
-class BaseLocusResult:
-    """Base locus of |-K_X|, as a point count; a general member of |-K_X| is
-    smooth in every family."""
-
-    kind: BaseLocusKind
-    general_member_smooth: bool
-
     def display(self) -> str:
-        return _BASE_LOCUS_TEXT[self.kind]
+        return _BASE_LOCUS_TEXT[self]
 
 
 _BASE_LOCUS_TEXT = {
@@ -69,15 +58,14 @@ _BASE_LOCUS_TEXT = {
 }
 
 
-def base_locus(params: FamilyParams) -> BaseLocusResult:
+def base_locus(params: FamilyParams) -> BaseLocusKind:
     """Base locus of |-K_X|: empty whenever |H| on Z is free, else one point
     for (z_id, a, d) = (1, 0, 1) and two for (1, 1, 2)."""
     require_admissible(params)
-    kind = BaseLocusKind.EMPTY
-    if params.z_id == 1:
-        kind = (BaseLocusKind.ONE_POINT if (params.a, params.d) == (0, 1)
-                else BaseLocusKind.TWO_POINTS)
-    return BaseLocusResult(kind=kind, general_member_smooth=True)
+    if params.z_id != 1:
+        return BaseLocusKind.EMPTY
+    return (BaseLocusKind.ONE_POINT if (params.a, params.d) == (0, 1)
+            else BaseLocusKind.TWO_POINTS)
 
 
 class Rationality(Enum):
@@ -85,11 +73,6 @@ class Rationality(Enum):
     VERY_GENERAL_NOT_RATIONAL = "very_general_not_rational"
     UNKNOWN = "unknown"
     TORIC = "toric"
-
-    @property
-    def is_rational(self) -> bool:
-        """Toric varieties are rational; the toric tag refines 'rational'."""
-        return self in (Rationality.RATIONAL, Rationality.TORIC)
 
 
 class ToricLabel(Enum):
@@ -146,10 +129,12 @@ def h0_line_bundle(Z: FanoThreefold, d: int) -> int:
     return value
 
 
-def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int,
-                b2: int = 3) -> int:
-    """chi(T_X) = 27 - 5*h^0(-K) + K^4 + 3*b2 - h^{1,2} - h^{2,2} + 3*h^{1,3}."""
-    return 27 - 5 * h0_antiK + k4 + 3 * b2 - h12 - h22 + 3 * h13
+def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int) -> int:
+    """chi(T_X) = 27 - 5*h^0(-K) + K^4 + 3*b_2 - h^{1,2} - h^{2,2} + 3*h^{1,3},
+    with b_2 = rho_X = 3."""
+    if any(type(v) is not int for v in (k4, h0_antiK, h12, h13, h22)):
+        raise TypeError("chi_tangent takes ints only")
+    return 36 - 5 * h0_antiK + k4 - h12 - h22 + 3 * h13
 
 
 @dataclass(frozen=True)
@@ -180,6 +165,8 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     IntegrityError.
     """
     require_admissible(params)
+    if type(chi) is not int:
+        raise TypeError(f"chi must be an int, got {chi!r}")
     Z = params.threefold
     h1 = Z.h1_tangent + h0_line_bundle(Z, params.d) - 1
     rigid = params.z_id == 7 and params.d <= 2

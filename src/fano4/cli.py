@@ -8,9 +8,10 @@ Subcommands:
                  on a malformed or inadmissible triple, as ``cones``);
 * ``verify``  -- check all records against the reference tables
                  (exit 0 all pass, 1 any mismatch, 2 internal error);
-* ``export``  -- write all records as json, csv or markdown (exit 2 when the
-                 output file cannot be written);
+* ``export``  -- write all records as json, csv or markdown;
 * ``cones``   -- curve/nef cone generators and pairings for one family.
+
+Every command exits 2 when its output cannot be written.
 
 All numeric output is exact; non-integral rationals (which only the pairing
 displays could ever produce) are rendered as p/q.
@@ -24,6 +25,7 @@ tables); ``verify`` loads everything except ``json`` and ``csv``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -138,10 +140,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
         try:
             with open(args.out, "wb") as fh:
                 fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
+        except OSError as exc:  # a failed write names no file
+            exc.filename = args.out
+            raise
         if not args.quiet:
             print(f"wrote {len(payload)} bytes to {args.out}")
     return 0
@@ -192,9 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ConsistencyError, IntegrityError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or 'standard output'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if exc.filename is None:  # so the interpreter's last flush cannot fail
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
 
 

@@ -116,9 +116,6 @@ class DivisorClass:
         x, y, z = self.coords
         return divisor(self.context, s * x, s * y, s * z)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
 
 def _same_context(a: FamilyParams, b: FamilyParams) -> None:
     if a is not b and a != b:

@@ -26,14 +26,12 @@ from .errors import ConsistencyError, IntegrityError
 
 __all__ = [
     "HodgePolynomial",
-    "SurfaceHodge",
     "FourfoldHodge",
     "projective_space",
     "bundle_formula",
     "blowup_formula",
     "surface_h02",
     "surface_h11",
-    "surface_hodge",
     "hodge_of_threefold",
     "hodge_of_surface",
     "hodge_of_fourfold",
@@ -96,13 +94,6 @@ class HodgePolynomial:
         """Sum of coefficients on the antidiagonal p + q = k."""
         return sum(c for (p, q), c in self._terms if p + q == k)
 
-    def is_symmetric(self) -> bool:
-        d = self.as_dict()
-        return all(d.get((q, p), 0) == c for (p, q), c in d.items())
-
-    def max_p(self) -> int:
-        return max((p for (p, _), _ in self._terms), default=0)
-
     def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
@@ -146,6 +137,8 @@ class HodgePolynomial:
 def projective_space(n: int) -> HodgePolynomial:
     """e(P^n): ones on the diagonal up to (n, n).  The polynomial is immutable,
     so each small n is built once and shared."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return HodgePolynomial({(i, i): 1 for i in range(n + 1)})
@@ -165,16 +158,6 @@ def blowup_formula(eW: HodgePolynomial, eV: HodgePolynomial, c: int) -> HodgePol
     return eW + eV * (projective_space(c - 1) - projective_space(0))
 
 
-@dataclass(frozen=True)
-class SurfaceHodge:
-    """Hodge numbers of a smooth surface A in |O_Z(d)|; h^{0,1} = 0 always
-    (Lefschetz hyperplane theorem)."""
-
-    h01: int
-    h02: int
-    h11: int
-
-
 def surface_h02(Z: FanoThreefold, d: int) -> int:
     """h^{0,2} of a smooth surface A in |O_Z(d)|.
 
@@ -187,6 +170,8 @@ def surface_h02(Z: FanoThreefold, d: int) -> int:
     * i_Z == 3, d == 4: 5
     * i_Z == 4: binom(d-1, 3)
     """
+    if type(d) is not int:
+        raise TypeError(f"d must be an int, got {d!r}")
     i = Z.index
     if not 1 <= d <= 2 * i - 2:
         raise ValueError(f"d must be in 1..{2 * i - 2} for index {i}, got {d}")
@@ -210,10 +195,6 @@ def surface_h11(Z: FanoThreefold, d: int) -> int:
     return value
 
 
-def surface_hodge(Z: FanoThreefold, d: int) -> SurfaceHodge:
-    return SurfaceHodge(h01=0, h02=surface_h02(Z, d), h11=surface_h11(Z, d))
-
-
 def hodge_of_threefold(Z: FanoThreefold) -> HodgePolynomial:
     """e(Z) for a catalogued 3-fold: diagonal ones (rho = 1 and Fano
     vanishing force h^{1,1} = 1) plus the off-diagonal h^{1,2} entries."""
@@ -224,11 +205,12 @@ def hodge_of_threefold(Z: FanoThreefold) -> HodgePolynomial:
 
 
 def hodge_of_surface(Z: FanoThreefold, d: int) -> HodgePolynomial:
-    s = surface_hodge(Z, d)
+    """e(A) for a smooth surface A in |O_Z(d)|; h^{0,1}(A) = 0 (Lefschetz)."""
+    h02 = surface_h02(Z, d)
     return HodgePolynomial({
         (0, 0): 1, (2, 2): 1,
-        (0, 2): s.h02, (2, 0): s.h02,
-        (1, 1): s.h11,
+        (0, 2): h02, (2, 0): h02,
+        (1, 1): surface_h11(Z, d),
     })
 
 

@@ -89,6 +89,13 @@ class FourfoldInvariants:
     h0_antiK: int
 
 
+def _check_twist(*twists: int) -> None:
+    """TypeError unless each twist is an int (a bool would pass for 0 or 1)."""
+    for t in twists:  # a loop: any() would cost a generator per call
+        if type(t) is not int:
+            raise TypeError(f"a and d must be ints, got {t!r}")
+
+
 def _ratio(numerator: int, denominator: int) -> int | Fraction:
     """numerator/denominator exactly: an ``int`` when the division leaves no
     remainder, else a Fraction, which refuses a float with TypeError."""
@@ -160,6 +167,7 @@ def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
 def split_bundle_base(Z: FanoThreefold, a: int) -> BundleInput:
     """The :class:`BundleInput` for E = O_Z + O_Z(a): c1(E) = aH, c2(E) = 0,
     K_Z = -i*H, and K_Z.c2(Z) = -24 on any Fano 3-fold."""
+    _check_twist(a)
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     i, delta = Z.index, Z.degree
@@ -179,6 +187,7 @@ def surface_centre(Z: FanoThreefold, a: int, d: int) -> BlowupCentreData:
     Restricting H to A gives (H|A)^2 = d*delta, -K_Y|A = (a+i)H|A and
     K_A = (d-i)H|A, whence the five numbers below.
     """
+    _check_twist(a, d)
     i, delta = Z.index, Z.degree
     return BlowupCentreData(
         KYV_sq=d * delta * (a + i) ** 2,
@@ -205,22 +214,13 @@ def p1_bundle_invariants(Z: FanoThreefold, a: int) -> CanonicalDegrees:
 
     cross-checked against :func:`projective_bundle_invariants`.
     """
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
+    generic = projective_bundle_invariants(split_bundle_base(Z, a))  # checks a
     closed = _closed_bundle_degrees(Z, a)
-    generic = projective_bundle_invariants(split_bundle_base(Z, a))
     if closed != generic:
         raise ConsistencyError(
             f"bundle degrees disagree for Z_{Z.id}, a={a}: closed {closed}, "
             f"generic {generic}")
     return closed
-
-
-def _check_twist(a: int, d: int) -> None:
-    """TypeError unless the closed forms' ``a`` and ``d`` are exactly ints
-    (a float would flow through them, a bool would pass for 0 or 1)."""
-    if type(a) is not int or type(d) is not int:
-        raise TypeError(f"a and d must be ints, got a={a!r}, d={d!r}")
 
 
 def k4_closed_terms(Z: FanoThreefold, a: int, d: int) -> dict[str, int]:
@@ -240,13 +240,8 @@ def k4_closed_terms(Z: FanoThreefold, a: int, d: int) -> dict[str, int]:
     }
 
 
-def closed_k4(Z: FanoThreefold, a: int, d: int, drop: str | None = None) -> int:
-    terms = k4_closed_terms(Z, a, d)
-    if drop is not None:
-        if drop not in terms:
-            raise KeyError(f"unknown K^4 term {drop!r}")
-        del terms[drop]
-    return sum(terms.values())
+def closed_k4(Z: FanoThreefold, a: int, d: int) -> int:
+    return sum(k4_closed_terms(Z, a, d).values())
 
 
 def closed_k2c2(Z: FanoThreefold, a: int, d: int) -> int:

@@ -49,7 +49,7 @@ class FamilyRecord:
     h12: int
     h13: int
     h22: int
-    base_locus: classify.BaseLocusResult
+    base_locus: classify.BaseLocusKind
     rationality: classify.Rationality
     toric_label: classify.ToricLabel | None
     fibre_like: cones.FibreLike
@@ -212,7 +212,7 @@ def _record_row(record: FamilyRecord) -> dict[str, object]:
         "h12": record.h12,
         "h13": record.h13,
         "h22": record.h22,
-        "base_locus": record.base_locus.kind.value,
+        "base_locus": record.base_locus.value,
         "rationality": record.rationality.value,
         "toric_label": None if record.toric_label is None else record.toric_label.value,
         "fibre_like": record.fibre_like.value,

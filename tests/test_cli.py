@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ import fano4.report as report
 from fano4.errors import IntegrityError
 from fano4.golden import golden_tables
 from fano4.report import Mismatch, VerificationReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -191,6 +197,33 @@ def test_export_io_error_exits_two_with_one_line(capsys, tmp_path):
     assert err.startswith("error: ") and str(target) in err
     assert len(err.splitlines()) == 1
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_export_write_error_names_the_file(capsys):
+    # open succeeds; the write fails, and its OSError carries no file name
+    code, out, err = run(capsys, "export", "--format", "json",
+                         "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["list"], ["info", "7", "1", "2"],
+                                  ["cones", "6", "2", "4"], ["verify"],
+                                  ["export", "--format", "json"],
+                                  ["export", "--format", "markdown"]])
+def test_unwritable_stdout_exits_two_with_one_line(argv):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "fano4.cli", *argv],
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                timeout=120)
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: cannot write standard output: ")
 
 
 def test_version_flag(capsys):

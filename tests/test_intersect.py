@@ -237,14 +237,9 @@ def test_K4_term_split_sums_to_the_closed_form():
         assert closed_k4(Z, p.a, p.d) == fano4_invariants(Z, p.a, p.d).K4
 
 
-def test_closed_k4_drop_unknown_term():
-    with pytest.raises(KeyError):
-        closed_k4(threefold(7), 0, 1, drop="no_such_term")
-
-
 def test_path_disagreement_is_loud(monkeypatch):
     import fano4.intersect as intersect
-    monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d, drop=None: 0)
+    monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d: 0)
     with pytest.raises(ConsistencyError):
         intersect.fano4_invariants(threefold(7), 0, 1)
 

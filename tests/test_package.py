@@ -3,7 +3,8 @@
 ``import fano4`` loads no submodule; each public name imports its home
 module on first access, and each CLI command loads only what it uses.  The
 loading checks run in fresh interpreters, because this test session has
-long since imported everything.
+long since imported everything.  Each place where an int enters the public
+functions refuses a float or a bool.
 """
 
 from __future__ import annotations
@@ -121,6 +122,38 @@ def test_star_import_binds_every_public_name():
     exec("from fano4 import *", namespace)
     assert set(fano4.__all__) <= set(namespace)
     assert namespace["verify_all"] is fano4.report.verify_all
+
+
+Z7 = fano4.catalog.threefold(7)
+
+#: one entry point per place an int first enters a public function
+NON_INT_ENTRIES = {
+    "surface_h02": lambda bad: fano4.surface_h02(Z7, bad),
+    "surface_h11": lambda bad: fano4.surface_h11(Z7, bad),
+    "hodge_of_fourfold": lambda bad: fano4.hodge_of_fourfold(Z7, bad),
+    "projective_space": lambda bad: fano4.projective_space(bad),
+    "bundle_formula": lambda bad: fano4.bundle_formula(
+        fano4.projective_space(1), bad),
+    "split_bundle_base": lambda bad: fano4.intersect.split_bundle_base(
+        Z7, bad),
+    "surface_centre_a": lambda bad: fano4.intersect.surface_centre(Z7, bad, 1),
+    "surface_centre_d": lambda bad: fano4.intersect.surface_centre(Z7, 1, bad),
+    "p1_bundle_invariants": lambda bad: fano4.p1_bundle_invariants(Z7, bad),
+    "chi_tangent_k4": lambda bad: fano4.chi_tangent(bad, 5, 0, 0, 0),
+    "chi_tangent_h22": lambda bad: fano4.chi_tangent(100, 5, 0, 0, bad),
+    "tangent_bounds": lambda bad: fano4.tangent_bounds(
+        fano4.FamilyParams(7, 1, 2), bad),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", sorted(NON_INT_ENTRIES))
+def test_entry_points_reject_floats_and_bools(entry, bad):
+    # 1 is valid for every one of them, so only the type can be refused; the
+    # cache of projective_space holds 1 and must not answer for 1.0 or True
+    assert fano4.projective_space(1) is fano4.projective_space(1)
+    with pytest.raises(TypeError):
+        NON_INT_ENTRIES[entry](bad)
 
 
 def test_readme_quick_start():

@@ -10,7 +10,7 @@ import pytest
 from fano4.catalog import FamilyParams, catalog, enumerate_families, threefold
 from fano4.classify import BaseLocusKind, Rationality
 from fano4.golden import GoldenFamilyRow, GoldenTangentRow, golden_tables
-from fano4.intersect import closed_k4, k4_closed_terms
+from fano4.intersect import k4_closed_terms
 from fano4.report import (
     EXPORT_FIELDS,
     Mismatch,
@@ -46,7 +46,7 @@ def test_build_record_grassmannian_family(by_label):
 
 def test_build_record_weighted_sextic_family(by_label):
     r = by_label["X^1_{0,1}"]
-    assert r.base_locus.kind is BaseLocusKind.ONE_POINT
+    assert r.base_locus is BaseLocusKind.ONE_POINT
     assert r.rationality is Rationality.VERY_GENERAL_NOT_RATIONAL
 
 
@@ -59,7 +59,7 @@ def test_build_record_attaches_the_label_on_internal_errors(monkeypatch):
     import fano4.intersect as intersect
     from fano4.errors import ConsistencyError
 
-    monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d, drop=None: 0)
+    monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d: 0)
     with pytest.raises(ConsistencyError, match=r"X\^6_\{2,4\}"):
         build_record(FamilyParams(6, 2, 4))
 
@@ -185,29 +185,28 @@ def test_verify_all_detects_duplicate_record(records):
     assert m.computed == "2 records"
 
 
+def _k4_without(record, name):
+    """The closed form for K^4 of the record's family minus one summand."""
+    p = record.params
+    terms = k4_closed_terms(p.threefold, p.a, p.d)
+    return sum(terms.values()) - terms[name]
+
+
 def test_verify_all_detects_dropped_k4_terms(records):
     """Dropping any single summand of the K^4 closed form must be caught."""
     term_names = list(k4_closed_terms(threefold(7), 1, 2))
     assert len(term_names) == 5
     for name in term_names:
-        mutated = [
-            dataclasses.replace(
-                r, K4=closed_k4(r.params.threefold, r.params.a, r.params.d,
-                                drop=name))
-            for r in records
-        ]
+        mutated = [dataclasses.replace(r, K4=_k4_without(r, name))
+                   for r in records]
         result = verify_all(mutated)
         assert result.fail_count >= 1, f"dropping {name} went unnoticed"
         assert all(m.field == "K4" for m in result.mismatches)
 
 
 def test_dropping_the_a_term_hits_exactly_the_twisted_families(records):
-    mutated = [
-        dataclasses.replace(
-            r, K4=closed_k4(r.params.threefold, r.params.a, r.params.d,
-                            drop="a*d^2*delta"))
-        for r in records
-    ]
+    mutated = [dataclasses.replace(r, K4=_k4_without(r, "a*d^2*delta"))
+               for r in records]
     result = verify_all(mutated)
     mismatched = {m.family for m in result.mismatches}
     expected = {r.label for r in records if r.params.a > 0}
