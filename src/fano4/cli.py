@@ -154,8 +154,18 @@ def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("d", type=int, help="degree d >= 1 of the blown-up surface")
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file=None) -> None:
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        # argparse would drop a failed write of --help or --version text;
+        # main reports it, and it may fail at the flush only
+        file.write(message)
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fano4",
         description="Invariants of the 28 families of smooth Fano 4-folds of "
                     "Picard number 3 with a prime divisor of Picard rank 1.")
@@ -191,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -361,14 +361,14 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
         if a > 0:
             rays.append((RayLabel.R4, f"{d}*G + {a}*Ehat",
                          _add(_scale(d, g), _scale(a, ehat))))
-    kinds = _ne_kinds(a, d)
     columns = _pairing_columns(a, d)
+    # each CurveGen hash runs Enum.__hash__ in Python: look up once per call
+    kind_columns = [(kind, columns[kind]) for kind in _ne_kinds(a, d)]
     out = []
     for label, name, coords in rays:
         x, y, z = coords
         face = set()
-        for kind in kinds:
-            p, q, r = columns[kind]
+        for kind, (p, q, r) in kind_columns:
             value = x * p + y * q + z * r
             if value == 0:
                 face.add(kind)

@@ -12,6 +12,10 @@ along a surface isomorphic to a smooth member A of |O_Z(d)|, so its three
 unknown Hodge numbers have closed forms in terms of h^{1,2}(Z) and the
 surface numbers h^{0,2}(A), h^{1,1}(A).  Both routes are computed here and
 must agree.
+
+The shared factor e(Z)*e(P^1) is cached keyed on h^{1,2}(Z), the only number
+of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
+e(P^{c-1}) - e(P^0); no check is cached.
 """
 
 from __future__ import annotations
@@ -155,7 +159,13 @@ def blowup_formula(eW: HodgePolynomial, eV: HodgePolynomial, c: int) -> HodgePol
     """Hodge polynomial of the blow-up of W along a codimension-c centre V."""
     if c < 2:
         raise ValueError(f"codimension must be >= 2, got {c}")
-    return eW + eV * (projective_space(c - 1) - projective_space(0))
+    return eW + eV * _exceptional_factor(c)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _exceptional_factor(c: int) -> HodgePolynomial:
+    """e(P^{c-1}) - e(P^0): what a codimension-c centre adds per point."""
+    return projective_space(c - 1) - projective_space(0)
 
 
 def surface_h02(Z: FanoThreefold, d: int) -> int:
@@ -198,10 +208,19 @@ def surface_h11(Z: FanoThreefold, d: int) -> int:
 def hodge_of_threefold(Z: FanoThreefold) -> HodgePolynomial:
     """e(Z) for a catalogued 3-fold: diagonal ones (rho = 1 and Fano
     vanishing force h^{1,1} = 1) plus the off-diagonal h^{1,2} entries."""
+    return _threefold_hodge(Z.h12)
+
+
+def _threefold_hodge(h12: int) -> HodgePolynomial:
     return HodgePolynomial({
-        (0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1,
-        (1, 2): Z.h12, (2, 1): Z.h12,
+        (0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 3): 1, (1, 2): h12, (2, 1): h12,
     })
+
+
+@lru_cache(maxsize=16, typed=True)
+def _bundle_over_threefold(h12: int) -> HodgePolynomial:
+    """e(Z)*e(P^1) for every 3-fold Z with h^{1,2}(Z) = h12."""
+    return bundle_formula(_threefold_hodge(h12), 1)
 
 
 def hodge_of_surface(Z: FanoThreefold, d: int) -> HodgePolynomial:
@@ -230,22 +249,14 @@ def hodge_of_fourfold(Z: FanoThreefold, d: int) -> FourfoldHodge:
     |O_Z(d)| whichever bundle twist a is used, so ``a`` is not a parameter.
 
     Computed twice -- closed forms and the polynomial calculus
-    e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked.
+    e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked, on one e(A).
     """
-    closed = FourfoldHodge(
-        h12=Z.h12,
-        h13=surface_h02(Z, d),
-        h22=2 + surface_h11(Z, d),
-    )
-    eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
-                        hodge_of_surface(Z, d), 2)
-    via_poly = FourfoldHodge(
-        h12=eX.coeff(1, 2),
-        h13=eX.coeff(1, 3),
-        h22=eX.coeff(2, 2),
-    )
+    eA = hodge_of_surface(Z, d)
+    closed = (Z.h12, eA.coeff(0, 2), 2 + eA.coeff(1, 1))
+    eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
+    via_poly = (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))
     if closed != via_poly:
         raise ConsistencyError(
-            f"Hodge numbers disagree for Z_{Z.id}, d={d}: closed {closed}, "
-            f"polynomial {via_poly}")
-    return closed
+            f"Hodge numbers disagree for Z_{Z.id}, d={d}: (h12, h13, h22) "
+            f"closed {closed}, polynomial {via_poly}")
+    return FourfoldHodge(*closed)

@@ -17,15 +17,16 @@ Specialised to a family (Z, a, d) these reproduce the closed forms
 independently and must agree.  A third route recovers chi(O(-K)) from K^4 and
 K^2.c2 by Riemann-Roch.  Everything is exact and no floats enter this module:
 each chi(O(-K)) formula is one integer numerator over a fixed denominator
-(6, 2 or 12) that must divide it, and a float input raises TypeError.
+(6, 2 or 12) that must divide it, and a float or bool input raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .catalog import FamilyParams, FanoThreefold, require_admissible
+from .catalog import FamilyParams, FanoThreefold, require_admissible, validate_params
 from .errors import ConsistencyError, IntegrityError
 from .hodge import surface_h02
 
@@ -89,11 +90,11 @@ class FourfoldInvariants:
     h0_antiK: int
 
 
-def _check_twist(*twists: int) -> None:
-    """TypeError unless each twist is an int (a bool would pass for 0 or 1)."""
-    for t in twists:  # a loop: any() would cost a generator per call
-        if type(t) is not int:
-            raise TypeError(f"a and d must be ints, got {t!r}")
+def _check_ints(what: str, values: Iterable[int]) -> None:
+    """TypeError unless each value is an int (a bool would pass for 0 or 1)."""
+    for v in values:  # a loop: any() would cost a generator per call
+        if type(v) is not int:
+            raise TypeError(f"{what}: expected ints, got {v!r}")
 
 
 def _ratio(numerator: int, denominator: int) -> int | Fraction:
@@ -115,11 +116,7 @@ def _as_int(numerator: int, denominator: int, what: str) -> int:
 
 def _degrees(K4: int, K2c2: int, chi_numerator: int, chi_denominator: int,
              what: str) -> CanonicalDegrees:
-    """CanonicalDegrees with chi(O(-K)) = chi_numerator/chi_denominator.
-    TypeError when K^4 or K^2.c2 is not an ``int`` (after a float input, say)."""
-    if type(K4) is not int or type(K2c2) is not int:
-        raise TypeError(f"{what}: K^4 = {K4!r} and K^2.c2 = {K2c2!r} must "
-                        f"be ints")
+    """CanonicalDegrees with chi(O(-K)) = chi_numerator/chi_denominator."""
     return CanonicalDegrees(K4, K2c2, _as_int(chi_numerator, chi_denominator,
                                               f"chi(O(-K)) of {what}"))
 
@@ -132,6 +129,7 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     (iii) chi(-K)  = chi(O) + 6 K_W.c2(E)
                      - (3 K_W^3 + 3 K_W.c1(E)^2)/2 - K_W.c2(W)/3
     """
+    _check_ints("the bundle input", vars(data).values())
     K4 = -8 * data.KW_c1sq + 32 * data.KW_c2E - 8 * data.KW3
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
@@ -147,6 +145,7 @@ def surface_blowup_invariants(base: CanonicalDegrees,
     (ii)  K^2.c2  = K_Y^2.c2 - 12 chi(O_V) + 2 K_V^2 - 2 K_V.K_Y|V - 2 c2(N)
     (iii) chi(-K) = chi(O_Y(-K_Y)) - chi(O_V) - ((K_Y|V)^2 + K_V.K_Y|V)/2
     """
+    _check_ints("the blow-up input", (*vars(base).values(), *vars(centre).values()))
     K4 = (base.K4 - 3 * centre.KYV_sq - 2 * centre.KV_KYV
           + centre.c2N - centre.KV_sq)
     K2c2 = (base.K2c2 - 12 * centre.chi_OV + 2 * centre.KV_sq
@@ -160,14 +159,15 @@ def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
     """chi(O(-K)) on a smooth 4-fold from Riemann-Roch:
     chi(O) + (2 K^4 + K^2.c2)/12.  An ``int`` when 12 divides the numerator,
     else the exact Fraction; callers assert integrality where they are
-    entitled to it."""
+    entitled to it.  A float or bool argument raises TypeError."""
+    _check_ints("K^4, K^2.c2 and chi(O)", (K4, K2c2, chi_O))
     return _ratio(12 * chi_O + 2 * K4 + K2c2, 12)
 
 
 def split_bundle_base(Z: FanoThreefold, a: int) -> BundleInput:
     """The :class:`BundleInput` for E = O_Z + O_Z(a): c1(E) = aH, c2(E) = 0,
     K_Z = -i*H, and K_Z.c2(Z) = -24 on any Fano 3-fold."""
-    _check_twist(a)
+    _check_ints("a", (a,))
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     i, delta = Z.index, Z.degree
@@ -187,7 +187,7 @@ def surface_centre(Z: FanoThreefold, a: int, d: int) -> BlowupCentreData:
     Restricting H to A gives (H|A)^2 = d*delta, -K_Y|A = (a+i)H|A and
     K_A = (d-i)H|A, whence the five numbers below.
     """
-    _check_twist(a, d)
+    _check_ints("a and d", (a, d))
     i, delta = Z.index, Z.degree
     return BlowupCentreData(
         KYV_sq=d * delta * (a + i) ** 2,
@@ -229,7 +229,7 @@ def k4_closed_terms(Z: FanoThreefold, a: int, d: int) -> dict[str, int]:
     Exposing the terms individually lets the verification suite check that
     the reference tables detect the loss of any single one.
     """
-    _check_twist(a, d)
+    _check_ints("a and d", (a, d))
     i, delta = Z.index, Z.degree
     return {
         "8*delta*i*(a^2+i^2)": 8 * delta * i * (a * a + i * i),
@@ -245,14 +245,14 @@ def closed_k4(Z: FanoThreefold, a: int, d: int) -> int:
 
 
 def closed_k2c2(Z: FanoThreefold, a: int, d: int) -> int:
-    _check_twist(a, d)
+    _check_ints("a and d", (a, d))
     i, delta = Z.index, Z.degree
     return (84 + 2 * delta * i * (a * a + i * i) - 12 * surface_h02(Z, d)
             + 2 * d * delta * (d - i) * (a + d) - 2 * a * d * d * delta)
 
 
 def closed_chi_antiK(Z: FanoThreefold, a: int, d: int) -> int:
-    _check_twist(a, d)
+    _check_ints("a and d", (a, d))
     i, delta = Z.index, Z.degree
     chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(Z, d)
             - d * delta * (a + i) * (a - d + 2 * i))
@@ -266,7 +266,8 @@ def fano4_invariants(Z: FanoThreefold, a: int, d: int) -> FourfoldInvariants:
     insists they agree; then reconstructs chi(O(-K)) from K^4 and K^2.c2 by
     Riemann-Roch as a third, independent route.
     """
-    require_admissible(FamilyParams(Z.id, a, d))
+    if not validate_params(Z.id, a, d):  # raises itself on a malformed triple
+        require_admissible(FamilyParams(Z.id, a, d))  # the ValueError naming it
     closed = CanonicalDegrees(
         K4=closed_k4(Z, a, d),
         K2c2=closed_k2c2(Z, a, d),

@@ -200,7 +200,9 @@ EXPORT_FIELDS = (
 
 
 def _record_row(record: FamilyRecord) -> dict[str, object]:
-    p, t = record.params, record.tangent
+    # enum values via _value_: Enum.value is a Python-level property on
+    # 3.11, and a pass builds three rows per record
+    p, t, toric = record.params, record.tangent, record.toric_label
     return {
         "z_id": p.z_id,
         "a": p.a,
@@ -212,10 +214,10 @@ def _record_row(record: FamilyRecord) -> dict[str, object]:
         "h12": record.h12,
         "h13": record.h13,
         "h22": record.h22,
-        "base_locus": record.base_locus.value,
-        "rationality": record.rationality.value,
-        "toric_label": None if record.toric_label is None else record.toric_label.value,
-        "fibre_like": record.fibre_like.value,
+        "base_locus": record.base_locus._value_,
+        "rationality": record.rationality._value_,
+        "toric_label": None if toric is None else toric._value_,
+        "fibre_like": record.fibre_like._value_,
         "chi_T": t.chi,
         "h0_T": t.h0,
         "h1_T": t.h1,
@@ -255,13 +257,11 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         import csv
         import io
 
+        # the row keys are in EXPORT_FIELDS order; csv writes None as ""
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=EXPORT_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for r in records:
-            row = _record_row(r)
-            row["toric_label"] = row["toric_label"] or ""
-            writer.writerow(row)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(EXPORT_FIELDS)
+        writer.writerows(_record_row(r).values() for r in records)
         return buf.getvalue().encode("utf-8")
     if format == "markdown":
         lines = [

@@ -214,7 +214,8 @@ def test_export_write_error_names_the_file(capsys):
 @pytest.mark.parametrize("argv", [["list"], ["info", "7", "1", "2"],
                                   ["cones", "6", "2", "4"], ["verify"],
                                   ["export", "--format", "json"],
-                                  ["export", "--format", "markdown"]])
+                                  ["export", "--format", "markdown"],
+                                  ["--version"], ["--help"]])
 def test_unwritable_stdout_exits_two_with_one_line(argv):
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "fano4.cli", *argv],
@@ -224,6 +225,24 @@ def test_unwritable_stdout_exits_two_with_one_line(argv):
     assert result.returncode == 2
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: cannot write standard output: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_help_and_version_report_a_failed_write(flag, unbuffered):
+    # buffered, the write fails at the flush; unbuffered, inside argparse
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "fano4.cli", flag],
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                env=dict(env, PYTHONPATH=str(SRC)), timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write standard output: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_version_flag(capsys):

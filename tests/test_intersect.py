@@ -202,6 +202,30 @@ def test_float_riemann_roch_input_is_refused():
         riemann_roch_chi(431.0, 206, 1)
 
 
+#: call -> (its valid int arguments, the call on a dict of them)
+RAW_NUMBER_CALLS = {
+    "bundle": (BUNDLE_P3,
+               lambda kw: projective_bundle_invariants(BundleInput(**kw))),
+    "blowup_base": (dict(K4=512, K2c2=224, chi_antiK=105),
+                    lambda kw: surface_blowup_invariants(
+                        CanonicalDegrees(**kw), BlowupCentreData(**CENTRE))),
+    "blowup_centre": (CENTRE, lambda kw: surface_blowup_invariants(
+        CanonicalDegrees(512, 224, 105), BlowupCentreData(**kw))),
+    "riemann_roch": (dict(K4=431, K2c2=206, chi_O=1),
+                     lambda kw: riemann_roch_chi(**kw)),
+}
+
+
+@pytest.mark.parametrize("call,field", [
+    (call, field) for call, (valid, _) in RAW_NUMBER_CALLS.items()
+    for field in sorted(valid)])
+def test_raw_number_entry_points_reject_bools(call, field):
+    valid, run = RAW_NUMBER_CALLS[call]
+    run(valid)   # the ints are accepted, so only the bool is refused
+    with pytest.raises(TypeError):
+        run({**valid, field: True})
+
+
 def test_triple_path_agreement_on_all_families():
     for p in enumerate_families():
         Z = threefold(p.z_id)

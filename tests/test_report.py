@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 
@@ -9,7 +10,9 @@ import pytest
 
 from fano4.catalog import FamilyParams, catalog, enumerate_families, threefold
 from fano4.classify import BaseLocusKind, Rationality
+from fano4.errors import ConsistencyError
 from fano4.golden import GoldenFamilyRow, GoldenTangentRow, golden_tables
+from fano4.hodge import HodgePolynomial
 from fano4.intersect import k4_closed_terms
 from fano4.report import (
     EXPORT_FIELDS,
@@ -83,6 +86,60 @@ def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch)
                         lambda p: calls.append(p) or original(p))
     build_all_records()
     assert calls == enumerate_families()
+
+
+_H13 = HodgePolynomial({(1, 3): 1, (3, 1): 1})
+
+#: name -> (module, function, corruption of its result, the check that fires)
+RECORD_FAULTS = {
+    "hodge_blowup_formula": ("hodge", "blowup_formula", lambda e: e + _H13,
+                             "Hodge numbers disagree for Z_6, d=4"),
+    "hodge_cached_bundle_term": ("hodge", "_bundle_over_threefold",
+                                 lambda e: e + _H13,
+                                 "Hodge numbers disagree for Z_6, d=4"),
+    "bundle_generic_form": ("intersect", "projective_bundle_invariants",
+                            lambda c: dataclasses.replace(c, K4=c.K4 + 8),
+                            "bundle degrees disagree for Z_6, a=2"),
+    "riemann_roch": ("intersect", "riemann_roch_chi", lambda chi: chi + 1,
+                     "Riemann-Roch reconstruction"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+def test_record_checks_fire_with_warm_caches(monkeypatch, fault):
+    module_name, name, corrupt, message = RECORD_FAULTS[fault]
+    module = importlib.import_module(f"fano4.{module_name}")
+    build_all_records()   # every cache is warm: none may hide the fault
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(original(*args)))
+    with pytest.raises(ConsistencyError) as exc:
+        build_record(FamilyParams(6, 2, 4))
+    assert str(exc.value).startswith("X^6_{2,4}: ")
+    assert message in str(exc.value)
+    if fault == "riemann_roch":
+        assert "(Z_6, a=2, d=4)" in str(exc.value)
+
+
+def test_a_cold_pass_builds_the_bundle_term_once_per_h12(monkeypatch):
+    import fano4.hodge as hodge
+
+    calls = []
+    original = hodge.bundle_formula
+    monkeypatch.setattr(hodge, "bundle_formula",
+                        lambda eW, n: calls.append(eW) or original(eW, n))
+    hodge._bundle_over_threefold.cache_clear()
+    build_all_records()
+    assert len(calls) == len({z.h12 for z in catalog()}) <= 7
+
+
+def test_a_warm_pass_multiplies_once_per_family(monkeypatch):
+    build_all_records()
+    calls = []
+    original = HodgePolynomial.__mul__
+    monkeypatch.setattr(HodgePolynomial, "__mul__",
+                        lambda f, g: calls.append(g) or original(f, g))
+    build_all_records()
+    assert len(calls) == 28
 
 
 def test_record_cone_counts(records):
@@ -259,6 +316,21 @@ def test_export_csv_shape(records):
     assert list(parsed[0]) == list(EXPORT_FIELDS)
     assert parsed[0]["label"] == "X^1_{0,1}"
     assert parsed[0]["K4"] == "47"
+
+
+def _reference_csv(records):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=EXPORT_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(_record_row(r) for r in records)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_export_csv_equals_the_dict_writer_rows(records):
+    assert export(records, "csv") == _reference_csv(records)
+    odd = dataclasses.replace(records[0], label='X, "odd"\nlabel')
+    assert odd.toric_label is None
+    assert export([odd, records[1]], "csv") == _reference_csv([odd, records[1]])
 
 
 def test_export_markdown_mirrors_table2(records):
