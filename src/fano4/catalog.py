@@ -187,8 +187,6 @@ def enumerate_families() -> list[FamilyParams]:
     The admissibility constraints bound the search grid outright:
     a <= i_Z - 1 and d <= 2*i_Z - 2.
     """
-    families = [p for z in _CATALOG for a in range(z.index)
-                for d in range(1, 2 * z.index - 1)
-                if (p := FamilyParams(z.id, a, d)).is_admissible]
-    families.sort()
-    return families
+    return [p for z in _CATALOG for a in range(z.index)
+            for d in range(1, 2 * z.index - 1)
+            if (p := FamilyParams(z.id, a, d)).is_admissible]

@@ -10,9 +10,10 @@ h^1(T_X) is bounded by the dimension count
 
     h^1(T_X) <= h^1(T_Z) + h^0(O_Z(d)) - 1,
 
-with equality when Z has no infinitesimal automorphisms (z_id <= 4) and with
-h^1(T_X) = 0 for the rigid families over P^3 with d <= 2 (hyperplanes and
-quadrics in P^3 are projectively equivalent).  Where only the bound is known
+with equality when Z has no infinitesimal automorphisms (h^0(T_Z) = 0, which
+holds exactly for z_id <= 4) and with h^1(T_X) = 0 for the rigid families
+over P^3 with d <= 2 (hyperplanes and quadrics in P^3 are projectively
+equivalent).  Where only the bound is known
 the record says so explicitly; no exact value is ever invented.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .catalog import FamilyParams, FanoThreefold, require_admissible
+from .catalog import FamilyParams, FanoThreefold, HBaseLocus, require_admissible
 from .errors import IntegrityError
 
 __all__ = [
@@ -60,9 +61,9 @@ _BASE_LOCUS_TEXT = {
 
 def base_locus(params: FamilyParams) -> BaseLocusKind:
     """Base locus of |-K_X|: empty whenever |H| on Z is free, else one point
-    for (z_id, a, d) = (1, 0, 1) and two for (1, 1, 2)."""
+    for (a, d) = (0, 1) and two for (1, 2) (the only such Z is z_id 1)."""
     require_admissible(params)
-    if params.z_id != 1:
+    if params.threefold.base_locus_H is HBaseLocus.EMPTY:
         return BaseLocusKind.EMPTY
     return (BaseLocusKind.ONE_POINT if (params.a, params.d) == (0, 1)
             else BaseLocusKind.TWO_POINTS)
@@ -96,16 +97,17 @@ def toric_label(params: FamilyParams) -> ToricLabel | None:
 def rationality(params: FamilyParams) -> Rationality:
     """Rationality status of the family.
 
-    X is birational to Z x P^1, so the families over rational bases
-    (z_id >= 4) are rational -- toric for the three families over P^3 with
-    d = 1.  Over z_id 1 and 2 the very general member is not rational (the
-    very general base is not stably rational); over the cubic (z_id = 3)
-    stable rationality of the base is open and nothing is known.
+    X is birational to Z x P^1, so the families over the rational bases
+    (the catalogue's ``rational`` column, z_id >= 4) are rational -- toric
+    for the three families over P^3 with d = 1.  Over z_id 1 and 2 the very
+    general member is not rational (the very general base is not stably
+    rational); over the cubic (z_id = 3) stable rationality of the base is
+    open and nothing is known.
     """
     require_admissible(params)
     if (params.z_id, params.a, params.d) in _TORIC:
         return Rationality.TORIC
-    if params.z_id >= 4:
+    if params.threefold.rational:
         return Rationality.RATIONAL
     if params.z_id == 3:
         return Rationality.UNKNOWN
@@ -159,10 +161,10 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     """h^1(T_X) as an exact value where known, else as an upper bound.
 
     The deformation count gives h^1(T_X) <= h^1(T_Z) + h^0(O_Z(d)) - 1.  The
-    bound is attained for z_id <= 4; the families over P^3 with d <= 2 are
-    rigid, so there the sharper bound h^1 = 0 replaces it.  h^0 = chi + h^1
-    is exact or a bound with it.  A negative h^0 or h^1 raises
-    IntegrityError.
+    bound is attained when h^0(T_Z) = 0 (z_id <= 4); the families over P^3
+    with d <= 2 are rigid, so there the sharper bound h^1 = 0 replaces it.
+    h^0 = chi + h^1 is exact or a bound with it.  A negative h^0 or h^1
+    raises IntegrityError.
     """
     require_admissible(params)
     if type(chi) is not int:
@@ -173,7 +175,7 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     if rigid:
         h1 = 0
     bounds = TangentBounds(chi=chi, h1=h1,
-                           h1_is_exact=params.z_id <= 4 or rigid)
+                           h1_is_exact=Z.h0_tangent == 0 or rigid)
     for name, value in (("h1", bounds.h1), ("h0", bounds.h0)):
         if value < 0:
             raise IntegrityError(f"{params.label}: {name} = {value} < 0")

@@ -3,8 +3,9 @@
 These are static transcriptions, deliberately independent of every code path
 they are used to check: nothing here is derived, imported from, or shared
 with the computing modules.  Table 1 lists the seven base 3-folds, table 2
-the 28 families with their numerical invariants, table 3 the tangent-sheaf
-cohomology (exact values where established, upper bounds otherwise).
+the 28 families with their invariants, table 3 their tangent-sheaf
+cohomology (exact values where established, upper bounds otherwise), in the
+same order and under the keys of the record rows they are checked against.
 """
 
 from __future__ import annotations
@@ -44,16 +45,17 @@ class GoldenFamilyRow:
     h22: int
     base_locus: str        # "empty" | "one_point" | "two_points"
     rationality: str       # "rational" | "very_general_not_rational" | "unknown" | "toric"
+    toric_label: str | None = None   # "E1" | "E2" | "E3" for the toric families
 
 
 @dataclass(frozen=True)
 class GoldenTangentRow:
     label: str
-    h0: int
-    h0_is_exact: bool
-    h1: int
-    h1_is_exact: bool
-    chi: int
+    h0_T: int
+    h0_T_is_exact: bool
+    h1_T: int
+    h1_T_is_exact: bool
+    chi_T: int
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,16 @@ _TABLE2 = (
     GoldenFamilyRow("X^6_{1,3}", 210, 156, 49, 0, 1, 22, "empty", "rational"),
     GoldenFamilyRow("X^6_{2,1}", 430, 208, 90, 0, 0, 4, "empty", "rational"),
     GoldenFamilyRow("X^6_{2,4}", 160, 148, 40, 0, 5, 54, "empty", "rational"),
-    GoldenFamilyRow("X^7_{0,1}", 431, 206, 90, 0, 0, 3, "empty", "toric"),
+    GoldenFamilyRow("X^7_{0,1}", 431, 206, 90, 0, 0, 3, "empty", "toric", "E3"),
     GoldenFamilyRow("X^7_{0,2}", 376, 196, 80, 0, 0, 4, "empty", "rational"),
     GoldenFamilyRow("X^7_{0,3}", 341, 194, 74, 0, 0, 9, "empty", "rational"),
     GoldenFamilyRow("X^7_{1,2}", 350, 188, 75, 0, 0, 4, "empty", "rational"),
     GoldenFamilyRow("X^7_{1,3}", 295, 178, 65, 0, 0, 9, "empty", "rational"),
     GoldenFamilyRow("X^7_{1,4}", 260, 176, 59, 0, 1, 22, "empty", "rational"),
-    GoldenFamilyRow("X^7_{2,1}", 489, 222, 101, 0, 0, 3, "empty", "toric"),
+    GoldenFamilyRow("X^7_{2,1}", 489, 222, 101, 0, 0, 3, "empty", "toric", "E2"),
     GoldenFamilyRow("X^7_{2,4}", 240, 168, 55, 0, 1, 22, "empty", "rational"),
     GoldenFamilyRow("X^7_{2,5}", 205, 166, 49, 0, 4, 47, "empty", "rational"),
-    GoldenFamilyRow("X^7_{3,1}", 605, 254, 123, 0, 0, 3, "empty", "toric"),
+    GoldenFamilyRow("X^7_{3,1}", 605, 254, 123, 0, 0, 3, "empty", "toric", "E1"),
     GoldenFamilyRow("X^7_{3,2}", 454, 220, 95, 0, 0, 4, "empty", "rational"),
     GoldenFamilyRow("X^7_{3,6}", 170, 164, 43, 0, 10, 88, "empty", "rational"),
 )

@@ -99,9 +99,9 @@ def _check_ints(what: str, values: Iterable[int]) -> None:
 
 def _ratio(numerator: int, denominator: int) -> int | Fraction:
     """numerator/denominator exactly: an ``int`` when the division leaves no
-    remainder, else a Fraction, which refuses a float with TypeError."""
+    remainder, else a Fraction."""
     quotient, remainder = divmod(numerator, denominator)
-    if remainder or type(quotient) is not int:
+    if remainder:
         return Fraction(numerator, denominator)
     return quotient
 

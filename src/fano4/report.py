@@ -5,25 +5,22 @@ all cross-checks of the underlying modules run as a side effect.  The cone
 checks run in :func:`cones.cone_data` and name the family themselves; any
 other failure is re-raised with the family label attached.  The record keeps
 only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
-data of the same build, through ``_record_and_cones``.  ``_record_row`` is the one flat view of a record,
-keyed by :data:`EXPORT_FIELDS`: the json and csv exports write it,
-``fano4 info`` prints from it, and :func:`verify_all` compares the reference
-tables against it key by key, reporting mismatches as data (never as
-exceptions), so a red table is an ordinary result, not a crash.
+data of the same build, through ``_record_and_cones``.  ``_record_row`` is the
+one flat view of a record, keyed by :data:`EXPORT_FIELDS`: the json and csv
+exports write it, ``fano4 info`` prints from it, and :func:`verify_all`
+compares each family's reference row with it key by key.  Mismatches are
+data, never exceptions, so a red table is an ordinary result, not a crash;
+only misaligned reference tables raise IntegrityError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import classify, cones, intersect
 from .catalog import FamilyParams, enumerate_families
 from .errors import ConsistencyError, IntegrityError
 from .hodge import hodge_of_fourfold
-
-if TYPE_CHECKING:
-    from . import golden
 
 __all__ = [
     "FamilyRecord",
@@ -124,72 +121,52 @@ class VerificationReport:
         return self.fail_count == 0 and not self.mismatches
 
 
-def verify_all(records: list[FamilyRecord] | None = None,
-               tables: golden.GoldenTables | None = None) -> VerificationReport:
-    """Diff the computed records against the reference tables.
+def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
+    """Diff the records (by default the 28 canonical ones, built here)
+    against the reference tables.
 
-    Each table-2 row, joined with the table-3 row of its label, gives the
-    expected values of a family under the keys of ``_record_row``; every key
-    whose value differs from the family's row is one :class:`Mismatch`.
-    Counts families: a family passes when it has exactly one record, a
-    table-3 row and no mismatch.  Each label that has a record or a table-3
-    row but no table-2 row fails as one family.  ``records``/``tables`` can
-    be overridden to probe the sensitivity of the comparison (fault
-    injection); by default the 28 canonical records are built and checked
-    against the embedded tables.
+    Tables 2 and 3 must list the same families in the same order, else
+    IntegrityError.  Each table-2 row merged with its table-3 row holds the
+    expected values of one family under the keys of ``_record_row``; each key
+    whose value differs is one :class:`Mismatch`.  A family passes when it
+    has exactly one record and no mismatch; the records whose label has no
+    reference row fail as one family.
     """
+    from .golden import golden_tables
+
     if records is None:
         records = build_all_records()
-    if tables is None:
-        from .golden import golden_tables
-
-        tables = golden_tables()
+    tables = golden_tables()
+    labels = [row.label for row in tables.table2]
+    if labels != [row.label for row in tables.table3]:
+        raise IntegrityError("reference tables 2 and 3 list different families")
     by_label: dict[str, list[FamilyRecord]] = {}
     for r in records:
         by_label.setdefault(r.label, []).append(r)
-    table3 = {row.label: row for row in tables.table3}
 
     mismatches: list[Mismatch] = []
     passed = failed = 0
-    for reference in tables.table2:
-        label = reference.label
-        found = by_label.get(label, [])
-        tangent = table3.get(label)
+    for family_row, tangent_row in zip(tables.table2, tables.table3):
+        label = family_row.label
+        found = by_label.pop(label, [])
         if not found:
             family = [Mismatch(label, "label", label, None)]
         else:
             family = ([] if len(found) == 1 else
                       [Mismatch(label, "label", "1 record", f"{len(found)} records")])
-            # table-2 fields are named as the row keys (the label always
-            # matches); table-3 fields are renamed, in the order reported
-            expected = dict(vars(reference))
-            if tangent is not None:
-                expected.update(chi_T=tangent.chi, h0_T=tangent.h0,
-                                h0_T_is_exact=tangent.h0_is_exact,
-                                h1_T=tangent.h1, h1_T_is_exact=tangent.h1_is_exact)
             row = _record_row(found[0])
-            family += [Mismatch(label, key, want, row[key])
-                       for key, want in expected.items() if row[key] != want]
-            if tangent is None:
-                family.append(Mismatch(label, "tangent_row", "present", None))
+            family += [Mismatch(label, key, want, row[key]) for key, want
+                       in {**vars(family_row), **vars(tangent_row)}.items()
+                       if row[key] != want]
         if family:
             failed += 1
             mismatches.extend(family)
         else:
             passed += 1
-    table2_labels = {row.label for row in tables.table2}
-    orphans: set[str] = set()
-    for record in records:
-        if record.label not in table2_labels:
-            orphans.add(record.label)
-            mismatches.append(Mismatch(record.label, "label",
-                                       expected=None, computed=record.label))
-    for row in tables.table3:
-        if row.label not in table2_labels:
-            orphans.add(row.label)
-            mismatches.append(Mismatch(row.label, "table2_row",
-                                       expected="present", computed=None))
-    return VerificationReport(passed, failed + len(orphans), tuple(mismatches))
+    # what by_label still holds has no reference row
+    mismatches += [Mismatch(r.label, "label", None, r.label)
+                   for r in records if r.label in by_label]
+    return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
 
 
 EXPORT_FIELDS = (

@@ -83,14 +83,14 @@ def test_c3_table3_reproduction(records):
     for r in records:
         row = table3[r.label]
         t = r.tangent
-        assert t.chi == row.chi, f"{r.label}: chi(T)"
-        assert (t.h0, t.h1) == (row.h0, row.h1), r.label
+        assert t.chi == row.chi_T, f"{r.label}: chi(T)"
+        assert (t.h0, t.h1) == (row.h0_T, row.h1_T), r.label
         if r.params.z_id <= 4 or (r.params.z_id == 7 and r.params.d <= 2):
             exact_rows += 1
-            assert row.h0_is_exact and row.h1_is_exact
+            assert row.h0_T_is_exact and row.h1_T_is_exact
             assert t.h1_is_exact, r.label
         else:
-            assert not row.h0_is_exact and not row.h1_is_exact
+            assert not row.h0_T_is_exact and not row.h1_T_is_exact
             assert not t.h1_is_exact, r.label
     assert exact_rows == 14
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fano4.cli as cli
+import fano4.golden as golden
 import fano4.report as report
 from fano4.errors import IntegrityError
 from fano4.golden import golden_tables
@@ -54,9 +56,9 @@ def test_info_matches_the_reference_tables_on_every_family(capsys):
         code, out, _ = run(capsys, "info", *triple)
         assert code == 0
         t = table3[row.label]
-        h0 = f"= {t.h0}" if t.h0_is_exact else f"<= {t.h0}"
-        h1 = f"= {t.h1}" if t.h1_is_exact else f"<= {t.h1}"
-        exact_rows += t.h0_is_exact and t.h1_is_exact
+        h0 = f"= {t.h0_T}" if t.h0_T_is_exact else f"<= {t.h0_T}"
+        h1 = f"= {t.h1_T}" if t.h1_T_is_exact else f"<= {t.h1_T}"
+        exact_rows += t.h0_T_is_exact and t.h1_T_is_exact
         lines = out.splitlines()
         assert lines[0].startswith(f"{row.label}: ")
         assert f"  K^4 = {row.K4}, K^2.c2 = {row.K2c2}, " \
@@ -71,7 +73,7 @@ def test_info_matches_the_reference_tables_on_every_family(capsys):
         assert re.fullmatch(r"  rationality: "
                             + re.escape(row.rationality.replace("_", " "))
                             + toric, rationality), row.label
-        assert f"  tangent sheaf: chi(T) = {t.chi}, h^0(T) {h0}, " \
+        assert f"  tangent sheaf: chi(T) = {t.chi_T}, h^0(T) {h0}, " \
                f"h^1(T) {h1}" in lines
     assert exact_rows == 14
 
@@ -163,6 +165,18 @@ def test_verify_exit_two_on_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify")
     assert code == 2
     assert "internal consistency error" in err
+
+
+def test_verify_exit_two_on_misaligned_reference_tables(capsys, monkeypatch):
+    tables = golden_tables()
+    t3 = tables.table3
+    swapped = dataclasses.replace(tables, table3=(t3[1], t3[0]) + t3[2:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: swapped)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency error: reference tables 2 and 3 "
+                   "list different families\n")
 
 
 def test_export_to_stdout(capsys):

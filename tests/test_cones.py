@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -262,10 +263,19 @@ def test_nef_rays_section_case():
     assert rays[RayLabel.R3].generator.coords == (0, 1, 0)   # = Ghat
 
 
-def test_nef_ray_count_matches_ne_count():
+def test_nef_ray_count_matches_ne_count(dual_cone):
+    # the oracle is the dual of NE(X), computed from the pairing matrix alone
     for p in enumerate_families():
-        assert len(nef_rays(p)) == len(ne_generators(p))
-        assert len(nef_rays(p)) == (4 if 0 < p.a < p.d else 3)
+        columns = pairing_matrix(p)
+        generators = ne_generators(p)
+        rays = nef_rays(p)
+        dual = dual_cone({C.kind: columns[C.kind] for C in generators})
+        primitive = {}
+        for ray in rays:
+            coords = ray.generator.coords
+            primitive[tuple(c // gcd(*coords) for c in coords)] = ray.vanishing_face
+        assert primitive == dual, p.label
+        assert len(rays) == len(generators) == len(dual)
 
 
 def test_nef_duality():

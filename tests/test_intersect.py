@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano4.catalog import enumerate_families, threefold, validate_params
+from fano4.catalog import catalog, enumerate_families, threefold, validate_params
 from fano4.errors import ConsistencyError, IntegrityError
 from fano4.intersect import (
     BlowupCentreData,
@@ -235,6 +235,26 @@ def test_triple_path_agreement_on_all_families():
         assert (inv.K4, inv.K2c2, inv.h0_antiK) == \
             (pipeline.K4, pipeline.K2c2, pipeline.chi_antiK)
         assert riemann_roch_chi(inv.K4, inv.K2c2, 1) == inv.h0_antiK
+
+
+def _degrees_both_ways(Z, a, d):
+    closed = CanonicalDegrees(closed_k4(Z, a, d), closed_k2c2(Z, a, d),
+                              closed_chi_antiK(Z, a, d))
+    pipeline = surface_blowup_invariants(p1_bundle_invariants(Z, a),
+                                         surface_centre(Z, a, d))
+    return closed, pipeline
+
+
+def test_swapping_a_for_d_minus_a_keeps_the_degrees():
+    # X_{a,d} and X_{d-a,d} are isomorphic (G swaps with Ghat, E with Ehat),
+    # on every triple of the search grid, the non-Fano ones included
+    triples = [(Z, a, d) for Z in catalog() for d in range(1, 2 * Z.index - 1)
+               for a in range(d + 1)]
+    assert len(triples) == 66
+    for Z, a, d in triples:
+        closed, pipeline = _degrees_both_ways(Z, a, d)
+        assert closed == pipeline, (Z.id, a, d)
+        assert closed == _degrees_both_ways(Z, d - a, d)[0], (Z.id, a, d)
 
 
 def test_positivity_on_all_families():

@@ -8,9 +8,11 @@ import json
 
 import pytest
 
+import fano4.golden as golden
 from fano4.catalog import FamilyParams, catalog, enumerate_families, threefold
-from fano4.classify import BaseLocusKind, Rationality
-from fano4.errors import ConsistencyError
+from fano4.classify import BaseLocusKind, Rationality, ToricLabel
+from fano4.cones import CurveGen, pairing_matrix
+from fano4.errors import ConsistencyError, IntegrityError
 from fano4.golden import GoldenFamilyRow, GoldenTangentRow, golden_tables
 from fano4.hodge import HodgePolynomial
 from fano4.intersect import k4_closed_terms
@@ -142,12 +144,15 @@ def test_a_warm_pass_multiplies_once_per_family(monkeypatch):
     assert len(calls) == 28
 
 
-def test_record_cone_counts(records):
+def test_record_cone_counts(records, dual_cone):
+    # the four curve generators span NE(X); its dual is the nef cone, and a
+    # generator is extremal in NE(X) when two nef rays vanish on it
     for r in records:
-        four = 0 < r.params.a < r.params.d
-        assert (r.ne_generator_count == 4) == four
-        assert (r.nef_ray_count == 4) == four
-        assert r.ne_generator_count in (3, 4)
+        rays = dual_cone(pairing_matrix(r.params))
+        extremal = [g for g in CurveGen
+                    if sum(g in face for face in rays.values()) >= 2]
+        assert r.nef_ray_count == len(rays), r.label
+        assert r.ne_generator_count == len(extremal), r.label
 
 
 def test_record_labels_join_all_tables(records):
@@ -177,13 +182,14 @@ def test_verify_all_passes(records):
     assert result.mismatches == ()
 
 
-def test_verify_all_detects_tampered_reference(records):
+def test_verify_all_detects_tampered_reference(records, monkeypatch):
     tables = golden_tables()
     bad_row = dataclasses.replace(tables.table2[16], K4=430)
     assert tables.table2[16].label == "X^7_{0,1}"
     tampered = dataclasses.replace(
         tables, table2=tables.table2[:16] + (bad_row,) + tables.table2[17:])
-    result = verify_all(records, tampered)
+    monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+    result = verify_all(records)
     assert result.fail_count == 1
     assert result.pass_count == 27
     assert len(result.mismatches) == 1
@@ -192,12 +198,9 @@ def test_verify_all_detects_tampered_reference(records):
         ("X^7_{0,1}", "K4", 430, 431)
 
 
-#: the export key under which verify_all reports each table-3 field
-TABLE3_EXPORT_KEY = {"h0": "h0_T", "h0_is_exact": "h0_T_is_exact", "h1": "h1_T",
-                     "h1_is_exact": "h1_T_is_exact", "chi": "chi_T"}
-
-
 def tampered_value(value):
+    if value is None:
+        return "tampered"
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -212,18 +215,29 @@ def tampered_value(value):
     *(("table3", f.name) for f in dataclasses.fields(GoldenTangentRow)
       if f.name != "label"),
 ])
-def test_verify_all_names_each_tampered_field(records, table, field):
+def test_verify_all_names_each_tampered_field(records, monkeypatch, table, field):
     tables = golden_tables()
     rows = getattr(tables, table)
-    key = field if table == "table2" else TABLE3_EXPORT_KEY[field]
     for k, row in enumerate(rows):
         bad = dataclasses.replace(row, **{field: tampered_value(getattr(row, field))})
         tampered = dataclasses.replace(
             tables, **{table: rows[:k] + (bad,) + rows[k + 1:]})
-        result = verify_all(records, tampered)
+        monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+        result = verify_all(records)
         assert (result.pass_count, result.fail_count) == (27, 1), row.label
         assert result.mismatches == (
-            Mismatch(row.label, key, getattr(bad, field), getattr(row, field)),)
+            Mismatch(row.label, field, getattr(bad, field), getattr(row, field)),)
+
+
+def test_verify_all_names_a_corrupted_toric_label(records):
+    for k, r in enumerate(records):
+        wrong = ToricLabel.E2 if r.toric_label is ToricLabel.E1 else ToricLabel.E1
+        bad = dataclasses.replace(r, toric_label=wrong)
+        result = verify_all(records[:k] + [bad] + records[k + 1:])
+        assert (result.pass_count, result.fail_count) == (27, 1), r.label
+        expected = None if r.toric_label is None else r.toric_label.value
+        assert result.mismatches == (
+            Mismatch(r.label, "toric_label", expected, wrong.value),)
 
 
 def test_verify_all_detects_missing_record(records):
@@ -362,35 +376,25 @@ def test_chi_equals_h0_minus_h1_for_exact_rows(records):
     assert len(exact_rows) == 14
     for r in exact_rows:
         row = table3[r.label]
-        assert (r.tangent.h0, r.tangent.h1) == (row.h0, row.h1)
-        assert row.h0 - row.h1 == r.tangent.chi
+        assert (r.tangent.h0, r.tangent.h1) == (row.h0_T, row.h1_T)
+        assert row.h0_T - row.h1_T == r.tangent.chi
 
 
-def test_verify_all_fails_a_table3_row_without_a_table2_row(records):
-    from fano4.golden import GoldenTangentRow
-
+def test_verify_all_fails_a_table3_row_without_a_table2_row(records, monkeypatch):
+    # a table-3 row that no table-2 row stands against misaligns the tables:
+    # a defect of the reference data, raised, never reported as a mismatch
     tables = golden_tables()
-    orphan = GoldenTangentRow("X^8_{0,1}", h0=1, h0_is_exact=True, h1=0,
-                              h1_is_exact=True, chi=1)
+    orphan = GoldenTangentRow("X^8_{0,1}", h0_T=1, h0_T_is_exact=True, h1_T=0,
+                              h1_T_is_exact=True, chi_T=1)
     extended = dataclasses.replace(tables, table3=tables.table3 + (orphan,))
-    result = verify_all(records, extended)
-    assert not result.ok
-    assert (result.pass_count, result.fail_count) == (28, 1)
-    assert len(result.mismatches) == 1
-    m = result.mismatches[0]
-    assert (m.family, m.field) == ("X^8_{0,1}", "table2_row")
-    assert verify_all(records, tables).pass_count == 28
+    monkeypatch.setattr(golden, "golden_tables", lambda: extended)
+    with pytest.raises(IntegrityError, match="tables 2 and 3"):
+        verify_all(records)
 
 
 def test_an_unknown_label_fails_as_one_family(records):
-    from fano4.golden import GoldenTangentRow
-
-    tables = golden_tables()
     stray = dataclasses.replace(records[0], label="X^8_{0,1}")
-    orphan = GoldenTangentRow("X^8_{0,1}", h0=1, h0_is_exact=True, h1=0,
-                              h1_is_exact=True, chi=1)
-    extended = dataclasses.replace(tables, table3=tables.table3 + (orphan,))
-    result = verify_all(records + [stray, stray], extended)
+    result = verify_all(records + [stray, stray])
     assert (result.pass_count, result.fail_count) == (28, 1)
-    assert [m.field for m in result.mismatches] == \
-        ["label", "label", "table2_row"]
+    stray_row = Mismatch("X^8_{0,1}", "label", None, "X^8_{0,1}")
+    assert result.mismatches == (stray_row, stray_row)
