@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+class ValueEnum(str, Enum):
+    """An enum whose members equal their string values, which ``str``,
+    ``format``, json and csv all write (``enum.StrEnum`` needs 3.11)."""
+
+    __str__ = str.__str__
+
+
 class HBaseLocus(Enum):
     """Base locus of |O_Z(1)| on a catalogued 3-fold."""
 
@@ -58,6 +65,14 @@ class FanoThreefold:
     base_locus_H: HBaseLocus
     rational: bool
     description: str
+
+    def __post_init__(self) -> None:
+        # the closed forms trust these columns: a float or a bool would pass
+        # through them as a plausible number
+        numbers = (self.id, self.index, self.degree, self.h12,
+                   self.h0_tangent, self.h1_tangent)
+        if any(type(v) is not int for v in numbers) or type(self.rational) is not bool:
+            raise TypeError(f"mistyped catalogue row {self!r}")
 
     @property
     def minus_K3(self) -> int:

@@ -20,10 +20,10 @@ the record says so explicitly; no exact value is ever invented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .catalog import FamilyParams, FanoThreefold, HBaseLocus, require_admissible
+from .catalog import (FamilyParams, FanoThreefold, HBaseLocus, ValueEnum,
+                      require_admissible)
 from .errors import IntegrityError
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-class BaseLocusKind(Enum):
+class BaseLocusKind(ValueEnum):
     """Base locus of |-K_X|, as a point count; a general member of |-K_X| is
     smooth in every family."""
 
@@ -69,14 +69,14 @@ def base_locus(params: FamilyParams) -> BaseLocusKind:
             else BaseLocusKind.TWO_POINTS)
 
 
-class Rationality(Enum):
+class Rationality(ValueEnum):
     RATIONAL = "rational"
     VERY_GENERAL_NOT_RATIONAL = "very_general_not_rational"
     UNKNOWN = "unknown"
     TORIC = "toric"
 
 
-class ToricLabel(Enum):
+class ToricLabel(ValueEnum):
     """Names of the three toric families in the standard classification of
     toric Fano 4-folds."""
 

@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``list``    -- the 28 family labels with their (z_id, a, d);
-* ``info``    -- full record for one family, printed from its flat row (the
-                 one the exports write), cones and pairings included (exit 2
-                 on a malformed or inadmissible triple, as ``cones``);
+* ``info``    -- full record for one family (the row the exports write),
+                 cones and pairings included (exit 2 on a malformed or
+                 inadmissible triple, as ``cones``);
 * ``verify``  -- check all records against the reference tables
                  (exit 0 all pass, 1 any mismatch, 2 internal error);
 * ``export``  -- write all records as json, csv or markdown;
@@ -84,26 +84,25 @@ def _cmd_info(args: argparse.Namespace) -> int:
     from . import report
 
     record, cone = report._record_and_cones(params)
-    row = report._record_row(record)
     Z = params.threefold
     print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
           f"a={params.a}, d={params.d}")
     print(f"  base 3-fold: index {Z.index}, degree {Z.degree}, "
           f"h^{{1,2}} = {Z.h12}")
-    print(f"  K^4 = {row['K4']}, K^2.c2 = {row['K2c2']}, "
-          f"h^0(-K) = {row['h0_antiK']}")
-    print(f"  h^{{1,2}} = {row['h12']}, h^{{1,3}} = {row['h13']}, "
-          f"h^{{2,2}} = {row['h22']}")
+    print(f"  K^4 = {record.K4}, K^2.c2 = {record.K2c2}, "
+          f"h^0(-K) = {record.h0_antiK}")
+    print(f"  h^{{1,2}} = {record.h12}, h^{{1,3}} = {record.h13}, "
+          f"h^{{2,2}} = {record.h22}")
     print(f"  base locus of |-K|: {record.base_locus.display()} "
           f"(general member smooth)")
-    rat = row["rationality"].replace("_", " ")
-    if row["toric_label"] is not None:
-        rat += f" ({row['toric_label']})"
+    rat = record.rationality.replace("_", " ")
+    if record.toric_label is not None:
+        rat += f" ({record.toric_label})"
     print(f"  rationality: {rat}")
-    print(f"  fibre-like: {row['fibre_like'].replace('_', ' ')}")
-    h0, h1 = (("= " if row[f"{key}_is_exact"] else "<= ") + str(row[key])
-              for key in ("h0_T", "h1_T"))
-    print(f"  tangent sheaf: chi(T) = {row['chi_T']}, h^0(T) {h0}, h^1(T) {h1}")
+    print(f"  fibre-like: {record.fibre_like.replace('_', ' ')}")
+    h0, h1 = (("= " if exact else "<= ") + str(value) for value, exact in
+              ((record.h0_T, record.h0_T_is_exact), (record.h1_T, record.h1_T_is_exact)))
+    print(f"  tangent sheaf: chi(T) = {record.chi_T}, h^0(T) {h0}, h^1(T) {h1}")
     _print_cones(cone)
     return 0
 

@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
-from .catalog import FamilyParams, require_admissible
+from .catalog import FamilyParams, ValueEnum, require_admissible
 from .errors import ConsistencyError, ContextMismatchError
 
 __all__ = [
@@ -445,7 +445,7 @@ def is_fano(params: FamilyParams) -> bool:
     return ample
 
 
-class FibreLike(Enum):
+class FibreLike(ValueEnum):
     """Can the 4-fold appear as the fibre of an elementary fibre-type
     contraction of a higher-dimensional variety?  The cone geometry rules it
     out whenever a != d/2; no positive criterion is available."""

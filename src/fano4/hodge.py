@@ -90,10 +90,6 @@ class HodgePolynomial:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
 
-    def total(self) -> int:
-        """Sum of all coefficients: the total Betti number for a variety."""
-        return sum(c for _, c in self._terms)
-
     def betti(self, k: int) -> int:
         """Sum of coefficients on the antidiagonal p + q = k."""
         return sum(c for (p, q), c in self._terms if p + q == k)

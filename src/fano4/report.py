@@ -5,17 +5,18 @@ all cross-checks of the underlying modules run as a side effect.  The cone
 checks run in :func:`cones.cone_data` and name the family themselves; any
 other failure is re-raised with the family label attached.  The record keeps
 only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
-data of the same build, through ``_record_and_cones``.  ``_record_row`` is the
-one flat view of a record, keyed by :data:`EXPORT_FIELDS`: the json and csv
-exports write it, ``fano4 info`` prints from it, and :func:`verify_all`
-compares each family's reference row with it key by key.  Mismatches are
-data, never exceptions, so a red table is an ordinary result, not a crash;
-only misaligned reference tables raise IntegrityError.
+data of the same build, through ``_record_and_cones``.  A
+:class:`FamilyRecord` is the row: the json and csv exports write its fields,
+``fano4 info`` prints them, and :func:`verify_all` compares them with the
+reference rows, which use the same names.  Mismatches are data, never
+exceptions, so a red table is an ordinary result, not a crash; only reference
+tables that are misaligned or name a field no record has raise IntegrityError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from . import classify, cones, intersect
 from .catalog import FamilyParams, enumerate_families
@@ -36,9 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilyRecord:
-    """Everything the tables record about one family."""
+    """Everything the tables record about one family, as one flat row whose
+    field names are the row keys.  The first fields are :data:`EXPORT_FIELDS`;
+    the two cone sizes after them are not exported."""
 
-    params: FamilyParams
+    z_id: int
+    a: int
+    d: int
     label: str
     K4: int
     K2c2: int
@@ -50,7 +55,11 @@ class FamilyRecord:
     rationality: classify.Rationality
     toric_label: classify.ToricLabel | None
     fibre_like: cones.FibreLike
-    tangent: classify.TangentBounds
+    chi_T: int
+    h0_T: int
+    h1_T: int
+    h0_T_is_exact: bool
+    h1_T_is_exact: bool
     ne_generator_count: int
     nef_ray_count: int
 
@@ -69,33 +78,25 @@ def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeDat
     """
     cone = cones.cone_data(params)
     try:
-        return _build_record(params, cone), cone
+        Z = params.threefold
+        inv = intersect.fano4_invariants(Z, params.a, params.d)
+        hdg = hodge_of_fourfold(Z, params.d)
+        tangent = classify.tangent_bounds(params, classify.chi_tangent(
+            inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
+        record = FamilyRecord(
+            z_id=params.z_id, a=params.a, d=params.d, label=params.label,
+            K4=inv.K4, K2c2=inv.K2c2, h0_antiK=inv.h0_antiK,
+            h12=hdg.h12, h13=hdg.h13, h22=hdg.h22,
+            base_locus=classify.base_locus(params),
+            rationality=classify.rationality(params),
+            toric_label=classify.toric_label(params),
+            fibre_like=cones.is_fibre_like(params),
+            chi_T=tangent.chi, h0_T=tangent.h0, h1_T=tangent.h1,
+            h0_T_is_exact=tangent.h1_is_exact, h1_T_is_exact=tangent.h1_is_exact,
+            ne_generator_count=len(cone.generators), nef_ray_count=len(cone.rays))
     except (ConsistencyError, IntegrityError) as exc:
         raise type(exc)(f"{params.label}: {exc}") from exc
-
-
-def _build_record(params: FamilyParams, cone: cones.ConeData) -> FamilyRecord:
-    Z = params.threefold
-    inv = intersect.fano4_invariants(Z, params.a, params.d)
-    hdg = hodge_of_fourfold(Z, params.d)
-    chi = classify.chi_tangent(inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22)
-    return FamilyRecord(
-        params=params,
-        label=params.label,
-        K4=inv.K4,
-        K2c2=inv.K2c2,
-        h0_antiK=inv.h0_antiK,
-        h12=hdg.h12,
-        h13=hdg.h13,
-        h22=hdg.h22,
-        base_locus=classify.base_locus(params),
-        rationality=classify.rationality(params),
-        toric_label=classify.toric_label(params),
-        fibre_like=cones.is_fibre_like(params),
-        tangent=classify.tangent_bounds(params, chi),
-        ne_generator_count=len(cone.generators),
-        nef_ray_count=len(cone.rays),
-    )
+    return record, cone
 
 
 def build_all_records() -> list[FamilyRecord]:
@@ -125,12 +126,13 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     """Diff the records (by default the 28 canonical ones, built here)
     against the reference tables.
 
-    Tables 2 and 3 must list the same families in the same order, else
-    IntegrityError.  Each table-2 row merged with its table-3 row holds the
-    expected values of one family under the keys of ``_record_row``; each key
-    whose value differs is one :class:`Mismatch`.  A family passes when it
-    has exactly one record and no mismatch; the records whose label has no
-    reference row fail as one family.
+    Tables 2 and 3 must list the same families in the same order, and name
+    only fields of :class:`FamilyRecord`, else IntegrityError.  Each table-2
+    row merged with its table-3 row holds the expected values of one family
+    under the record's field names; each field whose value differs is one
+    :class:`Mismatch`.  A family passes when it has exactly one record and no
+    mismatch; the records whose label has no reference row fail as one
+    family.
     """
     from .golden import golden_tables
 
@@ -148,16 +150,20 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
+        expected = {**vars(family_row), **vars(tangent_row)}
+        if unknown := expected.keys() - _RECORD_FIELDS:
+            raise IntegrityError(f"reference row {label} names fields no "
+                                 f"record has: {', '.join(sorted(unknown))}")
         found = by_label.pop(label, [])
         if not found:
             family = [Mismatch(label, "label", label, None)]
         else:
             family = ([] if len(found) == 1 else
                       [Mismatch(label, "label", "1 record", f"{len(found)} records")])
-            row = _record_row(found[0])
-            family += [Mismatch(label, key, want, row[key]) for key, want
-                       in {**vars(family_row), **vars(tangent_row)}.items()
-                       if row[key] != want]
+            record = found[0]
+            family += [Mismatch(label, key, want, computed)
+                       for key, want in expected.items()
+                       if (computed := getattr(record, key)) != want]
         if family:
             failed += 1
             mismatches.extend(family)
@@ -169,38 +175,16 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
 
 
+_RECORD_FIELDS = frozenset(f.name for f in fields(FamilyRecord))
+
 EXPORT_FIELDS = (
     "z_id", "a", "d", "label", "K4", "K2c2", "h0_antiK", "h12", "h13", "h22",
     "base_locus", "rationality", "toric_label", "fibre_like",
     "chi_T", "h0_T", "h1_T", "h0_T_is_exact", "h1_T_is_exact",
 )
 
-
-def _record_row(record: FamilyRecord) -> dict[str, object]:
-    # enum values via _value_: Enum.value is a Python-level property on
-    # 3.11, and a pass builds three rows per record
-    p, t, toric = record.params, record.tangent, record.toric_label
-    return {
-        "z_id": p.z_id,
-        "a": p.a,
-        "d": p.d,
-        "label": record.label,
-        "K4": record.K4,
-        "K2c2": record.K2c2,
-        "h0_antiK": record.h0_antiK,
-        "h12": record.h12,
-        "h13": record.h13,
-        "h22": record.h22,
-        "base_locus": record.base_locus._value_,
-        "rationality": record.rationality._value_,
-        "toric_label": None if toric is None else toric._value_,
-        "fibre_like": record.fibre_like._value_,
-        "chi_T": t.chi,
-        "h0_T": t.h0,
-        "h1_T": t.h1,
-        "h0_T_is_exact": t.h1_is_exact,
-        "h1_T_is_exact": t.h1_is_exact,
-    }
+# the exported values of a record, in EXPORT_FIELDS order
+_row = attrgetter(*EXPORT_FIELDS)
 
 
 _RATIONALITY_TEXT = {
@@ -227,18 +211,19 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         # the bytes of json.dumps(rows, indent=2), from the C encoder, which
         # indent turns off: each row is flat, so only the frame is indented
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        rows = ",\n  ".join("{\n    " + encode(_record_row(r))[1:-1] + "\n  }"
-                            for r in records)
+        rows = ",\n  ".join(
+            "{\n    " + encode(dict(zip(EXPORT_FIELDS, _row(r))))[1:-1] + "\n  }"
+            for r in records)
         return ("[\n  " + rows + "\n]\n").encode("utf-8")
     if format == "csv":
         import csv
         import io
 
-        # the row keys are in EXPORT_FIELDS order; csv writes None as ""
+        # csv writes None as "", and each enum member as its value
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(EXPORT_FIELDS)
-        writer.writerows(_record_row(r).values() for r in records)
+        writer.writerows(map(_row, records))
         return buf.getvalue().encode("utf-8")
     if format == "markdown":
         lines = [

@@ -82,16 +82,15 @@ def test_c3_table3_reproduction(records):
     exact_rows = 0
     for r in records:
         row = table3[r.label]
-        t = r.tangent
-        assert t.chi == row.chi_T, f"{r.label}: chi(T)"
-        assert (t.h0, t.h1) == (row.h0_T, row.h1_T), r.label
-        if r.params.z_id <= 4 or (r.params.z_id == 7 and r.params.d <= 2):
+        assert r.chi_T == row.chi_T, f"{r.label}: chi(T)"
+        assert (r.h0_T, r.h1_T) == (row.h0_T, row.h1_T), r.label
+        if r.z_id <= 4 or (r.z_id == 7 and r.d <= 2):
             exact_rows += 1
             assert row.h0_T_is_exact and row.h1_T_is_exact
-            assert t.h1_is_exact, r.label
+            assert r.h0_T_is_exact and r.h1_T_is_exact, r.label
         else:
             assert not row.h0_T_is_exact and not row.h1_T_is_exact
-            assert not t.h1_is_exact, r.label
+            assert not r.h0_T_is_exact and not r.h1_T_is_exact, r.label
     assert exact_rows == 14
 
 
@@ -166,7 +165,7 @@ def test_c8_mutation_sensitivity(records):
     for name in term_names:
         mutated = []
         for r in records:
-            terms = k4_closed_terms(r.params.threefold, r.params.a, r.params.d)
+            terms = k4_closed_terms(threefold(r.z_id), r.a, r.d)
             mutated.append(dataclasses.replace(
                 r, K4=sum(terms.values()) - terms[name]))
         result = verify_all(mutated)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from fano4.catalog import (
@@ -82,6 +84,19 @@ def test_threefold_domain():
 def test_threefold_rejects_non_int_id(z_id):
     with pytest.raises(TypeError):
         threefold(z_id)
+
+
+@pytest.mark.parametrize("column,value", [
+    *((column, value) for column in ("id", "index", "degree", "h12",
+                                     "h0_tangent", "h1_tangent")
+      for value in (1.0, True)),
+    ("rational", 1),
+    ("rational", 1.0),
+])
+def test_catalogue_rows_reject_mistyped_columns(column, value):
+    # unchecked, a float degree makes closed_k4 give 431.0, a bool index 5
+    with pytest.raises(TypeError):
+        dataclasses.replace(threefold(7), **{column: value})
 
 
 def test_validate_params_examples():

@@ -171,17 +171,15 @@ def test_tangent_bounds_gives_only_bounds_for_grassmannian_section():
 def test_tangent_bounds_arithmetic_invariants():
     from fano4.report import build_all_records
     for r in build_all_records():
-        t = r.tangent
-        p = r.params
-        assert t.h0 - t.h1 == t.chi
-        assert t.h0 >= 0 and t.h1 >= 0
+        assert r.h0_T - r.h1_T == r.chi_T
+        assert r.h0_T >= 0 and r.h1_T >= 0
         # the bound never exceeds the raw deformation count, and is that
         # count wherever Z has no infinitesimal automorphisms
-        Z = p.threefold
-        count = Z.h1_tangent + h0_line_bundle(Z, p.d) - 1
-        assert t.h1 <= count
-        if p.z_id <= 4:
-            assert t.h1 == count
+        Z = threefold(r.z_id)
+        count = Z.h1_tangent + h0_line_bundle(Z, r.d) - 1
+        assert r.h1_T <= count
+        if r.z_id <= 4:
+            assert r.h1_T == count
 
 
 def test_tangent_exactness_pattern():
@@ -194,7 +192,7 @@ def test_tangent_exactness_pattern():
 
 def chi_for(p: FamilyParams) -> int:
     from fano4.report import build_record
-    return build_record(p).tangent.chi
+    return build_record(p).chi_T
 
 
 def test_classify_rejects_inadmissible():

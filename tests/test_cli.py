@@ -179,6 +179,36 @@ def test_verify_exit_two_on_misaligned_reference_tables(capsys, monkeypatch):
                    "list different families\n")
 
 
+def test_verify_exit_two_on_a_reference_field_no_record_has(capsys, monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class WiderRow(golden.GoldenFamilyRow):
+        extra: int = 0
+
+    tables = golden_tables()
+    wider = dataclasses.replace(
+        tables, table2=tuple(WiderRow(**vars(row)) for row in tables.table2))
+    monkeypatch.setattr(golden, "golden_tables", lambda: wider)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency error: reference row X^1_{0,1} "
+                   "names fields no record has: extra\n")
+
+
+def test_verify_prints_an_enum_mismatch_as_its_values(capsys, monkeypatch):
+    tables = golden_tables()
+    k = [row.label for row in tables.table2].index("X^7_{0,1}")
+    bad = dataclasses.replace(tables.table2[k], rationality="rational")
+    tampered = dataclasses.replace(
+        tables, table2=tables.table2[:k] + (bad,) + tables.table2[k + 1:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert out == ("MISMATCH X^7_{0,1} rationality: expected rational, "
+                   "computed toric\n"
+                   "27/28 families match the reference tables\n")
+
+
 def test_export_to_stdout(capsys):
     code, out, _ = run(capsys, "export", "--format", "json")
     assert code == 0

@@ -143,10 +143,14 @@ def test_arithmetic_takes_only_hodge_polynomials():
         f * {(-1, 0): 1}
 
 
+def coefficient_total(f):
+    return sum(c for _, c in f.items())
+
+
 @given(small_polynomials())
 def test_bundle_formula_scales_total(f):
     # a P^1-bundle doubles the coefficient total
-    assert bundle_formula(f, 1).total() == 2 * f.total()
+    assert coefficient_total(bundle_formula(f, 1)) == 2 * coefficient_total(f)
 
 
 @pytest.mark.parametrize("z_id,d,expected", [
@@ -203,7 +207,7 @@ def test_hodge_of_threefold_weighted_sextic():
 
 def test_hodge_of_threefold_total_for_z4():
     # 4 diagonal ones plus h^{1,2} = h^{2,1} = 2
-    assert hodge_of_threefold(threefold(4)).total() == 8
+    assert coefficient_total(hodge_of_threefold(threefold(4))) == 8
 
 
 @pytest.mark.parametrize("z_id,a,d,expected", [

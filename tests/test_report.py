@@ -18,8 +18,8 @@ from fano4.hodge import HodgePolynomial
 from fano4.intersect import k4_closed_terms
 from fano4.report import (
     EXPORT_FIELDS,
+    FamilyRecord,
     Mismatch,
-    _record_row,
     build_all_records,
     build_record,
     export,
@@ -40,13 +40,13 @@ def by_label(records):
 def test_build_record_p3_extreme_family(by_label):
     r = by_label["X^7_{3,6}"]
     assert (r.K4, r.h13, r.h22) == (170, 10, 88)
-    assert r.tangent.chi == -67
+    assert r.chi_T == -67
 
 
 def test_build_record_grassmannian_family(by_label):
     r = by_label["X^5_{1,2}"]
     assert r.h0_antiK == 37
-    assert r.tangent.h1 == 22
+    assert r.h1_T == 22
 
 
 def test_build_record_weighted_sextic_family(by_label):
@@ -148,7 +148,7 @@ def test_record_cone_counts(records, dual_cone):
     # the four curve generators span NE(X); its dual is the nef cone, and a
     # generator is extremal in NE(X) when two nef rays vanish on it
     for r in records:
-        rays = dual_cone(pairing_matrix(r.params))
+        rays = dual_cone(pairing_matrix(FamilyParams(r.z_id, r.a, r.d)))
         extremal = [g for g in CurveGen
                     if sum(g in face for face in rays.values()) >= 2]
         assert r.nef_ray_count == len(rays), r.label
@@ -172,6 +172,19 @@ def test_catalog_matches_reference_table1():
         assert (z.h0_tangent, z.h1_tangent) == (row.h0_tangent, row.h1_tangent)
         assert z.base_locus_H.value == row.base_locus_H
         assert z.rational == row.rational
+
+
+def test_export_fields_are_the_leading_record_fields():
+    names = [f.name for f in dataclasses.fields(FamilyRecord)]
+    assert EXPORT_FIELDS == tuple(names[:len(EXPORT_FIELDS)])
+    assert len(EXPORT_FIELDS) == 19
+
+
+def test_every_reference_key_is_a_record_field():
+    names = {f.name for f in dataclasses.fields(FamilyRecord)}
+    tables = golden_tables()
+    for row in tables.table2 + tables.table3:
+        assert vars(row).keys() <= names, row.label
 
 
 def test_verify_all_passes(records):
@@ -258,8 +271,7 @@ def test_verify_all_detects_duplicate_record(records):
 
 def _k4_without(record, name):
     """The closed form for K^4 of the record's family minus one summand."""
-    p = record.params
-    terms = k4_closed_terms(p.threefold, p.a, p.d)
+    terms = k4_closed_terms(threefold(record.z_id), record.a, record.d)
     return sum(terms.values()) - terms[name]
 
 
@@ -280,7 +292,7 @@ def test_dropping_the_a_term_hits_exactly_the_twisted_families(records):
                for r in records]
     result = verify_all(mutated)
     mismatched = {m.family for m in result.mismatches}
-    expected = {r.label for r in records if r.params.a > 0}
+    expected = {r.label for r in records if r.a > 0}
     assert mismatched == expected
 
 
@@ -308,8 +320,12 @@ def test_export_json_round_trip(records):
     assert (exact["h0_T_is_exact"], exact["h1_T_is_exact"]) == (True, True)
 
 
+def _reference_row(record):
+    return {key: getattr(record, key) for key in EXPORT_FIELDS}
+
+
 def _reference_json(records):
-    return (json.dumps([_record_row(r) for r in records], indent=2)
+    return (json.dumps([_reference_row(r) for r in records], indent=2)
             + "\n").encode("utf-8")
 
 
@@ -336,7 +352,7 @@ def _reference_csv(records):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=EXPORT_FIELDS, lineterminator="\n")
     writer.writeheader()
-    writer.writerows(_record_row(r) for r in records)
+    writer.writerows(_reference_row(r) for r in records)
     return buf.getvalue().encode("utf-8")
 
 
@@ -372,12 +388,12 @@ def test_export_rejects_unknown_format(records):
 
 def test_chi_equals_h0_minus_h1_for_exact_rows(records):
     table3 = {row.label: row for row in golden_tables().table3}
-    exact_rows = [r for r in records if r.tangent.h1_is_exact]
+    exact_rows = [r for r in records if r.h1_T_is_exact]
     assert len(exact_rows) == 14
     for r in exact_rows:
         row = table3[r.label]
-        assert (r.tangent.h0, r.tangent.h1) == (row.h0_T, row.h1_T)
-        assert row.h0_T - row.h1_T == r.tangent.chi
+        assert (r.h0_T, r.h1_T) == (row.h0_T, row.h1_T)
+        assert row.h0_T - row.h1_T == r.chi_T
 
 
 def test_verify_all_fails_a_table3_row_without_a_table2_row(records, monkeypatch):
