@@ -16,8 +16,8 @@ the condition that the resulting 4-fold is Fano.  These constraints force
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import IntegrityError
 
@@ -40,39 +40,40 @@ class ValueEnum(str, Enum):
     __str__ = str.__str__
 
 
-class HBaseLocus(Enum):
+class HBaseLocus(ValueEnum):
     """Base locus of |O_Z(1)| on a catalogued 3-fold."""
 
     EMPTY = "empty"
     ONE_SIMPLE_POINT = "one_simple_point"
 
 
-@dataclass(frozen=True)
-class FanoThreefold:
+class FanoThreefold(NamedTuple("FanoThreefold", [
+        ("id", int), ("index", int), ("degree", int), ("h12", int),
+        ("h0_tangent", int), ("h1_tangent", int), ("base_locus_H", HBaseLocus),
+        ("rational", bool), ("description", str)])):
     """One row of the catalogue of Fano 3-folds with rho = 1 and index >= 2.
 
     ``degree`` is delta = H^3 for the ample generator H of Pic(Z); ``h12`` is
     the Hodge number h^{1,2}(Z); ``h0_tangent``/``h1_tangent`` are the
-    dimensions of H^0 and H^1 of the tangent sheaf.
+    dimensions of H^0 and H^1 of the tangent sheaf.  The constructor, which
+    ``_make`` and ``_replace`` also run, checks the column types.
     """
 
-    id: int
-    index: int
-    degree: int
-    h12: int
-    h0_tangent: int
-    h1_tangent: int
-    base_locus_H: HBaseLocus
-    rational: bool
-    description: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> FanoThreefold:
+        self = super().__new__(cls, *args, **kwargs)
         # the closed forms trust these columns: a float or a bool would pass
         # through them as a plausible number
         numbers = (self.id, self.index, self.degree, self.h12,
                    self.h0_tangent, self.h1_tangent)
         if any(type(v) is not int for v in numbers) or type(self.rational) is not bool:
             raise TypeError(f"mistyped catalogue row {self!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FanoThreefold:
+        return cls(*iterable)
 
     @property
     def minus_K3(self) -> int:
@@ -137,25 +138,31 @@ def threefold(z_id: int) -> FanoThreefold:
     return _CATALOG[z_id - 1]
 
 
-@dataclass(frozen=True, order=True)
-class FamilyParams:
+class FamilyParams(NamedTuple("FamilyParams",
+                               [("z_id", int), ("a", int), ("d", int)])):
     """A triple (z_id, a, d) naming the family X^{z_id}_{a,d}.
 
     The constructor rejects only a triple outside the basic domain (three
     ints with z_id in 1..7, a >= 0, d >= 1), so that non-admissible triples
     can still be talked about (e.g. to show they fail the Fano criterion).
     It stores the verdict of :func:`validate_params` as ``is_admissible``,
-    outside the dataclass fields, so equality, hashing, ordering and repr
-    see only the triple.
+    outside the tuple, so equality, hashing, ordering and repr see only the
+    triple.  Nothing can be assigned or deleted afterwards.
     """
 
-    z_id: int
-    a: int
-    d: int
+    def __new__(cls, z_id: int, a: int, d: int) -> FamilyParams:
+        self = super().__new__(cls, z_id, a, d)
+        object.__setattr__(self, "is_admissible", validate_params(z_id, a, d))
+        return self
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "is_admissible",
-                           validate_params(self.z_id, self.a, self.d))
+    @classmethod
+    def _make(cls, iterable) -> FamilyParams:
+        return cls(*iterable)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"FamilyParams is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def threefold(self) -> FanoThreefold:

@@ -19,8 +19,8 @@ the record says so explicitly; no exact value is ever invented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .catalog import (FamilyParams, FanoThreefold, HBaseLocus, ValueEnum,
                       require_admissible)
@@ -139,8 +139,7 @@ def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int) -> int:
     return 36 - 5 * h0_antiK + k4 - h12 - h22 + 3 * h13
 
 
-@dataclass(frozen=True)
-class TangentBounds:
+class TangentBounds(NamedTuple):
     """chi(T_X) together with what is known of h^1(T_X), and so of h^0.
 
     ``h1`` is the best established upper bound for h^1(T_X), and

@@ -38,12 +38,10 @@ raise ``TypeError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Mapping
+from typing import Mapping, NamedTuple, NoReturn
 
 from .catalog import FamilyParams, ValueEnum, require_admissible
 from .errors import ConsistencyError, ContextMismatchError
@@ -90,8 +88,7 @@ def _exact(value: Rational) -> Rational:
                     f"{type(value).__name__} {value!r}")
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E).
 
     Each coordinate is an ``int``, or a ``Fraction`` only when it is not
@@ -110,6 +107,13 @@ class DivisorClass:
         _same_context(self.context, other.context)
         (x, y, z), (u, v, w) = self.coords, other.coords
         return divisor(self.context, x - u, y - v, z - w)
+
+    def __mul__(self, other: object) -> NoReturn:
+        # a class is a tuple: class * int would repeat it, tuple + class join
+        raise TypeError(f"unsupported operand type(s): "
+                        f"'{type(self).__name__}' and '{type(other).__name__}'")
+
+    __radd__ = __mul__
 
     def __rmul__(self, scalar: Rational) -> "DivisorClass":
         s = _exact(scalar)
@@ -165,15 +169,14 @@ def E_hat(params: FamilyParams) -> DivisorClass:
     return _named(params, 4)
 
 
-class CurveGen(Enum):
+class CurveGen(ValueEnum):
     F = "F"
     F_HAT = "Fhat"
     C_G = "C_G"
     C_G_HAT = "C_Ghat"
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(NamedTuple):
     """A formal non-negative combination of the four curve generators.
 
     Each coefficient is a positive ``int``, or a ``Fraction`` only when it is
@@ -197,6 +200,8 @@ class CurveClass:
         for gen, c in other.combo:
             out[gen] = out.get(gen, 0) + c
         return curve_combo(self.context, out)
+
+    __mul__ = __radd__ = DivisorClass.__mul__
 
     def __rmul__(self, scalar: Rational) -> "CurveClass":
         s = _exact(scalar)
@@ -314,15 +319,14 @@ def ne_generators(params: FamilyParams) -> list[CurveClass]:
     return [curve(params, g) for g in _ne_kinds(params.a, params.d)]
 
 
-class RayLabel(Enum):
+class RayLabel(ValueEnum):
     R1 = "R1"
     R2 = "R2"
     R3 = "R3"
     R4 = "R4"
 
 
-@dataclass(frozen=True)
-class NefRay:
+class NefRay(NamedTuple):
     """An extremal ray of the nef cone.
 
     ``vanishing_face`` lists the NE generators the ray generator annihilates;
@@ -362,7 +366,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
             rays.append((RayLabel.R4, f"{d}*G + {a}*Ehat",
                          _add(_scale(d, g), _scale(a, ehat))))
     columns = _pairing_columns(a, d)
-    # each CurveGen hash runs Enum.__hash__ in Python: look up once per call
+    # each generator's column, looked up once per call rather than per ray
     kind_columns = [(kind, columns[kind]) for kind in _ne_kinds(a, d)]
     out = []
     for label, name, coords in rays:
@@ -386,8 +390,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
 FANO_INDEX = 1
 
 
-@dataclass(frozen=True)
-class ConeData:
+class ConeData(NamedTuple):
     """The cone data of one family, as :func:`cone_data` computes it."""
 
     antiK: DivisorClass

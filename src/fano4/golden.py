@@ -10,7 +10,7 @@ same order and under the keys of the record rows they are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "GoldenThreefold",
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GoldenThreefold:
+class GoldenThreefold(NamedTuple):
     id: int
     index: int
     degree: int
@@ -34,8 +33,7 @@ class GoldenThreefold:
     rational: bool
 
 
-@dataclass(frozen=True)
-class GoldenFamilyRow:
+class GoldenFamilyRow(NamedTuple):
     label: str
     K4: int
     K2c2: int
@@ -48,8 +46,7 @@ class GoldenFamilyRow:
     toric_label: str | None = None   # "E1" | "E2" | "E3" for the toric families
 
 
-@dataclass(frozen=True)
-class GoldenTangentRow:
+class GoldenTangentRow(NamedTuple):
     label: str
     h0_T: int
     h0_T_is_exact: bool
@@ -58,8 +55,7 @@ class GoldenTangentRow:
     chi_T: int
 
 
-@dataclass(frozen=True)
-class GoldenTables:
+class GoldenTables(NamedTuple):
     table1: tuple[GoldenThreefold, ...]
     table2: tuple[GoldenFamilyRow, ...]
     table3: tuple[GoldenTangentRow, ...]

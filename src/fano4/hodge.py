@@ -20,10 +20,9 @@ e(P^{c-1}) - e(P^0); no check is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import FanoThreefold
 from .errors import ConsistencyError, IntegrityError
@@ -229,8 +228,7 @@ def hodge_of_surface(Z: FanoThreefold, d: int) -> HodgePolynomial:
     })
 
 
-@dataclass(frozen=True)
-class FourfoldHodge:
+class FourfoldHodge(NamedTuple):
     """The three Hodge numbers of the 4-fold not fixed by Fano vanishing."""
 
     h12: int

@@ -22,9 +22,8 @@ each chi(O(-K)) formula is one integer numerator over a fixed denominator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .catalog import FamilyParams, FanoThreefold, require_admissible, validate_params
 from .errors import ConsistencyError, IntegrityError
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundleInput:
+class BundleInput(NamedTuple):
     """Intersection numbers on a smooth 3-fold W carrying a rank-2 bundle E."""
 
     KW3: int        # K_W^3
@@ -60,8 +58,7 @@ class BundleInput:
     chi_O: int      # chi(O_{P(E)})
 
 
-@dataclass(frozen=True)
-class BlowupCentreData:
+class BlowupCentreData(NamedTuple):
     """Intersection numbers of a smooth surface V inside a smooth 4-fold Y."""
 
     KYV_sq: int     # (K_Y|V)^2
@@ -71,8 +68,7 @@ class BlowupCentreData:
     chi_OV: int     # chi(O_V)
 
 
-@dataclass(frozen=True)
-class CanonicalDegrees:
+class CanonicalDegrees(NamedTuple):
     """K^4, K^2.c2 and chi(O(-K)) of a smooth projective 4-fold."""
 
     K4: int
@@ -80,8 +76,7 @@ class CanonicalDegrees:
     chi_antiK: int
 
 
-@dataclass(frozen=True)
-class FourfoldInvariants:
+class FourfoldInvariants(NamedTuple):
     """Final invariant bundle for a Fano 4-fold: on a Fano variety Kodaira
     vanishing turns chi(O(-K)) into h^0(O(-K))."""
 
@@ -129,7 +124,7 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     (iii) chi(-K)  = chi(O) + 6 K_W.c2(E)
                      - (3 K_W^3 + 3 K_W.c1(E)^2)/2 - K_W.c2(W)/3
     """
-    _check_ints("the bundle input", vars(data).values())
+    _check_ints("the bundle input", data)
     K4 = -8 * data.KW_c1sq + 32 * data.KW_c2E - 8 * data.KW3
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
@@ -145,7 +140,7 @@ def surface_blowup_invariants(base: CanonicalDegrees,
     (ii)  K^2.c2  = K_Y^2.c2 - 12 chi(O_V) + 2 K_V^2 - 2 K_V.K_Y|V - 2 c2(N)
     (iii) chi(-K) = chi(O_Y(-K_Y)) - chi(O_V) - ((K_Y|V)^2 + K_V.K_Y|V)/2
     """
-    _check_ints("the blow-up input", (*vars(base).values(), *vars(centre).values()))
+    _check_ints("the blow-up input", (*base, *centre))
     K4 = (base.K4 - 3 * centre.KYV_sq - 2 * centre.KV_KYV
           + centre.c2N - centre.KV_sq)
     K2c2 = (base.K2c2 - 12 * centre.chi_OV + 2 * centre.KV_sq

@@ -8,15 +8,18 @@ only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
 data of the same build, through ``_record_and_cones``.  A
 :class:`FamilyRecord` is the row: the json and csv exports write its fields,
 ``fano4 info`` prints them, and :func:`verify_all` compares them with the
-reference rows, which use the same names.  Mismatches are data, never
-exceptions, so a red table is an ordinary result, not a crash; only reference
-tables that are misaligned or name a field no record has raise IntegrityError.
+reference rows, which use the same names.  Records and reference rows are
+``typing.NamedTuple`` classes: ``FamilyRecord._fields`` lists the record
+fields, and ``_asdict`` gives a reference row's values.  Mismatches are data,
+never exceptions, so a red table is an ordinary result, not a crash; only
+reference tables that are misaligned or name a field no record has raise
+IntegrityError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import classify, cones, intersect
 from .catalog import FamilyParams, enumerate_families
@@ -35,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """Everything the tables record about one family, as one flat row whose
     field names are the row keys.  The first fields are :data:`EXPORT_FIELDS`;
     the two cone sizes after them are not exported."""
@@ -103,16 +105,14 @@ def build_all_records() -> list[FamilyRecord]:
     return [build_record(p) for p in enumerate_families()]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     family: str
     field: str
     expected: object
     computed: object
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     pass_count: int
     fail_count: int
     mismatches: tuple[Mismatch, ...]
@@ -150,7 +150,7 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
-        expected = {**vars(family_row), **vars(tangent_row)}
+        expected = {**family_row._asdict(), **tangent_row._asdict()}
         if unknown := expected.keys() - _RECORD_FIELDS:
             raise IntegrityError(f"reference row {label} names fields no "
                                  f"record has: {', '.join(sorted(unknown))}")
@@ -175,7 +175,7 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
 
 
-_RECORD_FIELDS = frozenset(f.name for f in fields(FamilyRecord))
+_RECORD_FIELDS = frozenset(FamilyRecord._fields)
 
 EXPORT_FIELDS = (
     "z_id", "a", "d", "label", "K4", "K2c2", "h0_antiK", "h12", "h13", "h22",

@@ -7,7 +7,6 @@ exact arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from math import comb
 
@@ -166,7 +165,6 @@ def test_c8_mutation_sensitivity(records):
         mutated = []
         for r in records:
             terms = k4_closed_terms(threefold(r.z_id), r.a, r.d)
-            mutated.append(dataclasses.replace(
-                r, K4=sum(terms.values()) - terms[name]))
+            mutated.append(r._replace(K4=sum(terms.values()) - terms[name]))
         result = verify_all(mutated)
         assert result.fail_count >= 1, f"dropping {name} went unnoticed"

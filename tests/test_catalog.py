@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from fano4.catalog import (
     FamilyParams,
+    FanoThreefold,
     HBaseLocus,
     catalog,
     enumerate_families,
@@ -95,8 +94,11 @@ def test_threefold_rejects_non_int_id(z_id):
 ])
 def test_catalogue_rows_reject_mistyped_columns(column, value):
     # unchecked, a float degree makes closed_k4 give 431.0, a bool index 5
-    with pytest.raises(TypeError):
-        dataclasses.replace(threefold(7), **{column: value})
+    row = threefold(7)
+    with pytest.raises(TypeError, match="mistyped catalogue row"):
+        FanoThreefold(**{**row._asdict(), column: value})
+    with pytest.raises(TypeError, match="mistyped catalogue row"):
+        row._replace(**{column: value})
 
 
 def test_validate_params_examples():
@@ -146,6 +148,48 @@ def test_family_params_reject_non_int_components():
         FamilyParams(7, True, 2)
     with pytest.raises(TypeError):
         FamilyParams(7, 1, 2.0)
+
+
+def test_family_params_equality_hash_order_and_repr_see_only_the_triple():
+    inadmissible, admissible = FamilyParams(1, 1, 1), FamilyParams(1, 1, 2)
+    assert (inadmissible.is_admissible, admissible.is_admissible) == (False, True)
+    assert FamilyParams(7, 1, 2) == FamilyParams(7, 1, 2)
+    assert FamilyParams(7, 1, 2) != FamilyParams(7, 2, 1)
+    assert hash(FamilyParams(7, 1, 2)) == hash((7, 1, 2))
+    assert len({FamilyParams(7, 1, 2), FamilyParams(7, 1, 2)}) == 1
+    assert inadmissible < admissible < FamilyParams(2, 0, 1)
+    assert sorted([FamilyParams(7, 3, 6), admissible, FamilyParams(7, 0, 1),
+                   inadmissible]) == [inadmissible, admissible,
+                                      FamilyParams(7, 0, 1), FamilyParams(7, 3, 6)]
+    assert repr(inadmissible) == "FamilyParams(z_id=1, a=1, d=1)"
+    assert tuple(admissible) == (1, 1, 2)
+
+
+def test_family_params_replace_stores_a_fresh_verdict():
+    assert FamilyParams(1, 1, 2)._replace(d=1).is_admissible is False
+    assert FamilyParams(1, 1, 1)._replace(d=2).is_admissible is True
+    with pytest.raises(ValueError):
+        FamilyParams(1, 1, 2)._replace(d=0)
+
+
+@pytest.mark.parametrize("name", ["z_id", "a", "d", "is_admissible", "other"])
+def test_family_params_are_immutable(name):
+    params = FamilyParams(1, 1, 2)
+    with pytest.raises(AttributeError):
+        setattr(params, name, 0)
+    if name == "is_admissible":
+        with pytest.raises(AttributeError):
+            del params.is_admissible
+    assert params.is_admissible is True
+    assert tuple(params) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["id", "degree", "rational", "other"])
+def test_catalogue_rows_are_immutable(name):
+    row = threefold(7)
+    with pytest.raises(AttributeError):
+        setattr(row, name, 2)
+    assert row.degree == 1
 
 
 def test_family_label_format():

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import collections
 import json
 import os
 import re
@@ -170,7 +170,7 @@ def test_verify_exit_two_on_internal_error(capsys, monkeypatch):
 def test_verify_exit_two_on_misaligned_reference_tables(capsys, monkeypatch):
     tables = golden_tables()
     t3 = tables.table3
-    swapped = dataclasses.replace(tables, table3=(t3[1], t3[0]) + t3[2:])
+    swapped = tables._replace(table3=(t3[1], t3[0]) + t3[2:])
     monkeypatch.setattr(golden, "golden_tables", lambda: swapped)
     code, out, err = run(capsys, "verify")
     assert code == 2
@@ -180,13 +180,12 @@ def test_verify_exit_two_on_misaligned_reference_tables(capsys, monkeypatch):
 
 
 def test_verify_exit_two_on_a_reference_field_no_record_has(capsys, monkeypatch):
-    @dataclasses.dataclass(frozen=True)
-    class WiderRow(golden.GoldenFamilyRow):
-        extra: int = 0
+    WiderRow = collections.namedtuple(
+        "WiderRow", (*golden.GoldenFamilyRow._fields, "extra"), defaults=(0,))
 
     tables = golden_tables()
-    wider = dataclasses.replace(
-        tables, table2=tuple(WiderRow(**vars(row)) for row in tables.table2))
+    wider = tables._replace(
+        table2=tuple(WiderRow(**row._asdict()) for row in tables.table2))
     monkeypatch.setattr(golden, "golden_tables", lambda: wider)
     code, out, err = run(capsys, "verify")
     assert code == 2
@@ -198,9 +197,9 @@ def test_verify_exit_two_on_a_reference_field_no_record_has(capsys, monkeypatch)
 def test_verify_prints_an_enum_mismatch_as_its_values(capsys, monkeypatch):
     tables = golden_tables()
     k = [row.label for row in tables.table2].index("X^7_{0,1}")
-    bad = dataclasses.replace(tables.table2[k], rationality="rational")
-    tampered = dataclasses.replace(
-        tables, table2=tables.table2[:k] + (bad,) + tables.table2[k + 1:])
+    bad = tables.table2[k]._replace(rationality="rational")
+    tampered = tables._replace(
+        table2=tables.table2[:k] + (bad,) + tables.table2[k + 1:])
     monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
     code, out, _ = run(capsys, "verify")
     assert code == 1

@@ -162,6 +162,30 @@ def test_float_and_bool_scalars_are_rejected():
         from_alternate_basis(p, (0.5, 0, 0))
 
 
+def test_classes_are_scaled_by_a_scalar_on_the_left_only():
+    # a class is a tuple underneath: class * int must not repeat it, and
+    # tuple + class must not join them
+    p = FamilyParams(7, 1, 2)
+    D, C = phi_star_H(p), curve(p, CurveGen.F)
+    for cls in (D, C):
+        for other in (2, Fraction(1, 2), cls):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                cls * other
+        for other in ((), (1, 0, 0)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                other + cls
+    assert 2 * D == divisor(p, 2, 0, 0)
+    assert 2 * C == curve_combo(p, {CurveGen.F: 2})
+
+
+@pytest.mark.parametrize("name", ["coords", "context", "other"])
+def test_divisor_classes_are_immutable(name):
+    D = phi_star_H(FamilyParams(7, 1, 2))
+    with pytest.raises(AttributeError):
+        setattr(D, name, (0, 0, 0))
+    assert D.coords == (1, 0, 0)
+
+
 def test_cone_data_of_every_family_is_plain_int():
     # the 28 families live in the integer lattice; a Fraction here means the
     # cone layer has slid back to rational arithmetic

@@ -79,6 +79,41 @@ def test_verify_loads_the_tables_but_not_json_or_csv():
     assert not {"json", "csv"} & (on_import | added)
 
 
+#: modules that records built with ``dataclasses`` would load at every start
+INTROSPECTION = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"], ["cones", "7", "1", "2"], ["info", "7", "1", "2"], ["verify"],
+    *(["export", "--format", fmt] for fmt in ("json", "csv", "markdown")),
+], ids=" ".join)
+def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+    if argv[0] == "export":
+        argv = ["--quiet", *argv, "--out", str(tmp_path / "out")]
+    (_, on_import), (_, added) = loaded_after(argv)
+    assert not INTROSPECTION & (on_import | added)
+
+
+def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
+    script = """
+import json, sys
+before = set(sys.modules)
+import fano4.golden
+steps = [sorted(set(sys.modules) - before)]
+import fano4.catalog, fano4.classify, fano4.cli, fano4.cones, fano4.errors
+import fano4.hodge, fano4.intersect, fano4.report
+steps.append(sorted(set(sys.modules) - before))
+print(json.dumps(steps))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    golden_only, everything = json.loads(result.stdout)
+    assert "fano4.golden" in golden_only and "fano4.report" in everything
+    assert not INTROSPECTION & set(everything)
+
+
 def test_every_export_resolves_to_its_home_module_object():
     for name in fano4.__all__:
         if name == "__version__":

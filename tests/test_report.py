@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import importlib
 import io
 import json
@@ -100,7 +99,7 @@ RECORD_FAULTS = {
                                  lambda e: e + _H13,
                                  "Hodge numbers disagree for Z_6, d=4"),
     "bundle_generic_form": ("intersect", "projective_bundle_invariants",
-                            lambda c: dataclasses.replace(c, K4=c.K4 + 8),
+                            lambda c: c._replace(K4=c.K4 + 8),
                             "bundle degrees disagree for Z_6, a=2"),
     "riemann_roch": ("intersect", "riemann_roch_chi", lambda chi: chi + 1,
                      "Riemann-Roch reconstruction"),
@@ -175,16 +174,22 @@ def test_catalog_matches_reference_table1():
 
 
 def test_export_fields_are_the_leading_record_fields():
-    names = [f.name for f in dataclasses.fields(FamilyRecord)]
-    assert EXPORT_FIELDS == tuple(names[:len(EXPORT_FIELDS)])
+    assert EXPORT_FIELDS == FamilyRecord._fields[:len(EXPORT_FIELDS)]
     assert len(EXPORT_FIELDS) == 19
 
 
 def test_every_reference_key_is_a_record_field():
-    names = {f.name for f in dataclasses.fields(FamilyRecord)}
+    names = set(FamilyRecord._fields)
     tables = golden_tables()
     for row in tables.table2 + tables.table3:
-        assert vars(row).keys() <= names, row.label
+        assert set(row._fields) <= names, row.label
+
+
+@pytest.mark.parametrize("name", ["K4", "label", "toric_label", "other"])
+def test_records_are_immutable(records, name):
+    with pytest.raises(AttributeError):
+        setattr(records[0], name, 0)
+    assert records[0].K4 == 47
 
 
 def test_verify_all_passes(records):
@@ -197,10 +202,10 @@ def test_verify_all_passes(records):
 
 def test_verify_all_detects_tampered_reference(records, monkeypatch):
     tables = golden_tables()
-    bad_row = dataclasses.replace(tables.table2[16], K4=430)
+    bad_row = tables.table2[16]._replace(K4=430)
     assert tables.table2[16].label == "X^7_{0,1}"
-    tampered = dataclasses.replace(
-        tables, table2=tables.table2[:16] + (bad_row,) + tables.table2[17:])
+    tampered = tables._replace(
+        table2=tables.table2[:16] + (bad_row,) + tables.table2[17:])
     monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
     result = verify_all(records)
     assert result.fail_count == 1
@@ -223,18 +228,15 @@ def tampered_value(value):
 
 # the label is the join key, not a compared field
 @pytest.mark.parametrize("table,field", [
-    *(("table2", f.name) for f in dataclasses.fields(GoldenFamilyRow)
-      if f.name != "label"),
-    *(("table3", f.name) for f in dataclasses.fields(GoldenTangentRow)
-      if f.name != "label"),
+    *(("table2", name) for name in GoldenFamilyRow._fields if name != "label"),
+    *(("table3", name) for name in GoldenTangentRow._fields if name != "label"),
 ])
 def test_verify_all_names_each_tampered_field(records, monkeypatch, table, field):
     tables = golden_tables()
     rows = getattr(tables, table)
     for k, row in enumerate(rows):
-        bad = dataclasses.replace(row, **{field: tampered_value(getattr(row, field))})
-        tampered = dataclasses.replace(
-            tables, **{table: rows[:k] + (bad,) + rows[k + 1:]})
+        bad = row._replace(**{field: tampered_value(getattr(row, field))})
+        tampered = tables._replace(**{table: rows[:k] + (bad,) + rows[k + 1:]})
         monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
         result = verify_all(records)
         assert (result.pass_count, result.fail_count) == (27, 1), row.label
@@ -245,7 +247,7 @@ def test_verify_all_names_each_tampered_field(records, monkeypatch, table, field
 def test_verify_all_names_a_corrupted_toric_label(records):
     for k, r in enumerate(records):
         wrong = ToricLabel.E2 if r.toric_label is ToricLabel.E1 else ToricLabel.E1
-        bad = dataclasses.replace(r, toric_label=wrong)
+        bad = r._replace(toric_label=wrong)
         result = verify_all(records[:k] + [bad] + records[k + 1:])
         assert (result.pass_count, result.fail_count) == (27, 1), r.label
         expected = None if r.toric_label is None else r.toric_label.value
@@ -280,16 +282,14 @@ def test_verify_all_detects_dropped_k4_terms(records):
     term_names = list(k4_closed_terms(threefold(7), 1, 2))
     assert len(term_names) == 5
     for name in term_names:
-        mutated = [dataclasses.replace(r, K4=_k4_without(r, name))
-                   for r in records]
+        mutated = [r._replace(K4=_k4_without(r, name)) for r in records]
         result = verify_all(mutated)
         assert result.fail_count >= 1, f"dropping {name} went unnoticed"
         assert all(m.field == "K4" for m in result.mismatches)
 
 
 def test_dropping_the_a_term_hits_exactly_the_twisted_families(records):
-    mutated = [dataclasses.replace(r, K4=_k4_without(r, "a*d^2*delta"))
-               for r in records]
+    mutated = [r._replace(K4=_k4_without(r, "a*d^2*delta")) for r in records]
     result = verify_all(mutated)
     mismatched = {m.family for m in result.mismatches}
     expected = {r.label for r in records if r.a > 0}
@@ -331,7 +331,7 @@ def _reference_json(records):
 
 def test_export_json_equals_the_indented_dump(records):
     assert export(records, "json") == _reference_json(records)
-    odd = dataclasses.replace(records[0], label='X "\\ \u00e9 \u2212')
+    odd = records[0]._replace(label='X "\\ \u00e9 \u2212')
     assert export([odd, records[1]], "json") == _reference_json([odd, records[1]])
     assert export([odd], "json") == _reference_json([odd])
 
@@ -358,7 +358,7 @@ def _reference_csv(records):
 
 def test_export_csv_equals_the_dict_writer_rows(records):
     assert export(records, "csv") == _reference_csv(records)
-    odd = dataclasses.replace(records[0], label='X, "odd"\nlabel')
+    odd = records[0]._replace(label='X, "odd"\nlabel')
     assert odd.toric_label is None
     assert export([odd, records[1]], "csv") == _reference_csv([odd, records[1]])
 
@@ -402,14 +402,14 @@ def test_verify_all_fails_a_table3_row_without_a_table2_row(records, monkeypatch
     tables = golden_tables()
     orphan = GoldenTangentRow("X^8_{0,1}", h0_T=1, h0_T_is_exact=True, h1_T=0,
                               h1_T_is_exact=True, chi_T=1)
-    extended = dataclasses.replace(tables, table3=tables.table3 + (orphan,))
+    extended = tables._replace(table3=tables.table3 + (orphan,))
     monkeypatch.setattr(golden, "golden_tables", lambda: extended)
     with pytest.raises(IntegrityError, match="tables 2 and 3"):
         verify_all(records)
 
 
 def test_an_unknown_label_fails_as_one_family(records):
-    stray = dataclasses.replace(records[0], label="X^8_{0,1}")
+    stray = records[0]._replace(label="X^8_{0,1}")
     result = verify_all(records + [stray, stray])
     assert (result.pass_count, result.fail_count) == (28, 1)
     stray_row = Mismatch("X^8_{0,1}", "label", None, "X^8_{0,1}")
