@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .catalog import (FamilyParams, FanoThreefold, HBaseLocus, ValueEnum,
-                      require_admissible)
+from .catalog import FamilyParams, HBaseLocus, ValueEnum, require_admissible
 from .errors import IntegrityError
 
 __all__ = [
@@ -114,14 +113,12 @@ def rationality(params: FamilyParams) -> Rationality:
     return Rationality.VERY_GENERAL_NOT_RATIONAL
 
 
-def h0_line_bundle(Z: FanoThreefold, d: int) -> int:
+def h0_line_bundle(params: FamilyParams) -> int:
     """h^0(O_Z(d)) = 1 + 2d/i + (d*delta/12)(i^2 + 3di + 2d^2), by
-    Riemann-Roch plus Kodaira vanishing.  The integer numerator over 12i
-    must divide to a positive integer, else IntegrityError shows the p/q."""
-    if type(d) is not int:
-        raise TypeError(f"d must be an int, got {d!r}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    Riemann-Roch plus Kodaira vanishing, for any twist a and any d >= 1.
+    The integer numerator over 12i must divide to a positive integer, else
+    IntegrityError shows the p/q."""
+    Z, d = params.threefold, params.d
     i, delta = Z.index, Z.degree
     numerator = 12 * i + 24 * d + d * delta * i * (i * i + 3 * d * i + 2 * d * d)
     value, remainder = divmod(numerator, 12 * i)
@@ -169,7 +166,7 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     if type(chi) is not int:
         raise TypeError(f"chi must be an int, got {chi!r}")
     Z = params.threefold
-    h1 = Z.h1_tangent + h0_line_bundle(Z, params.d) - 1
+    h1 = Z.h1_tangent + h0_line_bundle(params) - 1
     rigid = params.z_id == 7 and params.d <= 2
     if rigid:
         h1 = 0

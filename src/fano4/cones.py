@@ -176,6 +176,9 @@ class CurveGen(ValueEnum):
     C_G_HAT = "C_Ghat"
 
 
+_CURVE_GENS = frozenset(CurveGen)
+
+
 class CurveClass(NamedTuple):
     """A formal non-negative combination of the four curve generators.
 
@@ -216,6 +219,9 @@ def curve(params: FamilyParams, gen: CurveGen) -> CurveClass:
 
 def curve_combo(params: FamilyParams,
                 combo: Mapping[CurveGen, Rational]) -> CurveClass:
+    if not _CURVE_GENS.issuperset(combo):
+        unknown = ", ".join(repr(k) for k in combo if k not in _CURVE_GENS)
+        raise TypeError(f"not a curve generator: {unknown}")
     terms = []
     for gen in CurveGen:
         c = _exact(combo.get(gen, 0))
@@ -329,9 +335,10 @@ class RayLabel(ValueEnum):
 class NefRay(NamedTuple):
     """An extremal ray of the nef cone.
 
-    ``vanishing_face`` lists the NE generators the ray generator annihilates;
-    ``contraction`` records the type of the associated elementary contraction
-    (fibre type exactly for R1, the conic bundle onto Z; divisorial otherwise).
+    ``vanishing_face`` lists the NE generators the ray generator annihilates.
+    ``contraction`` is a hard-coded label: "fibre type" for R1 (the conic
+    bundle onto Z), "divisorial" otherwise.  It is wrong for R2 = G when
+    a = 0 (10 families), where G moves in a free pencil and maps X onto P^1.
     """
 
     label: RayLabel

@@ -7,11 +7,11 @@ of a smooth projective variety, together with its two structure formulas:
 * blow-up:            e(W~) = e(W) + e(V) * (e(P^{c-1}) - 1)  for a smooth
   centre V of codimension c.
 
-For a family (Z, a, d) the 4-fold is a blow-up of the P^1-bundle Y over Z
-along a surface isomorphic to a smooth member A of |O_Z(d)|, so its three
-unknown Hodge numbers have closed forms in terms of h^{1,2}(Z) and the
-surface numbers h^{0,2}(A), h^{1,1}(A).  Both routes are computed here and
-must agree.
+For a family (Z, a, d), passed as one ``FamilyParams``, the 4-fold is a
+blow-up of the P^1-bundle Y over Z along a surface isomorphic to a smooth
+member A of |O_Z(d)|, so its three unknown Hodge numbers have closed forms in
+terms of h^{1,2}(Z) and the surface numbers h^{0,2}(A), h^{1,1}(A).  Both
+routes are computed here and must agree.
 
 The shared factor e(Z)*e(P^1) is cached keyed on h^{1,2}(Z), the only number
 of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
-from .catalog import FanoThreefold
+from .catalog import FamilyParams, FanoThreefold
 from .errors import ConsistencyError, IntegrityError
 
 __all__ = [
@@ -44,13 +44,14 @@ __all__ = [
 class HodgePolynomial:
     """A sparse two-variable polynomial with integer coefficients.
 
-    Coefficients are indexed by (p, q) and must be exactly ``int`` (a
-    float, Fraction or bool raises TypeError); zero entries are dropped.  Supports
-    +, - and * (polynomial product), which is all the structure formulas need.
+    Coefficients are indexed by (p, q); exponents and coefficients must be
+    exactly ``int`` (a float, Fraction or bool raises TypeError), and zero
+    entries are dropped.  Supports +, - and * (polynomial product), which is
+    all the structure formulas need.
     The terms are kept as a tuple sorted by (p, q), the most compact form;
     ``coeff`` scans it rather than building a dict.  +, - and * take only
     another ``HodgePolynomial``, and their results are built by
-    ``_from_sums``, which skips the coefficient checks: sums and products of
+    ``_from_sums``, which skips the term checks: sums and products of
     checked terms are ints at non-negative exponents already.
     """
 
@@ -59,9 +60,10 @@ class HodgePolynomial:
     def __init__(self, coeffs: Mapping[tuple[int, int], int]):
         terms = []
         for (p, q), c in coeffs.items():
-            if c.__class__ is not int:  # not type(c): no call per term
-                raise TypeError(f"coefficient of ({p},{q}) must be an int, "
-                                f"got {c!r}")
+            # __class__, not type(): no call per term
+            if not p.__class__ is q.__class__ is c.__class__ is int:
+                raise TypeError(f"term ({p!r},{q!r}): {c!r} needs int "
+                                f"exponents and an int coefficient")
             if c == 0:
                 continue
             if p < 0 or q < 0:
@@ -163,8 +165,8 @@ def _exceptional_factor(c: int) -> HodgePolynomial:
     return projective_space(c - 1) - projective_space(0)
 
 
-def surface_h02(Z: FanoThreefold, d: int) -> int:
-    """h^{0,2} of a smooth surface A in |O_Z(d)|.
+def surface_h02(params: FamilyParams) -> int:
+    """h^{0,2} of a smooth surface A in |O_Z(d)|, for any twist a.
 
     Equals h^3(O_Z(-d)) by the restriction sequence, which Kodaira vanishing
     pins down for d <= i_Z; the two indices with room above i_Z (the quadric
@@ -174,10 +176,10 @@ def surface_h02(Z: FanoThreefold, d: int) -> int:
     * d == i_Z: 1
     * i_Z == 3, d == 4: 5
     * i_Z == 4: binom(d-1, 3)
+
+    A d above 2*i_Z - 2, which ``FamilyParams`` allows, raises ValueError.
     """
-    if type(d) is not int:
-        raise TypeError(f"d must be an int, got {d!r}")
-    i = Z.index
+    i, d = params.threefold.index, params.d
     if not 1 <= d <= 2 * i - 2:
         raise ValueError(f"d must be in 1..{2 * i - 2} for index {i}, got {d}")
     if d < i:
@@ -191,10 +193,11 @@ def surface_h02(Z: FanoThreefold, d: int) -> int:
     raise AssertionError("unreachable: d <= 2i-2 leaves no other case")
 
 
-def surface_h11(Z: FanoThreefold, d: int) -> int:
+def surface_h11(params: FamilyParams) -> int:
     """h^{1,1} of a smooth surface A in |O_Z(d)|, via Noether's formula:
     h^{1,1} = 10 + 10*h^{0,2} - d*(d - i_Z)^2*delta."""
-    value = 10 + 10 * surface_h02(Z, d) - d * (d - Z.index) ** 2 * Z.degree
+    Z, d = params.threefold, params.d
+    value = 10 + 10 * surface_h02(params) - d * (d - Z.index) ** 2 * Z.degree
     if value <= 0:
         raise IntegrityError(f"h^{{1,1}}(A) = {value} <= 0 for Z_{Z.id}, d={d}")
     return value
@@ -218,13 +221,13 @@ def _bundle_over_threefold(h12: int) -> HodgePolynomial:
     return bundle_formula(_threefold_hodge(h12), 1)
 
 
-def hodge_of_surface(Z: FanoThreefold, d: int) -> HodgePolynomial:
+def hodge_of_surface(params: FamilyParams) -> HodgePolynomial:
     """e(A) for a smooth surface A in |O_Z(d)|; h^{0,1}(A) = 0 (Lefschetz)."""
-    h02 = surface_h02(Z, d)
+    h02 = surface_h02(params)
     return HodgePolynomial({
         (0, 0): 1, (2, 2): 1,
         (0, 2): h02, (2, 0): h02,
-        (1, 1): surface_h11(Z, d),
+        (1, 1): surface_h11(params),
     })
 
 
@@ -236,16 +239,17 @@ class FourfoldHodge(NamedTuple):
     h22: int
 
 
-def hodge_of_fourfold(Z: FanoThreefold, d: int) -> FourfoldHodge:
-    """Hodge numbers of the 4-fold built from (Z, a, d), for any twist a.
+def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
+    """Hodge numbers of the 4-fold built from (Z, a, d).
 
     They depend only on Z and d: the blow-up centre is a surface in
-    |O_Z(d)| whichever bundle twist a is used, so ``a`` is not a parameter.
+    |O_Z(d)| whichever bundle twist a is used, so ``a`` is never read.
 
     Computed twice -- closed forms and the polynomial calculus
     e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked, on one e(A).
     """
-    eA = hodge_of_surface(Z, d)
+    Z, d = params.threefold, params.d
+    eA = hodge_of_surface(params)
     closed = (Z.h12, eA.coeff(0, 2), 2 + eA.coeff(1, 1))
     eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
     via_poly = (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))

@@ -8,7 +8,8 @@ rather than variety objects:
 * :func:`surface_blowup_invariants` -- the blow-up of a smooth 4-fold Y along
   a smooth surface V, from (K_Y|V)^2, K_V.K_Y|V, K_V^2, c2(N_{V/Y}), chi(O_V).
 
-Specialised to a family (Z, a, d) these reproduce the closed forms
+Specialised to a family (Z, a, d), which every family-level function here
+takes as one ``FamilyParams``, these reproduce the closed forms
 
     K_X^4 = 8*delta*i*(a^2+i^2) - 3*d*delta*(a+i)^2
             + 2*d*delta*(a+i)*(d-i) + a*d^2*delta - d*delta*(d-i)^2
@@ -17,7 +18,9 @@ Specialised to a family (Z, a, d) these reproduce the closed forms
 independently and must agree.  A third route recovers chi(O(-K)) from K^4 and
 K^2.c2 by Riemann-Roch.  Everything is exact and no floats enter this module:
 each chi(O(-K)) formula is one integer numerator over a fixed denominator
-(6, 2 or 12) that must divide it, and a float or bool input raises TypeError.
+(6, 2 or 12) that must divide it.  A float or bool input raises TypeError:
+``FamilyParams`` refuses one in a triple, and the three raw-number operations
+refuse one in their own input.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .catalog import FamilyParams, FanoThreefold, require_admissible, validate_params
+from .catalog import FamilyParams, require_admissible
 from .errors import ConsistencyError, IntegrityError
 from .hodge import surface_h02
 
@@ -159,48 +162,33 @@ def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
     return _ratio(12 * chi_O + 2 * K4 + K2c2, 12)
 
 
-def split_bundle_base(Z: FanoThreefold, a: int) -> BundleInput:
+def split_bundle_base(params: FamilyParams) -> BundleInput:
     """The :class:`BundleInput` for E = O_Z + O_Z(a): c1(E) = aH, c2(E) = 0,
     K_Z = -i*H, and K_Z.c2(Z) = -24 on any Fano 3-fold."""
-    _check_ints("a", (a,))
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    i, delta = Z.index, Z.degree
-    return BundleInput(
-        KW3=-(i**3) * delta,
-        KW_c1sq=-i * a * a * delta,
-        KW_c2E=0,
-        KW_c2W=-24,
-        chi_O=1,
-    )
+    Z, a = params.threefold, params.a
+    return BundleInput(KW3=-Z.minus_K3, KW_c1sq=-Z.index * a * a * Z.degree,
+                       KW_c2E=0, KW_c2W=-24, chi_O=1)
 
 
-def surface_centre(Z: FanoThreefold, a: int, d: int) -> BlowupCentreData:
+def surface_centre(params: FamilyParams) -> BlowupCentreData:
     """The blow-up centre for (Z, a, d): a copy of A in |O_Z(d)| sitting on
     the section of the bundle, with normal bundle O_A(dH) + O_A(aH).
 
     Restricting H to A gives (H|A)^2 = d*delta, -K_Y|A = (a+i)H|A and
     K_A = (d-i)H|A, whence the five numbers below.
     """
-    _check_ints("a and d", (a, d))
+    Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
     return BlowupCentreData(
         KYV_sq=d * delta * (a + i) ** 2,
         KV_KYV=-d * delta * (a + i) * (d - i),
         KV_sq=d * delta * (d - i) ** 2,
         c2N=a * d * d * delta,
-        chi_OV=1 + surface_h02(Z, d),
+        chi_OV=1 + surface_h02(params),
     )
 
 
-def _closed_bundle_degrees(Z: FanoThreefold, a: int) -> CanonicalDegrees:
-    i, delta = Z.index, Z.degree
-    core = delta * i * (a * a + i * i)
-    return CanonicalDegrees(8 * core, 2 * core + 96,
-                            _as_int(18 + 3 * core, 2, "chi(O_Y(-K_Y))"))
-
-
-def p1_bundle_invariants(Z: FanoThreefold, a: int) -> CanonicalDegrees:
+def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
     """Canonical degrees of Y = P(O_Z + O_Z(a)), by closed forms
 
         K_Y^4 = 8*delta*i*(a^2 + i^2),
@@ -209,8 +197,11 @@ def p1_bundle_invariants(Z: FanoThreefold, a: int) -> CanonicalDegrees:
 
     cross-checked against :func:`projective_bundle_invariants`.
     """
-    generic = projective_bundle_invariants(split_bundle_base(Z, a))  # checks a
-    closed = _closed_bundle_degrees(Z, a)
+    generic = projective_bundle_invariants(split_bundle_base(params))
+    Z, a = params.threefold, params.a
+    core = Z.degree * Z.index * (a * a + Z.index**2)
+    closed = CanonicalDegrees(8 * core, 2 * core + 96,
+                              _as_int(18 + 3 * core, 2, "chi(O_Y(-K_Y))"))
     if closed != generic:
         raise ConsistencyError(
             f"bundle degrees disagree for Z_{Z.id}, a={a}: closed {closed}, "
@@ -218,13 +209,13 @@ def p1_bundle_invariants(Z: FanoThreefold, a: int) -> CanonicalDegrees:
     return closed
 
 
-def k4_closed_terms(Z: FanoThreefold, a: int, d: int) -> dict[str, int]:
+def k4_closed_terms(params: FamilyParams) -> dict[str, int]:
     """The five summands of the closed form for K_X^4, keyed by formula.
 
     Exposing the terms individually lets the verification suite check that
     the reference tables detect the loss of any single one.
     """
-    _check_ints("a and d", (a, d))
+    Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
     return {
         "8*delta*i*(a^2+i^2)": 8 * delta * i * (a * a + i * i),
@@ -235,51 +226,52 @@ def k4_closed_terms(Z: FanoThreefold, a: int, d: int) -> dict[str, int]:
     }
 
 
-def closed_k4(Z: FanoThreefold, a: int, d: int) -> int:
-    return sum(k4_closed_terms(Z, a, d).values())
+def closed_k4(params: FamilyParams) -> int:
+    return sum(k4_closed_terms(params).values())
 
 
-def closed_k2c2(Z: FanoThreefold, a: int, d: int) -> int:
-    _check_ints("a and d", (a, d))
+def closed_k2c2(params: FamilyParams) -> int:
+    Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
-    return (84 + 2 * delta * i * (a * a + i * i) - 12 * surface_h02(Z, d)
+    return (84 + 2 * delta * i * (a * a + i * i) - 12 * surface_h02(params)
             + 2 * d * delta * (d - i) * (a + d) - 2 * a * d * d * delta)
 
 
-def closed_chi_antiK(Z: FanoThreefold, a: int, d: int) -> int:
-    _check_ints("a and d", (a, d))
+def closed_chi_antiK(params: FamilyParams) -> int:
+    Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
-    chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(Z, d)
+    chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(params)
             - d * delta * (a + i) * (a - d + 2 * i))
     return _as_int(chi2, 2, "chi(O_X(-K_X))")
 
 
-def fano4_invariants(Z: FanoThreefold, a: int, d: int) -> FourfoldInvariants:
-    """K_X^4, K_X^2.c2(X) and h^0(O_X(-K_X)) for the family (Z, a, d).
+def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
+    """K_X^4, K_X^2.c2(X) and h^0(O_X(-K_X)) for the family (Z, a, d); an
+    inadmissible one raises ValueError.
 
     Evaluates the closed forms and the bundle-then-blow-up pipeline and
     insists they agree; then reconstructs chi(O(-K)) from K^4 and K^2.c2 by
     Riemann-Roch as a third, independent route.
     """
-    if not validate_params(Z.id, a, d):  # raises itself on a malformed triple
-        require_admissible(FamilyParams(Z.id, a, d))  # the ValueError naming it
+    require_admissible(params)
+    z_id, a, d = params
     closed = CanonicalDegrees(
-        K4=closed_k4(Z, a, d),
-        K2c2=closed_k2c2(Z, a, d),
-        chi_antiK=closed_chi_antiK(Z, a, d),
+        K4=closed_k4(params),
+        K2c2=closed_k2c2(params),
+        chi_antiK=closed_chi_antiK(params),
     )
-    pipeline = surface_blowup_invariants(p1_bundle_invariants(Z, a),
-                                         surface_centre(Z, a, d))
+    pipeline = surface_blowup_invariants(p1_bundle_invariants(params),
+                                         surface_centre(params))
     if closed != pipeline:
         raise ConsistencyError(
-            f"invariants disagree for (Z_{Z.id}, a={a}, d={d}): closed "
+            f"invariants disagree for (Z_{z_id}, a={a}, d={d}): closed "
             f"{closed}, pipeline {pipeline}")
     rr = riemann_roch_chi(closed.K4, closed.K2c2, 1)
     if rr != closed.chi_antiK:
         raise ConsistencyError(
             f"Riemann-Roch reconstruction {rr} != chi(O(-K)) = "
-            f"{closed.chi_antiK} for (Z_{Z.id}, a={a}, d={d})")
+            f"{closed.chi_antiK} for (Z_{z_id}, a={a}, d={d})")
     if closed.K4 <= 0 or closed.chi_antiK <= 0:
         raise IntegrityError(
-            f"non-positive invariant for (Z_{Z.id}, a={a}, d={d}): {closed}")
+            f"non-positive invariant for (Z_{z_id}, a={a}, d={d}): {closed}")
     return FourfoldInvariants(closed.K4, closed.K2c2, closed.chi_antiK)

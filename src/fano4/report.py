@@ -80,9 +80,8 @@ def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeDat
     """
     cone = cones.cone_data(params)
     try:
-        Z = params.threefold
-        inv = intersect.fano4_invariants(Z, params.a, params.d)
-        hdg = hodge_of_fourfold(Z, params.d)
+        inv = intersect.fano4_invariants(params)
+        hdg = hodge_of_fourfold(params)
         tangent = classify.tangent_bounds(params, classify.chi_tangent(
             inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
         record = FamilyRecord(

@@ -12,7 +12,8 @@ from math import comb
 
 import pytest
 
-from fano4.catalog import catalog, enumerate_families, threefold, validate_params
+from fano4.catalog import (FamilyParams, catalog, enumerate_families,
+                           threefold, validate_params)
 from fano4.classify import h0_line_bundle
 from fano4.cones import (
     CurveGen,
@@ -97,17 +98,17 @@ def test_c4_triple_path_consistency():
     for p in enumerate_families():
         Z = threefold(p.z_id)
         # closed forms vs bundle-then-blow-up pipeline (also asserted inside)
-        inv = fano4_invariants(Z, p.a, p.d)
-        pipe = surface_blowup_invariants(p1_bundle_invariants(Z, p.a),
-                                         surface_centre(Z, p.a, p.d))
+        inv = fano4_invariants(p)
+        pipe = surface_blowup_invariants(p1_bundle_invariants(p),
+                                         surface_centre(p))
         assert (inv.K4, inv.K2c2, inv.h0_antiK) == \
             (pipe.K4, pipe.K2c2, pipe.chi_antiK)
         # Riemann-Roch reconstruction of chi(O(-K))
         assert riemann_roch_chi(inv.K4, inv.K2c2, 1) == inv.h0_antiK
         # closed Hodge numbers vs polynomial calculus
-        h = hodge_of_fourfold(Z, p.d)
+        h = hodge_of_fourfold(p)
         eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
-                            hodge_of_surface(Z, p.d), 2)
+                            hodge_of_surface(p), 2)
         assert (h.h12, h.h13, h.h22) == \
             (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))
 
@@ -115,12 +116,11 @@ def test_c4_triple_path_consistency():
 def test_c5_integrality_suite():
     # admissible grid: every 1/2, 3/2, 1/12, 2d/i, d*delta/12 must cancel
     for p in enumerate_families():
-        Z = threefold(p.z_id)
-        p1_bundle_invariants(Z, p.a)            # 3/2 and 1/3 factors
-        inv = fano4_invariants(Z, p.a, p.d)     # 1/2 factors
+        p1_bundle_invariants(p)            # 3/2 and 1/3 factors
+        inv = fano4_invariants(p)          # 1/2 factors
         rr = riemann_roch_chi(inv.K4, inv.K2c2, 1)   # 1/12 factor
         assert rr.denominator == 1
-        assert isinstance(h0_line_bundle(Z, p.d), int)   # 2d/i, d*delta/12
+        assert isinstance(h0_line_bundle(p), int)   # 2d/i, d*delta/12
     # boundary-rejected grid: no integrality claim is made there; the
     # operations refuse these triples outright
     for z in catalog():
@@ -129,8 +129,9 @@ def test_c5_integrality_suite():
                     if not validate_params(z.id, a, d)]
         assert rejected, "grid must contain rejected points"
         for a, d in rejected:
+            params = FamilyParams(z.id, a, d)   # in the domain, not admissible
             with pytest.raises(ValueError):
-                fano4_invariants(z, a, d)
+                fano4_invariants(params)
 
 
 def test_c6_cone_duality_suite():
@@ -150,21 +151,21 @@ def test_c6_cone_duality_suite():
 def test_c7_section_count_oracles():
     # P^3: monomial count
     for d in range(1, 7):
-        assert h0_line_bundle(threefold(7), d) == comb(d + 3, 3)
+        assert h0_line_bundle(FamilyParams(7, 0, d)) == comb(d + 3, 3)
     # quadric in P^4: ambient forms modulo multiples of the quadric
     for d in range(1, 5):
         ambient = comb(d + 4, 4)
         multiples = comb(d + 2, 4) if d >= 2 else 0
-        assert h0_line_bundle(threefold(6), d) == ambient - multiples
+        assert h0_line_bundle(FamilyParams(6, 0, d)) == ambient - multiples
 
 
 def test_c8_mutation_sensitivity(records):
-    term_names = list(k4_closed_terms(threefold(7), 1, 2))
+    term_names = list(k4_closed_terms(FamilyParams(7, 1, 2)))
     assert len(term_names) == 5
     for name in term_names:
         mutated = []
         for r in records:
-            terms = k4_closed_terms(threefold(r.z_id), r.a, r.d)
+            terms = k4_closed_terms(FamilyParams(r.z_id, r.a, r.d))
             mutated.append(r._replace(K4=sum(terms.values()) - terms[name]))
         result = verify_all(mutated)
         assert result.fail_count >= 1, f"dropping {name} went unnoticed"

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from fano4.catalog import FamilyParams, catalog, enumerate_families, threefold
+from fano4.catalog import FamilyParams, catalog, enumerate_families
 from fano4.classify import (
     BaseLocusKind,
     Rationality,
@@ -95,46 +95,51 @@ def test_rationality_statuses_count():
 
 def test_h0_line_bundle_against_p3_oracle():
     for d in range(1, 7):
-        assert h0_line_bundle(threefold(7), d) == sections_of_p3(d)
+        assert h0_line_bundle(FamilyParams(7, 0, d)) == sections_of_p3(d)
 
 
 def test_h0_line_bundle_against_quadric_oracle():
     for d in range(1, 5):
-        assert h0_line_bundle(threefold(6), d) == sections_of_quadric(d)
+        assert h0_line_bundle(FamilyParams(6, 0, d)) == sections_of_quadric(d)
 
 
 def test_h0_line_bundle_weighted_sextic():
     # 1 + 1 + (1/12)(4 + 6 + 2)
-    assert h0_line_bundle(threefold(1), 1) == 3
+    assert h0_line_bundle(FamilyParams(1, 0, 1)) == 3
 
 
 def test_h0_line_bundle_integral_and_positive_on_wide_grid():
     for z in catalog():
         for d in range(1, 13):
-            assert h0_line_bundle(z, d) >= 1
+            assert h0_line_bundle(FamilyParams(z.id, 0, d)) >= 1
 
 
 def test_h0_line_bundle_rejects_nonpositive_degree():
+    # the degree is checked once, where the triple is built
     with pytest.raises(ValueError):
-        h0_line_bundle(threefold(7), 0)
+        h0_line_bundle(FamilyParams(7, 0, 0))
     with pytest.raises(TypeError):
-        h0_line_bundle(threefold(7), 1.0)
+        h0_line_bundle(FamilyParams(7, 0, 1.0))
 
 
 def test_h0_line_bundle_is_an_exact_int_on_all_families():
     for p in enumerate_families():
-        value = h0_line_bundle(p.threefold, p.d)
+        value = h0_line_bundle(p)
         assert type(value) is int and value > 0, (p.label, value)
 
 
-def test_h0_line_bundle_integrality_guard():
+def test_h0_line_bundle_integrality_guard(monkeypatch):
+    import fano4.catalog as catalog_module
     from fano4.catalog import FanoThreefold, HBaseLocus
     fake = FanoThreefold(7, 4, 1, 0, 15, 0, HBaseLocus.EMPTY, True, "fake")
     broken = FanoThreefold(7, 5, 1, 0, 15, 0, HBaseLocus.EMPTY, True, "odd index")
-    assert h0_line_bundle(fake, 1) == 4
+    rows = catalog_module._CATALOG[:6]
+    monkeypatch.setattr(catalog_module, "_CATALOG", (*rows, fake))
+    assert h0_line_bundle(FamilyParams(7, 0, 1)) == 4
+    monkeypatch.setattr(catalog_module, "_CATALOG", (*rows, broken))
     # 1 + 2/5 + (1/12)*(25 + 15 + 2) = 7/5 + 7/2 = 49/10
     with pytest.raises(IntegrityError, match=r"h\^0\(O_Z\(d\)\) = 49/10 for"):
-        h0_line_bundle(broken, 1)
+        h0_line_bundle(FamilyParams(7, 0, 1))
 
 
 @pytest.mark.parametrize("label,expected", [
@@ -175,8 +180,8 @@ def test_tangent_bounds_arithmetic_invariants():
         assert r.h0_T >= 0 and r.h1_T >= 0
         # the bound never exceeds the raw deformation count, and is that
         # count wherever Z has no infinitesimal automorphisms
-        Z = threefold(r.z_id)
-        count = Z.h1_tangent + h0_line_bundle(Z, r.d) - 1
+        params = FamilyParams(r.z_id, r.a, r.d)
+        count = params.threefold.h1_tangent + h0_line_bundle(params) - 1
         assert r.h1_T <= count
         if r.z_id <= 4:
             assert r.h1_T == count

@@ -140,6 +140,13 @@ def test_curve_combo_rejects_negative_coefficients():
         curve_combo(p, {CurveGen.F: -1})
     with pytest.raises(ValueError):
         Fraction(-1, 2) * curve(p, CurveGen.F)
+    # a key that is no generator would otherwise be dropped without a word
+    with pytest.raises(TypeError, match="'bogus'"):
+        curve_combo(p, {"bogus": 5})
+    with pytest.raises(TypeError, match="generator: 3$"):
+        curve_combo(p, {CurveGen.F: 1, 3: 2})
+    # a generator's value is the generator, as the enum is a str enum
+    assert curve_combo(p, {"F": 1}) == curve(p, CurveGen.F)
 
 
 def test_float_and_bool_scalars_are_rejected():

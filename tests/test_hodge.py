@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano4.catalog import enumerate_families, threefold, validate_params
+from fano4.catalog import (FamilyParams, enumerate_families, threefold,
+                           validate_params)
 from fano4.errors import IntegrityError
 from fano4.hodge import (
     HodgePolynomial,
@@ -94,14 +95,14 @@ def test_blowup_formula_point_centre():
 def test_blowup_formula_first_family_over_p3():
     Z = threefold(7)
     eY = bundle_formula(hodge_of_threefold(Z), 1)
-    eX = blowup_formula(eY, hodge_of_surface(Z, 1), 2)
+    eX = blowup_formula(eY, hodge_of_surface(FamilyParams(7, 0, 1)), 2)
     assert eX.coeff(2, 2) == 3
 
 
 def test_blowup_formula_quadric_degree_four_surface():
     Z = threefold(6)
     eY = bundle_formula(hodge_of_threefold(Z), 1)
-    eX = blowup_formula(eY, hodge_of_surface(Z, 4), 2)
+    eX = blowup_formula(eY, hodge_of_surface(FamilyParams(6, 2, 4)), 2)
     assert eX.coeff(1, 3) == 5
     assert eX.coeff(2, 2) == 54
 
@@ -164,16 +165,16 @@ def test_bundle_formula_scales_total(f):
     (5, 1, 0),
 ])
 def test_surface_h02_values(z_id, d, expected):
-    assert surface_h02(threefold(z_id), d) == expected
+    assert surface_h02(FamilyParams(z_id, 0, d)) == expected
 
 
 def test_surface_h02_domain():
     with pytest.raises(ValueError):
-        surface_h02(threefold(1), 0)
+        surface_h02(FamilyParams(1, 0, 0))   # refused where it is built
     with pytest.raises(ValueError):
-        surface_h02(threefold(1), 3)   # 2*i - 2 = 2
+        surface_h02(FamilyParams(1, 0, 3))   # 2*i - 2 = 2
     with pytest.raises(ValueError):
-        surface_h02(threefold(7), 7)
+        surface_h02(FamilyParams(7, 0, 7))
 
 
 @pytest.mark.parametrize("z_id,d,expected", [
@@ -182,18 +183,18 @@ def test_surface_h02_domain():
     (1, 1, 9),    # 10 - 1*1*1
 ])
 def test_surface_h11_values(z_id, d, expected):
-    assert surface_h11(threefold(z_id), d) == expected
+    assert surface_h11(FamilyParams(z_id, 0, d)) == expected
 
 
 def test_surface_h11_positive_on_admissible_degrees():
     for z in (threefold(i) for i in range(1, 8)):
         for d in range(1, 2 * z.index - 1):
-            assert surface_h11(z, d) > 0
+            assert surface_h11(FamilyParams(z.id, 0, d)) > 0
 
 
 def test_surface_hodge_irregularity_vanishes():
     for z_id, d in [(1, 1), (6, 4), (7, 6)]:
-        assert hodge_of_surface(threefold(z_id), d).coeff(0, 1) == 0
+        assert hodge_of_surface(FamilyParams(z_id, 0, d)).coeff(0, 1) == 0
 
 
 def test_hodge_of_threefold_p3_is_diagonal():
@@ -217,7 +218,7 @@ def test_hodge_of_threefold_total_for_z4():
 ])
 def test_hodge_of_fourfold_examples(z_id, a, d, expected):
     assert validate_params(z_id, a, d)   # each example is one of the 28
-    h = hodge_of_fourfold(threefold(z_id), d)
+    h = hodge_of_fourfold(FamilyParams(z_id, a, d))
     assert (h.h12, h.h13, h.h22) == expected
 
 
@@ -225,7 +226,7 @@ def test_fourfold_polynomial_invariants():
     for p in enumerate_families():
         Z = threefold(p.z_id)
         eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
-                            hodge_of_surface(Z, p.d), 2)
+                            hodge_of_surface(p), 2)
         coeffs = eX.as_dict()
         assert all(coeffs.get((q, p), 0) == c for (p, q), c in eX.items())
         assert eX.betti(2) == 3          # = rho_X
@@ -236,20 +237,23 @@ def test_fourfold_polynomial_invariants():
 def test_hodge_of_fourfold_agrees_with_polynomial_route():
     for p in enumerate_families():
         Z = threefold(p.z_id)
-        h = hodge_of_fourfold(Z, p.d)
+        h = hodge_of_fourfold(p)
         eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
-                            hodge_of_surface(Z, p.d), 2)
+                            hodge_of_surface(p), 2)
         assert (h.h12, h.h13, h.h22) == \
             (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))
 
 
-def test_integrity_error_for_impossible_surface():
+def test_integrity_error_for_impossible_surface(monkeypatch):
     # h^{1,1} = 10 + 10 h^{0,2} - d (d-i)^2 delta can only fail off-catalogue;
     # force it with a fake row carrying a huge degree
+    import fano4.catalog as catalog_module
     from fano4.catalog import FanoThreefold, HBaseLocus
     fake = FanoThreefold(7, 4, 60, 0, 15, 0, HBaseLocus.EMPTY, True, "fake")
+    monkeypatch.setattr(catalog_module, "_CATALOG",
+                        (*catalog_module._CATALOG[:6], fake))
     with pytest.raises(IntegrityError):
-        surface_h11(fake, 6)
+        surface_h11(FamilyParams(7, 0, 6))
 
 
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True, Fraction(0)],
@@ -257,3 +261,11 @@ def test_integrity_error_for_impossible_surface():
 def test_non_int_coefficient_is_refused(bad):
     with pytest.raises(TypeError):
         HodgePolynomial({(0, 0): 1, (1, 1): bad})
+
+
+@pytest.mark.parametrize("term", [(0.5, 1), (1, 1.0), (True, 0), (0, False)],
+                         ids=["float_p", "float_q", "bool_p", "bool_q"])
+def test_non_int_exponent_is_refused(term):
+    # a bool exponent would otherwise count towards betti(1) as a 1
+    with pytest.raises(TypeError):
+        HodgePolynomial({term: 1})

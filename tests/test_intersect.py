@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano4.catalog import catalog, enumerate_families, threefold, validate_params
+from fano4.catalog import (FamilyParams, catalog, enumerate_families,
+                           validate_params)
 from fano4.errors import ConsistencyError, IntegrityError
 from fano4.intersect import (
     BlowupCentreData,
@@ -69,17 +70,17 @@ def test_bundle_invariants_integrality_guard():
     (1, 0, (64, 112, 21)),
 ])
 def test_p1_bundle_closed_forms(z_id, a, expected):
-    result = p1_bundle_invariants(threefold(z_id), a)
+    result = p1_bundle_invariants(FamilyParams(z_id, a, 1))
     assert (result.K4, result.K2c2, result.chi_antiK) == expected
 
 
 def test_p1_bundle_quadric_twist_two():
-    assert p1_bundle_invariants(threefold(6), 2).K4 == 624
+    assert p1_bundle_invariants(FamilyParams(6, 2, 4)).K4 == 624
 
 
 def test_p1_bundle_rejects_negative_twist():
-    with pytest.raises(ValueError):
-        p1_bundle_invariants(threefold(7), -1)
+    with pytest.raises(ValueError):   # refused where the triple is built
+        p1_bundle_invariants(FamilyParams(7, -1, 1))
 
 
 @given(degrees_triples)
@@ -89,23 +90,23 @@ def test_blowup_with_empty_centre_is_the_identity(base):
 
 
 def test_blowup_pipeline_first_family_over_p3():
-    Z = threefold(7)
-    result = surface_blowup_invariants(p1_bundle_invariants(Z, 0),
-                                       surface_centre(Z, 0, 1))
+    p = FamilyParams(7, 0, 1)
+    result = surface_blowup_invariants(p1_bundle_invariants(p),
+                                       surface_centre(p))
     assert result.K4 == 431
 
 
 def test_blowup_pipeline_weighted_sextic():
-    Z = threefold(1)
-    result = surface_blowup_invariants(p1_bundle_invariants(Z, 0),
-                                       surface_centre(Z, 0, 1))
+    p = FamilyParams(1, 0, 1)
+    result = surface_blowup_invariants(p1_bundle_invariants(p),
+                                       surface_centre(p))
     assert result.K4 == 47
     assert result.chi_antiK == 17
 
 
 def test_surface_centre_numbers():
     # Z_6, a=2, d=4: H|A squares to d*delta = 8
-    centre = surface_centre(threefold(6), 2, 4)
+    centre = surface_centre(FamilyParams(6, 2, 4))
     assert centre.KYV_sq == 4 * 2 * 25
     assert centre.KV_sq == 4 * 2 * 1
     assert centre.KV_KYV == -4 * 2 * 5 * 1
@@ -119,25 +120,26 @@ def test_surface_centre_numbers():
     (2, 1, 2, (60, 96, 19)),
 ])
 def test_fano4_invariants_examples(z_id, a, d, expected):
-    inv = fano4_invariants(threefold(z_id), a, d)
+    inv = fano4_invariants(FamilyParams(z_id, a, d))
     assert (inv.K4, inv.K2c2, inv.h0_antiK) == expected
 
 
 def test_fano4_invariants_rejects_inadmissible():
     with pytest.raises(ValueError):
-        fano4_invariants(threefold(7), 4, 1)
+        fano4_invariants(FamilyParams(7, 4, 1))
     with pytest.raises(ValueError):
-        fano4_invariants(threefold(1), 1, 1)
+        fano4_invariants(FamilyParams(1, 1, 1))
 
 
 def test_fano4_invariants_rejects_every_inadmissible_grid_point():
-    for z in (threefold(i) for i in range(1, 8)):
+    for z in catalog():
         bound = 4 * z.index
         for a in range(bound + 1):
             for d in range(1, bound + 1):
                 if not validate_params(z.id, a, d):
+                    params = FamilyParams(z.id, a, d)   # in the domain
                     with pytest.raises(ValueError):
-                        fano4_invariants(z, a, d)
+                        fano4_invariants(params)
 
 
 @pytest.mark.parametrize("K4,K2c2,chi_O,expected", [
@@ -158,12 +160,11 @@ def test_riemann_roch_chi_is_exact_rational():
 
 def test_invariants_are_exact_ints_on_all_families():
     for p in enumerate_families():
-        Z = threefold(p.z_id)
-        inv = fano4_invariants(Z, p.a, p.d)
-        bundle = p1_bundle_invariants(Z, p.a)
+        inv = fano4_invariants(p)
+        bundle = p1_bundle_invariants(p)
         values = [inv.K4, inv.K2c2, inv.h0_antiK,
                   bundle.K4, bundle.K2c2, bundle.chi_antiK,
-                  closed_chi_antiK(Z, p.a, p.d),
+                  closed_chi_antiK(p),
                   riemann_roch_chi(inv.K4, inv.K2c2, 1)]
         assert all(type(v) is int for v in values), (p.label, values)
 
@@ -228,20 +229,19 @@ def test_raw_number_entry_points_reject_bools(call, field):
 
 def test_triple_path_agreement_on_all_families():
     for p in enumerate_families():
-        Z = threefold(p.z_id)
-        inv = fano4_invariants(Z, p.a, p.d)   # closed forms vs pipeline inside
-        pipeline = surface_blowup_invariants(p1_bundle_invariants(Z, p.a),
-                                             surface_centre(Z, p.a, p.d))
+        inv = fano4_invariants(p)   # closed forms vs pipeline inside
+        pipeline = surface_blowup_invariants(p1_bundle_invariants(p),
+                                             surface_centre(p))
         assert (inv.K4, inv.K2c2, inv.h0_antiK) == \
             (pipeline.K4, pipeline.K2c2, pipeline.chi_antiK)
         assert riemann_roch_chi(inv.K4, inv.K2c2, 1) == inv.h0_antiK
 
 
-def _degrees_both_ways(Z, a, d):
-    closed = CanonicalDegrees(closed_k4(Z, a, d), closed_k2c2(Z, a, d),
-                              closed_chi_antiK(Z, a, d))
-    pipeline = surface_blowup_invariants(p1_bundle_invariants(Z, a),
-                                         surface_centre(Z, a, d))
+def _degrees_both_ways(params):
+    closed = CanonicalDegrees(closed_k4(params), closed_k2c2(params),
+                              closed_chi_antiK(params))
+    pipeline = surface_blowup_invariants(p1_bundle_invariants(params),
+                                         surface_centre(params))
     return closed, pipeline
 
 
@@ -252,21 +252,22 @@ def test_swapping_a_for_d_minus_a_keeps_the_degrees():
                for a in range(d + 1)]
     assert len(triples) == 66
     for Z, a, d in triples:
-        closed, pipeline = _degrees_both_ways(Z, a, d)
+        closed, pipeline = _degrees_both_ways(FamilyParams(Z.id, a, d))
         assert closed == pipeline, (Z.id, a, d)
-        assert closed == _degrees_both_ways(Z, d - a, d)[0], (Z.id, a, d)
+        swapped = FamilyParams(Z.id, d - a, d)
+        assert closed == _degrees_both_ways(swapped)[0], (Z.id, a, d)
 
 
 def test_positivity_on_all_families():
     for p in enumerate_families():
-        inv = fano4_invariants(threefold(p.z_id), p.a, p.d)
+        inv = fano4_invariants(p)
         assert inv.K4 > 0
         assert inv.h0_antiK > 0
 
 
 def test_K4_decreases_in_d_for_untwisted_bundles():
-    for z in (threefold(i) for i in range(1, 8)):
-        values = [fano4_invariants(z, 0, d).K4
+    for z in catalog():
+        values = [fano4_invariants(FamilyParams(z.id, 0, d)).K4
                   for d in range(1, 2 * z.index - 1)
                   if validate_params(z.id, 0, d)]
         assert all(x > y for x, y in zip(values, values[1:]))
@@ -274,22 +275,21 @@ def test_K4_decreases_in_d_for_untwisted_bundles():
 
 def test_K4_term_split_sums_to_the_closed_form():
     for p in enumerate_families():
-        Z = threefold(p.z_id)
-        terms = k4_closed_terms(Z, p.a, p.d)
+        terms = k4_closed_terms(p)
         assert len(terms) == 5
-        assert sum(terms.values()) == closed_k4(Z, p.a, p.d)
-        assert closed_k4(Z, p.a, p.d) == fano4_invariants(Z, p.a, p.d).K4
+        assert sum(terms.values()) == closed_k4(p)
+        assert closed_k4(p) == fano4_invariants(p).K4
 
 
 def test_path_disagreement_is_loud(monkeypatch):
     import fano4.intersect as intersect
-    monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d: 0)
+    monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
     with pytest.raises(ConsistencyError):
-        intersect.fano4_invariants(threefold(7), 0, 1)
+        intersect.fano4_invariants(FamilyParams(7, 0, 1))
 
 
 def test_split_bundle_base_specialization():
-    data = split_bundle_base(threefold(6), 2)
+    data = split_bundle_base(FamilyParams(6, 2, 4))
     assert data.KW3 == -54
     assert data.KW_c1sq == -3 * 4 * 2
     assert data.KW_c2E == 0
@@ -299,10 +299,12 @@ def test_split_bundle_base_specialization():
 
 @pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
 def test_closed_forms_reject_non_int_twist(bad):
-    Z = threefold(7)
+    # the closed forms take a FamilyParams, whose constructor is the one
+    # place a twist or degree is type-checked
     for fn in (k4_closed_terms, closed_k4, closed_k2c2, closed_chi_antiK):
         with pytest.raises(TypeError):
-            fn(Z, bad, 1)
+            fn(FamilyParams(7, bad, 1))
         with pytest.raises(TypeError):
-            fn(Z, 1, bad)
-    assert closed_k4(Z, 1, 1) == closed_k4(Z, int(True), 1)
+            fn(FamilyParams(7, 1, bad))
+    assert closed_k4(FamilyParams(7, 1, 1)) == \
+        closed_k4(FamilyParams(7, int(True), 1))

@@ -159,21 +159,31 @@ def test_star_import_binds_every_public_name():
     assert namespace["verify_all"] is fano4.report.verify_all
 
 
-Z7 = fano4.catalog.threefold(7)
+def _twist(bad):
+    return fano4.FamilyParams(7, bad, 1)
 
-#: one entry point per place an int first enters a public function
+
+def _degree(bad):
+    return fano4.FamilyParams(7, 1, bad)
+
+
+#: one entry point per public function an int reaches; a family's twist and
+#: degree enter through the FamilyParams the family-level functions take
 NON_INT_ENTRIES = {
-    "surface_h02": lambda bad: fano4.surface_h02(Z7, bad),
-    "surface_h11": lambda bad: fano4.surface_h11(Z7, bad),
-    "hodge_of_fourfold": lambda bad: fano4.hodge_of_fourfold(Z7, bad),
+    "surface_h02": lambda bad: fano4.surface_h02(_degree(bad)),
+    "surface_h11": lambda bad: fano4.surface_h11(_degree(bad)),
+    "hodge_of_fourfold": lambda bad: fano4.hodge_of_fourfold(_degree(bad)),
     "projective_space": lambda bad: fano4.projective_space(bad),
     "bundle_formula": lambda bad: fano4.bundle_formula(
         fano4.projective_space(1), bad),
     "split_bundle_base": lambda bad: fano4.intersect.split_bundle_base(
-        Z7, bad),
-    "surface_centre_a": lambda bad: fano4.intersect.surface_centre(Z7, bad, 1),
-    "surface_centre_d": lambda bad: fano4.intersect.surface_centre(Z7, 1, bad),
-    "p1_bundle_invariants": lambda bad: fano4.p1_bundle_invariants(Z7, bad),
+        _twist(bad)),
+    "surface_centre_a": lambda bad: fano4.intersect.surface_centre(
+        _twist(bad)),
+    "surface_centre_d": lambda bad: fano4.intersect.surface_centre(
+        _degree(bad)),
+    "p1_bundle_invariants": lambda bad: fano4.p1_bundle_invariants(
+        _twist(bad)),
     "chi_tangent_k4": lambda bad: fano4.chi_tangent(bad, 5, 0, 0, 0),
     "chi_tangent_h22": lambda bad: fano4.chi_tangent(100, 5, 0, 0, bad),
     "tangent_bounds": lambda bad: fano4.tangent_bounds(
@@ -189,6 +199,31 @@ def test_entry_points_reject_floats_and_bools(entry, bad):
     assert fano4.projective_space(1) is fano4.projective_space(1)
     with pytest.raises(TypeError):
         NON_INT_ENTRIES[entry](bad)
+
+
+#: every public function that takes a family as one FamilyParams
+FAMILY_FUNCTIONS = [
+    *(f"intersect.{name}" for name in (
+        "split_bundle_base", "p1_bundle_invariants", "surface_centre",
+        "k4_closed_terms", "closed_k4", "closed_k2c2", "closed_chi_antiK",
+        "fano4_invariants")),
+    *(f"hodge.{name}" for name in (
+        "surface_h02", "surface_h11", "hodge_of_surface",
+        "hodge_of_fourfold")),
+    "classify.h0_line_bundle",
+]
+
+
+@pytest.mark.parametrize("name", FAMILY_FUNCTIONS)
+def test_family_functions_refuse_a_plain_tuple(name):
+    # a bare triple has skipped the FamilyParams checks, so it must not
+    # yield a value
+    module, function = name.split(".")
+    fn = getattr(importlib.import_module(f"fano4.{module}"), function)
+    params = fano4.FamilyParams(7, 1, 2)
+    fn(params)
+    with pytest.raises(AttributeError):
+        fn(tuple(params))
 
 
 def test_readme_quick_start():

@@ -8,7 +8,7 @@ import json
 import pytest
 
 import fano4.golden as golden
-from fano4.catalog import FamilyParams, catalog, enumerate_families, threefold
+from fano4.catalog import FamilyParams, catalog, enumerate_families
 from fano4.classify import BaseLocusKind, Rationality, ToricLabel
 from fano4.cones import CurveGen, pairing_matrix
 from fano4.errors import ConsistencyError, IntegrityError
@@ -63,7 +63,7 @@ def test_build_record_attaches_the_label_on_internal_errors(monkeypatch):
     import fano4.intersect as intersect
     from fano4.errors import ConsistencyError
 
-    monkeypatch.setattr(intersect, "closed_k4", lambda Z, a, d: 0)
+    monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
     with pytest.raises(ConsistencyError, match=r"X\^6_\{2,4\}"):
         build_record(FamilyParams(6, 2, 4))
 
@@ -119,6 +119,41 @@ def test_record_checks_fire_with_warm_caches(monkeypatch, fault):
     assert message in str(exc.value)
     if fault == "riemann_roch":
         assert "(Z_6, a=2, d=4)" in str(exc.value)
+
+
+def test_a_warm_pass_checks_each_triple_once(monkeypatch):
+    import sys
+    from collections import Counter
+
+    import fano4.catalog
+    import fano4.intersect
+
+    calls = {"validate_params": Counter(), "_check_ints": Counter()}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name][args] += 1
+            return original(*args)
+        return wrapper
+
+    build_all_records()   # every cache is warm
+    # rebind every name a fano4 module holds for either function, so that a
+    # by-name import cannot hide a call
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "fano4"]
+    for original in (fano4.catalog.validate_params,
+                     fano4.intersect._check_ints):
+        wrapper = counted(original.__name__, original)
+        for module in modules:
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, wrapper)
+    build_all_records()
+    # validate_params runs once per triple of enumerate_families' grid: the
+    # 28 families and 28 rejected triples, each built once as a FamilyParams
+    validated = calls["validate_params"]
+    assert sum(validated.values()) == 56
+    assert set(validated.values()) == {1}
+    # _check_ints guards only the three raw-number operations of each record
+    assert sum(calls["_check_ints"].values()) == 3 * 28
 
 
 def test_a_cold_pass_builds_the_bundle_term_once_per_h12(monkeypatch):
@@ -273,13 +308,13 @@ def test_verify_all_detects_duplicate_record(records):
 
 def _k4_without(record, name):
     """The closed form for K^4 of the record's family minus one summand."""
-    terms = k4_closed_terms(threefold(record.z_id), record.a, record.d)
+    terms = k4_closed_terms(FamilyParams(record.z_id, record.a, record.d))
     return sum(terms.values()) - terms[name]
 
 
 def test_verify_all_detects_dropped_k4_terms(records):
     """Dropping any single summand of the K^4 closed form must be caught."""
-    term_names = list(k4_closed_terms(threefold(7), 1, 2))
+    term_names = list(k4_closed_terms(FamilyParams(7, 1, 2)))
     assert len(term_names) == 5
     for name in term_names:
         mutated = [r._replace(K4=_k4_without(r, name)) for r in records]
