@@ -123,8 +123,8 @@ def h0_line_bundle(params: FamilyParams) -> int:
     numerator = 12 * i + 24 * d + d * delta * i * (i * i + 3 * d * i + 2 * d * d)
     value, remainder = divmod(numerator, 12 * i)
     if remainder or value <= 0:
-        raise IntegrityError(f"h^0(O_Z(d)) = {Fraction(numerator, 12 * i)} "
-                             f"for Z_{Z.id}, d={d}")
+        raise IntegrityError(f"{params.label}: h^0(O_Z(d)) = "
+                             f"{Fraction(numerator, 12 * i)}")
     return value
 
 

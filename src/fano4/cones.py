@@ -27,7 +27,8 @@ The effective curve cone NE(X) needs only three of the four generators unless
 degree of each generator once per family, and runs every cone cross-check
 on them: the three expressions of -K, the sign of each ray on each
 generator, the -K degrees (all >= 1, the first equal to 1, gcd 1) and the
-cone sizes.  Each failure raises ``ConsistencyError`` naming the family.
+cone sizes.  Each failure raises ``ConsistencyError`` naming the family;
+the two-route comparisons go through :func:`errors.agree`.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
@@ -44,7 +45,7 @@ from math import gcd
 from typing import Mapping, NamedTuple, NoReturn
 
 from .catalog import FamilyParams, ValueEnum, require_admissible
-from .errors import ConsistencyError, ContextMismatchError
+from .errors import ConsistencyError, ContextMismatchError, agree
 
 __all__ = [
     "DivisorClass",
@@ -294,16 +295,11 @@ def anticanonical(params: FamilyParams) -> DivisorClass:
     require_admissible(params)
     i, a, d = params.threefold.index, params.a, params.d
     h, ghat, e, g, _ = _divisor_coords(a, d)
-    antiK = _add(_add(_scale(i - a, h), _scale(2, ghat)), e)
-    symmetric = _add(_add(_scale(i, h), g), ghat)
-    if antiK != symmetric:
-        raise ConsistencyError(
-            f"{params.label}: -K expressions disagree: {antiK} vs {symmetric}")
-    alternate = _alternate(a, d, antiK)
-    if alternate != (i + a - d, 2, 1):
-        raise ConsistencyError(
-            f"{params.label}: -K over (phi*H, G, Ehat) is {alternate}, "
-            f"expected {(i + a - d, 2, 1)}")
+    antiK = agree(params, "-K expressions", "(i-a)*phi*H+2*Ghat+E",
+                  _add(_add(_scale(i - a, h), _scale(2, ghat)), e),
+                  "i*phi*H+G+Ghat", _add(_add(_scale(i, h), g), ghat))
+    agree(params, "-K coordinates over (phi*H, G, Ehat)", "converted",
+          _alternate(a, d, antiK), "closed form", (i + a - d, 2, 1))
     return DivisorClass(antiK, params)
 
 
@@ -447,12 +443,8 @@ def is_fano(params: FamilyParams) -> bool:
     i, a, d = params.threefold.index, params.a, params.d
     antiK = divisor(params, i - a, 2, 1)
     ample = all(pairing(antiK, curve(params, g)) > 0 for g in _ne_kinds(a, d))
-    arithmetic = a <= i - 1 and d - a <= i - 1
-    if ample != arithmetic:
-        raise ConsistencyError(
-            f"{params.label}: amplitude test {ample} but index bounds give "
-            f"{arithmetic}")
-    return ample
+    return agree(params, "Fano verdicts", "amplitude test", ample,
+                 "index bounds", a <= i - 1 and d - a <= i - 1)
 
 
 class FibreLike(ValueEnum):

@@ -25,7 +25,7 @@ from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import FamilyParams, FanoThreefold
-from .errors import ConsistencyError, IntegrityError
+from .errors import IntegrityError, agree
 
 __all__ = [
     "HodgePolynomial",
@@ -199,7 +199,7 @@ def surface_h11(params: FamilyParams) -> int:
     Z, d = params.threefold, params.d
     value = 10 + 10 * surface_h02(params) - d * (d - Z.index) ** 2 * Z.degree
     if value <= 0:
-        raise IntegrityError(f"h^{{1,1}}(A) = {value} <= 0 for Z_{Z.id}, d={d}")
+        raise IntegrityError(f"{params.label}: h^{{1,1}}(A) = {value} <= 0")
     return value
 
 
@@ -248,13 +248,10 @@ def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
     Computed twice -- closed forms and the polynomial calculus
     e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked, on one e(A).
     """
-    Z, d = params.threefold, params.d
+    h12 = params.threefold.h12
     eA = hodge_of_surface(params)
-    closed = (Z.h12, eA.coeff(0, 2), 2 + eA.coeff(1, 1))
-    eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
-    via_poly = (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))
-    if closed != via_poly:
-        raise ConsistencyError(
-            f"Hodge numbers disagree for Z_{Z.id}, d={d}: (h12, h13, h22) "
-            f"closed {closed}, polynomial {via_poly}")
-    return FourfoldHodge(*closed)
+    eX = blowup_formula(_bundle_over_threefold(h12), eA, 2)
+    return FourfoldHodge(*agree(
+        params, "Hodge numbers (h12, h13, h22)", "closed",
+        (h12, eA.coeff(0, 2), 2 + eA.coeff(1, 1)),
+        "polynomial", (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .catalog import FamilyParams, require_admissible
-from .errors import ConsistencyError, IntegrityError
+from .errors import IntegrityError, agree
 from .hodge import surface_h02
 
 __all__ = [
@@ -104,11 +104,14 @@ def _ratio(numerator: int, denominator: int) -> int | Fraction:
     return quotient
 
 
-def _as_int(numerator: int, denominator: int, what: str) -> int:
-    """numerator/denominator, or IntegrityError showing the exact p/q."""
+def _as_int(numerator: int, denominator: int, what: str,
+            family: FamilyParams | None = None) -> int:
+    """numerator/denominator, or IntegrityError showing the exact p/q,
+    after the family's label when there is a family."""
     value = _ratio(numerator, denominator)
     if type(value) is not int:
-        raise IntegrityError(f"{what} = {value} is not an integer")
+        where = "" if family is None else f"{family.label}: "
+        raise IntegrityError(f"{where}{what} = {value} is not an integer")
     return value
 
 
@@ -195,18 +198,16 @@ def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
         K_Y^2.c2(Y) = 2*delta*i*(a^2 + i^2) + 96,
         chi(O_Y(-K_Y)) = 9 + (3/2)*delta*i*(a^2 + i^2),
 
-    cross-checked against :func:`projective_bundle_invariants`.
+    cross-checked against :func:`projective_bundle_invariants`.  The closed
+    form runs first: its integrality condition is the generic one, and its
+    failure names the family.
     """
-    generic = projective_bundle_invariants(split_bundle_base(params))
     Z, a = params.threefold, params.a
     core = Z.degree * Z.index * (a * a + Z.index**2)
-    closed = CanonicalDegrees(8 * core, 2 * core + 96,
-                              _as_int(18 + 3 * core, 2, "chi(O_Y(-K_Y))"))
-    if closed != generic:
-        raise ConsistencyError(
-            f"bundle degrees disagree for Z_{Z.id}, a={a}: closed {closed}, "
-            f"generic {generic}")
-    return closed
+    chi = _as_int(18 + 3 * core, 2, "chi(O_Y(-K_Y))", params)
+    closed = CanonicalDegrees(8 * core, 2 * core + 96, chi)
+    return agree(params, "bundle degrees", "closed", closed, "generic",
+                 projective_bundle_invariants(split_bundle_base(params)))
 
 
 def k4_closed_terms(params: FamilyParams) -> dict[str, int]:
@@ -242,7 +243,7 @@ def closed_chi_antiK(params: FamilyParams) -> int:
     i, delta = Z.index, Z.degree
     chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(params)
             - d * delta * (a + i) * (a - d + 2 * i))
-    return _as_int(chi2, 2, "chi(O_X(-K_X))")
+    return _as_int(chi2, 2, "chi(O_X(-K_X))", params)
 
 
 def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
@@ -254,24 +255,15 @@ def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
     Riemann-Roch as a third, independent route.
     """
     require_admissible(params)
-    z_id, a, d = params
-    closed = CanonicalDegrees(
-        K4=closed_k4(params),
-        K2c2=closed_k2c2(params),
-        chi_antiK=closed_chi_antiK(params),
-    )
-    pipeline = surface_blowup_invariants(p1_bundle_invariants(params),
-                                         surface_centre(params))
-    if closed != pipeline:
-        raise ConsistencyError(
-            f"invariants disagree for (Z_{z_id}, a={a}, d={d}): closed "
-            f"{closed}, pipeline {pipeline}")
-    rr = riemann_roch_chi(closed.K4, closed.K2c2, 1)
-    if rr != closed.chi_antiK:
-        raise ConsistencyError(
-            f"Riemann-Roch reconstruction {rr} != chi(O(-K)) = "
-            f"{closed.chi_antiK} for (Z_{z_id}, a={a}, d={d})")
-    if closed.K4 <= 0 or closed.chi_antiK <= 0:
-        raise IntegrityError(
-            f"non-positive invariant for (Z_{z_id}, a={a}, d={d}): {closed}")
-    return FourfoldInvariants(closed.K4, closed.K2c2, closed.chi_antiK)
+    closed = agree(
+        params, "canonical degrees", "closed",
+        CanonicalDegrees(closed_k4(params), closed_k2c2(params),
+                         closed_chi_antiK(params)),
+        "pipeline", surface_blowup_invariants(p1_bundle_invariants(params),
+                                              surface_centre(params)))
+    K4, K2c2, chi = closed
+    agree(params, "chi(O(-K))", "closed", chi, "Riemann-Roch",
+          riemann_roch_chi(K4, K2c2, 1))
+    if K4 <= 0 or chi <= 0:
+        raise IntegrityError(f"{params.label}: non-positive {closed}")
+    return FourfoldInvariants(K4, K2c2, chi)

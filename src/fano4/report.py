@@ -1,9 +1,8 @@
 """Record assembly, verification against the reference tables, and export.
 
 :func:`build_record` runs every module on one family and bundles the results;
-all cross-checks of the underlying modules run as a side effect.  The cone
-checks run in :func:`cones.cone_data` and name the family themselves; any
-other failure is re-raised with the family label attached.  The record keeps
+all cross-checks of the underlying modules run as a side effect, and each
+failure names the family once (see :mod:`fano4.errors`).  The record keeps
 only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
 data of the same build, through ``_record_and_cones``.  A
 :class:`FamilyRecord` is the row: the json and csv exports write its fields,
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 from . import classify, cones, intersect
 from .catalog import FamilyParams, enumerate_families
-from .errors import ConsistencyError, IntegrityError
+from .errors import IntegrityError
 from .hodge import hodge_of_fourfold
 
 __all__ = [
@@ -73,30 +72,23 @@ def build_record(params: FamilyParams) -> FamilyRecord:
 
 def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
     """The record of one family and the cone data it was built from, which
-    the record does not keep.
-
-    The cone checks name the family in their own messages; a failure of any
-    other module is re-raised here with the family label attached.
-    """
+    the record does not keep."""
     cone = cones.cone_data(params)
-    try:
-        inv = intersect.fano4_invariants(params)
-        hdg = hodge_of_fourfold(params)
-        tangent = classify.tangent_bounds(params, classify.chi_tangent(
-            inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
-        record = FamilyRecord(
-            z_id=params.z_id, a=params.a, d=params.d, label=params.label,
-            K4=inv.K4, K2c2=inv.K2c2, h0_antiK=inv.h0_antiK,
-            h12=hdg.h12, h13=hdg.h13, h22=hdg.h22,
-            base_locus=classify.base_locus(params),
-            rationality=classify.rationality(params),
-            toric_label=classify.toric_label(params),
-            fibre_like=cones.is_fibre_like(params),
-            chi_T=tangent.chi, h0_T=tangent.h0, h1_T=tangent.h1,
-            h0_T_is_exact=tangent.h1_is_exact, h1_T_is_exact=tangent.h1_is_exact,
-            ne_generator_count=len(cone.generators), nef_ray_count=len(cone.rays))
-    except (ConsistencyError, IntegrityError) as exc:
-        raise type(exc)(f"{params.label}: {exc}") from exc
+    inv = intersect.fano4_invariants(params)
+    hdg = hodge_of_fourfold(params)
+    tangent = classify.tangent_bounds(params, classify.chi_tangent(
+        inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
+    record = FamilyRecord(
+        z_id=params.z_id, a=params.a, d=params.d, label=params.label,
+        K4=inv.K4, K2c2=inv.K2c2, h0_antiK=inv.h0_antiK,
+        h12=hdg.h12, h13=hdg.h13, h22=hdg.h22,
+        base_locus=classify.base_locus(params),
+        rationality=classify.rationality(params),
+        toric_label=classify.toric_label(params),
+        fibre_like=cones.is_fibre_like(params),
+        chi_T=tangent.chi, h0_T=tangent.h0, h1_T=tangent.h1,
+        h0_T_is_exact=tangent.h1_is_exact, h1_T_is_exact=tangent.h1_is_exact,
+        ne_generator_count=len(cone.generators), nef_ray_count=len(cone.rays))
     return record, cone
 
 
@@ -176,11 +168,8 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
 
 _RECORD_FIELDS = frozenset(FamilyRecord._fields)
 
-EXPORT_FIELDS = (
-    "z_id", "a", "d", "label", "K4", "K2c2", "h0_antiK", "h12", "h13", "h22",
-    "base_locus", "rationality", "toric_label", "fibre_like",
-    "chi_T", "h0_T", "h1_T", "h0_T_is_exact", "h1_T_is_exact",
-)
+# every record field but the two cone sizes
+EXPORT_FIELDS = FamilyRecord._fields[:-2]
 
 # the exported values of a record, in EXPORT_FIELDS order
 _row = attrgetter(*EXPORT_FIELDS)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import fano4.catalog as catalog_module
 from fano4.catalog import (
     FamilyParams,
     FanoThreefold,
@@ -11,6 +12,7 @@ from fano4.catalog import (
     threefold,
     validate_params,
 )
+from fano4.errors import IntegrityError
 
 
 def brute_force_admissible(index: int, a_max: int, d_max: int) -> set[tuple[int, int]]:
@@ -59,6 +61,20 @@ def test_chi_tangent_identity():
     # chi(T_Z) = -K^3/2 - h^{1,2} - 17 across all seven rows
     for z in catalog():
         assert z.h0_tangent - z.h1_tangent == z.minus_K3 // 2 - z.h12 - 17
+
+
+@pytest.mark.parametrize("z_id,change,message", [
+    (3, {"degree": 4}, "Z_3: i^3*delta = 32 != recorded -K^3 = 24"),
+    (4, {"h1_tangent": 4}, "Z_4: h0(T)-h1(T) = -4 != chi(T) = -3"),
+], ids=["minus_K3_column", "chi_tangent"])
+def test_catalogue_guards_fire(monkeypatch, z_id, change, message):
+    rows = list(catalog_module._CATALOG)
+    rows[z_id - 1] = rows[z_id - 1]._replace(**change)
+    catalog_module._validate_catalog()   # sound before the fault
+    monkeypatch.setattr(catalog_module, "_CATALOG", tuple(rows))
+    with pytest.raises(IntegrityError) as exc:
+        catalog_module._validate_catalog()
+    assert str(exc.value) == message
 
 
 def test_base_point_only_for_the_weighted_sextic():

@@ -138,8 +138,11 @@ def test_h0_line_bundle_integrality_guard(monkeypatch):
     assert h0_line_bundle(FamilyParams(7, 0, 1)) == 4
     monkeypatch.setattr(catalog_module, "_CATALOG", (*rows, broken))
     # 1 + 2/5 + (1/12)*(25 + 15 + 2) = 7/5 + 7/2 = 49/10
-    with pytest.raises(IntegrityError, match=r"h\^0\(O_Z\(d\)\) = 49/10 for"):
+    with pytest.raises(IntegrityError) as exc:
         h0_line_bundle(FamilyParams(7, 0, 1))
+    assert str(exc.value).startswith("X^7_{0,1}: ")
+    assert str(exc.value).count("X^7_{0,1}") == 1
+    assert str(exc.value) == "X^7_{0,1}: h^0(O_Z(d)) = 49/10"
 
 
 @pytest.mark.parametrize("label,expected", [

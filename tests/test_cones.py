@@ -417,12 +417,14 @@ def _columns_with(**changed):
 CONE_FAULTS = {
     "antiK_symmetric": (
         "_divisor_coords", _coords_with(g=lambda a, d: (-a, 1, 2)),
-        FamilyParams(6, 2, 4), "-K expressions disagree"),
+        FamilyParams(6, 2, 4), "-K expressions disagree: (i-a)*phi*H+2*Ghat+E "
+        "(1, 2, 1), i*phi*H+G+Ghat (1, 2, 2)"),
     "antiK_alternate": (
         # E and G moved together, so the first two expressions still agree
         "_divisor_coords", _coords_with(e=lambda a, d: (0, 0, 2),
                                         g=lambda a, d: (-a, 1, 2)),
-        FamilyParams(6, 2, 4), "-K over (phi*H, G, Ehat) is"),
+        FamilyParams(6, 2, 4), "-K coordinates over (phi*H, G, Ehat) disagree: "
+        "converted (5, 2, 0), closed form (1, 2, 1)"),
     "ray_sign": (
         "_pairing_columns", _columns_with(F=(-1, 1, -1)),
         FamilyParams(7, 2, 5), "ray phi*H pairs -1 < 0 with F"),
@@ -447,5 +449,18 @@ def test_each_cone_check_fires_and_names_the_family(monkeypatch, fault):
     assert cone_data(p)   # sound before the fault
     monkeypatch.setattr(cones, attr, replacement)
     with pytest.raises(ConsistencyError,
-                       match=re.escape(f"{p.label}: {message}")):
+                       match=re.escape(f"{p.label}: {message}")) as exc:
         cone_data(p)
+    assert str(exc.value).startswith(f"{p.label}: ")
+    assert str(exc.value).count(p.label) == 1
+
+
+def test_is_fano_amplitude_check_fires_and_names_the_family(monkeypatch):
+    p = FamilyParams(7, 2, 4)
+    assert is_fano(p)   # sound before the fault
+    # -K.F = 0: the amplitude test fails while the index bounds still hold
+    monkeypatch.setattr(cones, "_pairing_columns", _columns_with(F=(0, 0, 0)))
+    with pytest.raises(ConsistencyError) as exc:
+        is_fano(p)
+    assert str(exc.value) == ("X^7_{2,4}: Fano verdicts disagree: amplitude "
+                              "test False, index bounds True")

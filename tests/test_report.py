@@ -91,18 +91,25 @@ def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch)
 
 _H13 = HodgePolynomial({(1, 3): 1, (3, 1): 1})
 
-#: name -> (module, function, corruption of its result, the check that fires)
+_HODGE_MESSAGE = ("X^6_{2,4}: Hodge numbers (h12, h13, h22) disagree: "
+                  "closed (0, 5, 54), polynomial (0, 6, 54)")
+
+#: name -> (module, function, corruption of its result, the whole message
+#: of the check that fires for X^6_{2,4})
 RECORD_FAULTS = {
     "hodge_blowup_formula": ("hodge", "blowup_formula", lambda e: e + _H13,
-                             "Hodge numbers disagree for Z_6, d=4"),
+                             _HODGE_MESSAGE),
     "hodge_cached_bundle_term": ("hodge", "_bundle_over_threefold",
-                                 lambda e: e + _H13,
-                                 "Hodge numbers disagree for Z_6, d=4"),
-    "bundle_generic_form": ("intersect", "projective_bundle_invariants",
-                            lambda c: c._replace(K4=c.K4 + 8),
-                            "bundle degrees disagree for Z_6, a=2"),
+                                 lambda e: e + _H13, _HODGE_MESSAGE),
+    "bundle_generic_form": (
+        "intersect", "projective_bundle_invariants",
+        lambda c: c._replace(K4=c.K4 + 8),
+        "X^6_{2,4}: bundle degrees disagree: closed CanonicalDegrees(K4=624, "
+        "K2c2=252, chi_antiK=126), generic CanonicalDegrees(K4=632, K2c2=252, "
+        "chi_antiK=126)"),
     "riemann_roch": ("intersect", "riemann_roch_chi", lambda chi: chi + 1,
-                     "Riemann-Roch reconstruction"),
+                     "X^6_{2,4}: chi(O(-K)) disagree: closed 40, "
+                     "Riemann-Roch 41"),
 }
 
 
@@ -116,9 +123,31 @@ def test_record_checks_fire_with_warm_caches(monkeypatch, fault):
     with pytest.raises(ConsistencyError) as exc:
         build_record(FamilyParams(6, 2, 4))
     assert str(exc.value).startswith("X^6_{2,4}: ")
-    assert message in str(exc.value)
-    if fault == "riemann_roch":
-        assert "(Z_6, a=2, d=4)" in str(exc.value)
+    assert str(exc.value).count("X^6_{2,4}") == 1
+    assert str(exc.value) == message
+
+
+def test_a_negative_tangent_bound_names_the_family_once(monkeypatch):
+    import fano4.classify as classify
+
+    monkeypatch.setattr(classify, "h0_line_bundle", lambda params: -100)
+    with pytest.raises(IntegrityError) as exc:
+        build_record(FamilyParams(7, 1, 3))
+    assert str(exc.value) == "X^7_{1,3}: h1 = -101 < 0"
+
+
+def test_a_corrupted_catalogue_row_names_the_family_once(monkeypatch):
+    import fano4.catalog as catalog_module
+
+    rows = list(catalog_module._CATALOG)
+    rows[5] = rows[5]._replace(degree=1)   # the quadric, with delta = 1
+    monkeypatch.setattr(catalog_module, "_CATALOG", tuple(rows))
+    # chi(O_Y(-K_Y)) = 9 + (3/2)*delta*i*(a^2 + i^2) = 9 + 81/2
+    with pytest.raises(IntegrityError) as exc:
+        build_record(FamilyParams(6, 0, 1))
+    assert str(exc.value).startswith("X^6_{0,1}: ")
+    assert str(exc.value).count("X^6_{0,1}") == 1
+    assert str(exc.value) == "X^6_{0,1}: chi(O_Y(-K_Y)) = 99/2 is not an integer"
 
 
 def test_a_warm_pass_checks_each_triple_once(monkeypatch):
