@@ -145,14 +145,19 @@ class FamilyParams(NamedTuple("FamilyParams",
     The constructor rejects only a triple outside the basic domain (three
     ints with z_id in 1..7, a >= 0, d >= 1), so that non-admissible triples
     can still be talked about (e.g. to show they fail the Fano criterion).
-    It stores the verdict of :func:`validate_params` as ``is_admissible``,
-    outside the tuple, so equality, hashing, ordering and repr see only the
-    triple.  Nothing can be assigned or deleted afterwards.
+    It stores the verdict of :func:`validate_params` as ``is_admissible``
+    and the catalogue row of Z as ``threefold``, both outside the tuple, so
+    equality, hashing, ordering and repr see only the triple.  Nothing can
+    be assigned or deleted afterwards.
     """
+
+    is_admissible: bool
+    threefold: FanoThreefold
 
     def __new__(cls, z_id: int, a: int, d: int) -> FamilyParams:
         self = super().__new__(cls, z_id, a, d)
         object.__setattr__(self, "is_admissible", validate_params(z_id, a, d))
+        object.__setattr__(self, "threefold", _CATALOG[z_id - 1])
         return self
 
     @classmethod
@@ -163,10 +168,6 @@ class FamilyParams(NamedTuple("FamilyParams",
         raise AttributeError(f"FamilyParams is immutable: cannot set {name!r}")
 
     __delattr__ = __setattr__
-
-    @property
-    def threefold(self) -> FanoThreefold:
-        return _CATALOG[self.z_id - 1]
 
     @property
     def label(self) -> str:

@@ -196,13 +196,16 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
     if format == "json":
         import json
 
-        # the bytes of json.dumps(rows, indent=2), from the C encoder, which
-        # indent turns off: each row is flat, so only the frame is indented
+        # the bytes of json.dumps(rows, indent=2), from one call into the C
+        # encoder, which indent turns off: each row is flat, so its items get
+        # the row indent from the separator, and only the row frames are
+        # spliced in.  An encoded string never holds a raw newline, so
+        # "},\n    {" occurs only between two rows.
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        rows = ",\n  ".join(
-            "{\n    " + encode(dict(zip(EXPORT_FIELDS, _row(r))))[1:-1] + "\n  }"
-            for r in records)
-        return ("[\n  " + rows + "\n]\n").encode("utf-8")
+        rows = encode([dict(zip(EXPORT_FIELDS, _row(r))) for r in records])
+        return ("[\n  {\n    "
+                + rows[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+                + "\n  }\n]\n").encode("utf-8")
     if format == "csv":
         import csv
         import io

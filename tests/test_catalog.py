@@ -179,6 +179,11 @@ def test_family_params_equality_hash_order_and_repr_see_only_the_triple():
                                       FamilyParams(7, 0, 1), FamilyParams(7, 3, 6)]
     assert repr(inadmissible) == "FamilyParams(z_id=1, a=1, d=1)"
     assert tuple(admissible) == (1, 1, 2)
+    # the stored catalogue row is outside the tuple too
+    assert admissible.threefold is threefold(1)
+    assert admissible == (1, 1, 2) and hash(admissible) == hash((1, 1, 2))
+    assert admissible._asdict() == {"z_id": 1, "a": 1, "d": 2}
+    assert len(admissible) == 3 and FamilyParams._fields == ("z_id", "a", "d")
 
 
 def test_family_params_replace_stores_a_fresh_verdict():
@@ -188,15 +193,26 @@ def test_family_params_replace_stores_a_fresh_verdict():
         FamilyParams(1, 1, 2)._replace(d=0)
 
 
-@pytest.mark.parametrize("name", ["z_id", "a", "d", "is_admissible", "other"])
+def test_family_params_carry_the_row_of_their_threefold():
+    for z in catalog():
+        assert FamilyParams(z.id, 0, 1).threefold is z
+    assert FamilyParams(1, 1, 2)._replace(z_id=7).threefold is threefold(7)
+    assert FamilyParams._make((6, 2, 4)).threefold is threefold(6)
+    with pytest.raises(ValueError):
+        FamilyParams(1, 1, 2)._replace(z_id=8)
+
+
+@pytest.mark.parametrize("name", ["z_id", "a", "d", "is_admissible",
+                                  "threefold", "other"])
 def test_family_params_are_immutable(name):
     params = FamilyParams(1, 1, 2)
     with pytest.raises(AttributeError):
         setattr(params, name, 0)
-    if name == "is_admissible":
+    if name in ("is_admissible", "threefold"):
         with pytest.raises(AttributeError):
-            del params.is_admissible
+            delattr(params, name)
     assert params.is_admissible is True
+    assert params.threefold is threefold(1)
     assert tuple(params) == (1, 1, 2)
 
 

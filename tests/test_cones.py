@@ -38,6 +38,33 @@ from fano4.errors import ConsistencyError, ContextMismatchError
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 family_params = st.sampled_from(enumerate_families())
 
+# the kernel tests below reach past the 28 families and past the cap of 12
+# on ``rationals``: coprime denominators 7, 11 and 13 give common
+# denominators up to 7*11*13 = 1001 for the coordinates alone
+any_family = st.builds(FamilyParams, st.integers(1, 7), st.integers(0, 6),
+                       st.integers(1, 9))
+coprime = st.builds(Fraction, st.integers(-300, 300), st.sampled_from([7, 11, 13]))
+scalars = st.one_of(st.integers(-40, 40), rationals, coprime)
+coefficients = st.one_of(
+    st.integers(0, 40), st.fractions(min_value=0, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(0, 300), st.sampled_from([7, 11, 13])))
+combos = st.dictionaries(st.sampled_from(list(CurveGen)), coefficients,
+                         min_size=1, max_size=4)
+
+
+def _table_column(gen, a, d):
+    """A column of the pairing table in the ``cones`` docstring, over
+    (phi*H, Ghat, E)."""
+    return {CurveGen.F: (0, 1, -1), CurveGen.F_HAT: (0, 0, 1),
+            CurveGen.C_G: (1, 0, 0), CurveGen.C_G_HAT: (1, a - d, d)}[gen]
+
+
+def _canonical(value, want):
+    """``value`` equals the Fraction ``want`` and is an ``int`` exactly when
+    ``want`` is integral, else a ``Fraction``."""
+    return value == want and type(value) is (
+        int if want.denominator == 1 else Fraction)
+
 
 def test_alternate_basis_of_anticanonical():
     for p in enumerate_families():
@@ -70,6 +97,54 @@ def test_alternate_basis_preserves_pairings(p, x, y, z):
     back = from_alternate_basis(p, to_alternate_basis(D))
     for gen in CurveGen:
         assert pairing(D, curve(p, gen)) == pairing(back, curve(p, gen))
+
+
+@given(any_family, scalars, scalars, scalars, combos)
+def test_pairing_matches_plain_fraction_arithmetic(p, x, y, z, combo):
+    want = sum((Fraction(c) * sum(Fraction(v) * m for v, m in zip(
+                    (x, y, z), _table_column(gen, p.a, p.d)))
+                for gen, c in combo.items()), Fraction(0))
+    assert _canonical(pairing(divisor(p, x, y, z), curve_combo(p, combo)), want)
+
+
+@given(any_family, scalars, scalars, scalars)
+def test_to_alternate_basis_matches_plain_fraction_arithmetic(p, x, y, z):
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    want = (x + p.a * y + p.d * (z - y), y, y - z)
+    got = to_alternate_basis(divisor(p, x, y, z))
+    assert len(got) == 3
+    assert all(_canonical(g, w) for g, w in zip(got, want)), (got, want)
+
+
+@given(any_family, scalars, scalars, scalars)
+def test_from_alternate_basis_matches_plain_fraction_arithmetic(p, x, y, z):
+    # raw inputs: ints, Fractions, and integral Fractions such as 14/7
+    u, v, w = Fraction(x), Fraction(y), Fraction(z)
+    want = (u - p.a * v + p.d * w, v, v - w)
+    D = from_alternate_basis(p, (x, y, z))
+    assert D.context == p
+    assert all(_canonical(g, w) for g, w in zip(D.coords, want)), (D, want)
+
+
+def test_coprime_denominators_reduce_to_the_canonical_scalar():
+    p = FamilyParams(7, 1, 3)
+    x, y, z = Fraction(1, 7), Fraction(1, 11), Fraction(-1, 13)
+    D = divisor(p, x, y, z)
+    C = curve_combo(p, {CurveGen.F: Fraction(1, 7),
+                        CurveGen.C_G_HAT: Fraction(2, 11)})
+    want = Fraction(1, 7) * (y - z) + Fraction(2, 11) * (x - 2 * y + 3 * z)
+    assert want.denominator == 7 * 11 * 11 * 13
+    assert _canonical(pairing(D, C), want)
+    # non-integral inputs whose results are integers come back as ints
+    assert pairing(D, curve_combo(p, {CurveGen.C_G: 7})) == 1
+    assert type(pairing(D, curve_combo(p, {CurveGen.C_G: 7}))) is int
+    third = divisor(p, Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
+    assert to_alternate_basis(third) == (1, Fraction(2, 3), 0)
+    assert [type(v) for v in to_alternate_basis(third)] == [int, Fraction, int]
+    back = from_alternate_basis(p, (Fraction(1, 7), Fraction(3, 7),
+                                    Fraction(10, 7)))
+    assert back.coords == (4, Fraction(3, 7), -1)
+    assert [type(v) for v in back.coords] == [int, Fraction, int]
 
 
 def test_anticanonical_coordinates():
@@ -167,6 +242,15 @@ def test_float_and_bool_scalars_are_rejected():
         2.0 * curve(p, CurveGen.F)
     with pytest.raises(TypeError):
         from_alternate_basis(p, (0.5, 0, 0))
+    # classes built without divisor() or curve_combo() reach the common
+    # denominator helpers with the float still in them
+    direct_D = cones.DivisorClass((0.5, Fraction(1, 2), 0), p)
+    direct_C = cones.CurveClass(((CurveGen.F, 0.5),), p)
+    for call in (lambda: pairing(direct_D, curve(p, CurveGen.F)),
+                 lambda: to_alternate_basis(direct_D),
+                 lambda: pairing(divisor(p, Fraction(1, 2), 0, 0), direct_C)):
+        with pytest.raises(TypeError, match="got float 0.5"):
+            call()
 
 
 def test_classes_are_scaled_by_a_scalar_on_the_left_only():

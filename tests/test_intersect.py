@@ -288,6 +288,24 @@ def test_path_disagreement_is_loud(monkeypatch):
         intersect.fano4_invariants(FamilyParams(7, 0, 1))
 
 
+def test_positivity_guard_fires_when_every_route_agrees(monkeypatch):
+    import fano4.intersect as intersect
+    p = FamilyParams(7, 1, 2)
+    assert fano4_invariants(p).K4 > 0   # sound before the fault
+    # K^4 = 0, K^2.c2 = -12 and chi = 0 on the closed forms and the pipeline,
+    # which Riemann-Roch also gives: 1 + (2*0 - 12)/12 = 0
+    monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
+    monkeypatch.setattr(intersect, "closed_k2c2", lambda params: -12)
+    monkeypatch.setattr(intersect, "closed_chi_antiK", lambda params: 0)
+    monkeypatch.setattr(intersect, "surface_blowup_invariants",
+                        lambda base, centre: CanonicalDegrees(0, -12, 0))
+    assert riemann_roch_chi(0, -12, 1) == 0
+    with pytest.raises(IntegrityError) as exc:
+        intersect.fano4_invariants(p)
+    assert str(exc.value) == ("X^7_{1,2}: non-positive CanonicalDegrees("
+                              "K4=0, K2c2=-12, chi_antiK=0)")
+
+
 def test_split_bundle_base_specialization():
     data = split_bundle_base(FamilyParams(6, 2, 4))
     assert data.KW3 == -54

@@ -398,6 +398,12 @@ def test_export_json_equals_the_indented_dump(records):
     odd = records[0]._replace(label='X "\\ \u00e9 \u2212')
     assert export([odd, records[1]], "json") == _reference_json([odd, records[1]])
     assert export([odd], "json") == _reference_json([odd])
+    # the row frames are spliced into one encoded list: a label that spells
+    # a row boundary must stay inside its string
+    framed = records[1]._replace(label='X },\n    { "},{" \u00e9\n}')
+    rows = [framed, records[2], framed]
+    assert export(rows, "json") == _reference_json(rows)
+    assert json.loads(export(rows, "json"))[0]["label"] == framed.label
 
 
 def test_export_csv_shape(records):
