@@ -37,11 +37,10 @@ an ``int``.  Scalars must be ``int`` or ``Fraction``: ``float`` and ``bool``
 raise ``TypeError``.
 
 The multi-term sums of :func:`pairing`, :func:`to_alternate_basis` and
-:func:`from_alternate_basis` reduce once.  Integer input takes the integer
-sum as it is.  Otherwise the coordinates are put over their least common
-denominator (``math.lcm``), the sum runs on the integer numerators, and the
-result is normalised by one ``Fraction(num, den)``, instead of one gcd per
-``Fraction`` step (Knuth, TAOCP Vol. 2, 4.5.1).
+:func:`from_alternate_basis` reduce once.  The coordinates are put over
+their least common denominator (``math.lcm``), the sum runs on the integer
+numerators, and the result is normalised by one ``Fraction(num, den)``,
+instead of one gcd per ``Fraction`` step (Knuth, TAOCP Vol. 2, 4.5.1).
 """
 
 from __future__ import annotations
@@ -113,10 +112,7 @@ def _over_lcm(x: Rational, y: Rational,
 
 def _reduced(num: int, den: int) -> Rational:
     """num/den as a canonical scalar, normalised by one Fraction."""
-    if den == 1:
-        return num
-    value = Fraction(num, den)
-    return value.numerator if value.denominator == 1 else value
+    return num if den == 1 else _exact(Fraction(num, den))
 
 
 class DivisorClass(NamedTuple):
@@ -324,12 +320,9 @@ def to_alternate_basis(D: DivisorClass) -> tuple[Rational, Rational, Rational]:
     (x + a*y + d*(z - y), y, y - z) over (phi*H, G, Ehat).
     """
     a, d = D.context.a, D.context.d
-    x, y, z = D.coords
-    if type(x) is int and type(y) is int and type(z) is int:
-        return _alternate(a, d, D.coords)
-    X, Y, Z, den = _over_lcm(x, y, z)
+    X, Y, Z, den = _over_lcm(*D.coords)
     X, _, Z = _alternate(a, d, (X, Y, Z))
-    return (_reduced(X, den), y, _reduced(Z, den))
+    return (_reduced(X, den), D.coords[1], _reduced(Z, den))
 
 
 def from_alternate_basis(params: FamilyParams,
@@ -337,10 +330,7 @@ def from_alternate_basis(params: FamilyParams,
     """Inverse of :func:`to_alternate_basis`: (x, y, z) over (phi*H, G, Ehat)
     is (x - a*y + d*z, y, y - z) over (phi*H, Ghat, E)."""
     a, d = params.a, params.d
-    x, y, z = coords
-    if type(x) is int and type(y) is int and type(z) is int:
-        return DivisorClass((x - a * y + d * z, y, y - z), params)
-    x, y, z = _exact(x), _exact(y), _exact(z)
+    x, y, z = map(_exact, coords)
     X, Y, Z, den = _over_lcm(x, y, z)
     return DivisorClass((_reduced(X - a * Y + d * Z, den), y,
                          _reduced(Y - Z, den)), params)

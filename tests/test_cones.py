@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fano4.cones as cones
@@ -99,6 +99,12 @@ def test_alternate_basis_preserves_pairings(p, x, y, z):
         assert pairing(D, curve(p, gen)) == pairing(back, curve(p, gen))
 
 
+# coprime denominators 7, 11 and 13 on both sides; then non-integral
+# coordinates whose pairing is an integer, which must come back as an int
+@example(FamilyParams(7, 1, 3), Fraction(1, 7), Fraction(1, 11), Fraction(-1, 13),
+         {CurveGen.F: Fraction(1, 7), CurveGen.C_G_HAT: Fraction(2, 11)})
+@example(FamilyParams(7, 1, 3), Fraction(1, 7), Fraction(1, 11), Fraction(-1, 13),
+         {CurveGen.C_G: 7})
 @given(any_family, scalars, scalars, scalars, combos)
 def test_pairing_matches_plain_fraction_arithmetic(p, x, y, z, combo):
     want = sum((Fraction(c) * sum(Fraction(v) * m for v, m in zip(
@@ -107,6 +113,9 @@ def test_pairing_matches_plain_fraction_arithmetic(p, x, y, z, combo):
     assert _canonical(pairing(divisor(p, x, y, z), curve_combo(p, combo)), want)
 
 
+# int coordinates; thirds that give (1, 2/3, 0)
+@example(FamilyParams(7, 1, 3), 1, -2, 5)
+@example(FamilyParams(7, 1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
 @given(any_family, scalars, scalars, scalars)
 def test_to_alternate_basis_matches_plain_fraction_arithmetic(p, x, y, z):
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
@@ -116,6 +125,9 @@ def test_to_alternate_basis_matches_plain_fraction_arithmetic(p, x, y, z):
     assert all(_canonical(g, w) for g, w in zip(got, want)), (got, want)
 
 
+# int coordinates; sevenths that give (4, 3/7, -1)
+@example(FamilyParams(7, 1, 3), 1, -2, 5)
+@example(FamilyParams(7, 1, 3), Fraction(1, 7), Fraction(3, 7), Fraction(10, 7))
 @given(any_family, scalars, scalars, scalars)
 def test_from_alternate_basis_matches_plain_fraction_arithmetic(p, x, y, z):
     # raw inputs: ints, Fractions, and integral Fractions such as 14/7
@@ -124,27 +136,6 @@ def test_from_alternate_basis_matches_plain_fraction_arithmetic(p, x, y, z):
     D = from_alternate_basis(p, (x, y, z))
     assert D.context == p
     assert all(_canonical(g, w) for g, w in zip(D.coords, want)), (D, want)
-
-
-def test_coprime_denominators_reduce_to_the_canonical_scalar():
-    p = FamilyParams(7, 1, 3)
-    x, y, z = Fraction(1, 7), Fraction(1, 11), Fraction(-1, 13)
-    D = divisor(p, x, y, z)
-    C = curve_combo(p, {CurveGen.F: Fraction(1, 7),
-                        CurveGen.C_G_HAT: Fraction(2, 11)})
-    want = Fraction(1, 7) * (y - z) + Fraction(2, 11) * (x - 2 * y + 3 * z)
-    assert want.denominator == 7 * 11 * 11 * 13
-    assert _canonical(pairing(D, C), want)
-    # non-integral inputs whose results are integers come back as ints
-    assert pairing(D, curve_combo(p, {CurveGen.C_G: 7})) == 1
-    assert type(pairing(D, curve_combo(p, {CurveGen.C_G: 7}))) is int
-    third = divisor(p, Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
-    assert to_alternate_basis(third) == (1, Fraction(2, 3), 0)
-    assert [type(v) for v in to_alternate_basis(third)] == [int, Fraction, int]
-    back = from_alternate_basis(p, (Fraction(1, 7), Fraction(3, 7),
-                                    Fraction(10, 7)))
-    assert back.coords == (4, Fraction(3, 7), -1)
-    assert [type(v) for v in back.coords] == [int, Fraction, int]
 
 
 def test_anticanonical_coordinates():
