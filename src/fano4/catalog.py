@@ -40,6 +40,14 @@ class ValueEnum(str, Enum):
     __str__ = str.__str__
 
 
+def checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
+    """A ``NamedTuple`` base for a class that checks its fields in
+    ``__new__``: its ``_make``, and so ``_replace``, runs that constructor."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
 class HBaseLocus(ValueEnum):
     """Base locus of |O_Z(1)| on a catalogued 3-fold."""
 
@@ -47,7 +55,7 @@ class HBaseLocus(ValueEnum):
     ONE_SIMPLE_POINT = "one_simple_point"
 
 
-class FanoThreefold(NamedTuple("FanoThreefold", [
+class FanoThreefold(checked_tuple("FanoThreefold", [
         ("id", int), ("index", int), ("degree", int), ("h12", int),
         ("h0_tangent", int), ("h1_tangent", int), ("base_locus_H", HBaseLocus),
         ("rational", bool), ("description", str)])):
@@ -56,7 +64,8 @@ class FanoThreefold(NamedTuple("FanoThreefold", [
     ``degree`` is delta = H^3 for the ample generator H of Pic(Z); ``h12`` is
     the Hodge number h^{1,2}(Z); ``h0_tangent``/``h1_tangent`` are the
     dimensions of H^0 and H^1 of the tangent sheaf.  The constructor, which
-    ``_make`` and ``_replace`` also run, checks the column types.
+    ``_make`` and ``_replace`` also run, checks the column types.  Reference
+    table 1 uses these names, and ``minus_K3``.
     """
 
     __slots__ = ()
@@ -71,18 +80,10 @@ class FanoThreefold(NamedTuple("FanoThreefold", [
             raise TypeError(f"mistyped catalogue row {self!r}")
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> FanoThreefold:
-        return cls(*iterable)
-
     @property
     def minus_K3(self) -> int:
         """The anticanonical degree -K_Z^3 = i_Z^3 * delta."""
         return self.index**3 * self.degree
-
-    @property
-    def chi_tangent(self) -> int:
-        return self.h0_tangent - self.h1_tangent
 
 
 _CATALOG: tuple[FanoThreefold, ...] = (
@@ -102,22 +103,15 @@ _CATALOG: tuple[FanoThreefold, ...] = (
                   "P^3"),
 )
 
-# -K_Z^3 column as recorded in the source classification, kept separate so the
-# i^3*delta identity below is a genuine cross-check of the embedded data.
-_MINUS_K3_COLUMN = {1: 8, 2: 16, 3: 24, 4: 32, 5: 40, 6: 54, 7: 64}
-
 
 def _validate_catalog() -> None:
+    # report.verify_all also diffs each row, -K^3 included, with table 1
     for z in _CATALOG:
-        if z.minus_K3 != _MINUS_K3_COLUMN[z.id]:
-            raise IntegrityError(
-                f"Z_{z.id}: i^3*delta = {z.minus_K3} != recorded -K^3 = "
-                f"{_MINUS_K3_COLUMN[z.id]}")
         # chi(T_Z) = -K_Z^3/2 - h^{1,2}(Z) - 17, from Riemann-Roch on T_Z.
         chi = z.minus_K3 // 2 - z.h12 - 17
-        if z.minus_K3 % 2 != 0 or z.chi_tangent != chi:
-            raise IntegrityError(
-                f"Z_{z.id}: h0(T)-h1(T) = {z.chi_tangent} != chi(T) = {chi}")
+        if z.minus_K3 % 2 != 0 or z.h0_tangent - z.h1_tangent != chi:
+            raise IntegrityError(f"Z_{z.id}: h0(T)-h1(T) = "
+                                 f"{z.h0_tangent - z.h1_tangent} != chi(T) = {chi}")
 
 
 _validate_catalog()
@@ -138,8 +132,8 @@ def threefold(z_id: int) -> FanoThreefold:
     return _CATALOG[z_id - 1]
 
 
-class FamilyParams(NamedTuple("FamilyParams",
-                               [("z_id", int), ("a", int), ("d", int)])):
+class FamilyParams(checked_tuple("FamilyParams",
+                                  [("z_id", int), ("a", int), ("d", int)])):
     """A triple (z_id, a, d) naming the family X^{z_id}_{a,d}.
 
     The constructor rejects only a triple outside the basic domain (three
@@ -159,10 +153,6 @@ class FamilyParams(NamedTuple("FamilyParams",
         object.__setattr__(self, "is_admissible", validate_params(z_id, a, d))
         object.__setattr__(self, "threefold", _CATALOG[z_id - 1])
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> FamilyParams:
-        return cls(*iterable)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"FamilyParams is immutable: cannot set {name!r}")

@@ -6,12 +6,13 @@ Subcommands:
 * ``info``    -- full record for one family (the row the exports write),
                  cones and pairings included (exit 2 on a malformed or
                  inadmissible triple, as ``cones``);
-* ``verify``  -- check all records against the reference tables
-                 (exit 0 all pass, 1 any mismatch, 2 internal error);
+* ``verify``  -- check the base 3-folds and records against the reference
+                 tables (exit 0 all pass, 1 any mismatch, 2 internal error);
 * ``export``  -- write all records as json, csv or markdown;
 * ``cones``   -- curve/nef cone generators and pairings for one family.
 
-Every command exits 2 when its output cannot be written.
+Every command exits 2 with one line on stderr on any exception, such as
+output that cannot be written: exit 1 means a mismatch only.
 
 All numeric output is exact; non-integral rationals (which only the pairing
 displays could ever produce) are rendered as p/q.
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=_cmd_info)
 
     verify = sub.add_parser(
-        "verify", help="check all records against the reference tables")
+        "verify", help="check 3-folds and records against the reference tables")
     verify.set_defaults(func=_cmd_verify)
 
     export_cmd = sub.add_parser("export", help="write all records")
@@ -216,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
         if exc.filename is None:  # so the interpreter's last flush cannot fail
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -24,17 +24,14 @@ N_G = O_Z(-a), N_Ghat = O_Z(-(d-a)):
 The effective curve cone NE(X) needs only three of the four generators unless
 0 < a < d; the nef cone is its dual, with three or four extremal rays.
 :func:`cone_data` computes -K, the NE generators, the nef rays and the -K
-degree of each generator once per family, and runs every cone cross-check
-on them: the three expressions of -K, the sign of each ray on each
-generator, the -K degrees (all >= 1, the first equal to 1, gcd 1) and the
-cone sizes.  Each failure raises ``ConsistencyError`` naming the family;
-the two-route comparisons go through :func:`errors.agree`.
+degrees once per family, and runs every cone cross-check on them; each
+failure raises ``ConsistencyError`` naming the family.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
 which only rational input can produce; an integral ``Fraction`` is stored as
 an ``int``.  Scalars must be ``int`` or ``Fraction``: ``float`` and ``bool``
-raise ``TypeError``.
+raise ``TypeError``, from the class constructors too.
 
 The multi-term sums of :func:`pairing`, :func:`to_alternate_basis` and
 :func:`from_alternate_basis` reduce once.  The coordinates are put over
@@ -48,9 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, NoReturn
+from typing import Collection, Mapping, NamedTuple, NoReturn
 
-from .catalog import FamilyParams, ValueEnum, require_admissible
+from .catalog import FamilyParams, ValueEnum, checked_tuple, require_admissible
 from .errors import ConsistencyError, ContextMismatchError, agree
 
 __all__ = [
@@ -98,13 +95,8 @@ def _exact(value: Rational) -> Rational:
 def _over_lcm(x: Rational, y: Rational,
               z: Rational) -> tuple[int, int, int, int]:
     """(X, Y, Z, L): exact scalars x, y, z as X/L, Y/L, Z/L over their least
-    common denominator L.  A scalar with no denominator (a float in a class
-    built without :func:`divisor`, say) raises the TypeError of _exact."""
-    try:
-        den = lcm(x.denominator, y.denominator, z.denominator)
-    except AttributeError:
-        _exact(x), _exact(y), _exact(z)
-        raise
+    common denominator L."""
+    den = lcm(x.denominator, y.denominator, z.denominator)
     return (x.numerator * (den // x.denominator),
             y.numerator * (den // y.denominator),
             z.numerator * (den // z.denominator), den)
@@ -115,15 +107,21 @@ def _reduced(num: int, den: int) -> Rational:
     return num if den == 1 else _exact(Fraction(num, den))
 
 
-class DivisorClass(NamedTuple):
+class DivisorClass(checked_tuple("DivisorClass", [
+        ("coords", tuple), ("context", FamilyParams)])):
     """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E).
 
     Each coordinate is an ``int``, or a ``Fraction`` only when it is not
-    integral; build classes with :func:`divisor`, which normalises them.
+    integral: the constructor normalises them and refuses any other scalar.
     """
 
-    coords: tuple[Rational, Rational, Rational]
-    context: FamilyParams
+    __slots__ = ()
+
+    def __new__(cls, coords: tuple, context: FamilyParams) -> DivisorClass:
+        x, y, z = coords
+        if not (type(x) is int and type(y) is int and type(z) is int):
+            coords = (_exact(x), _exact(y), _exact(z))
+        return tuple.__new__(cls, (tuple(coords), context))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_context(self.context, other.context)
@@ -156,7 +154,7 @@ def _same_context(a: FamilyParams, b: FamilyParams) -> None:
 def divisor(params: FamilyParams, alpha: Rational, beta: Rational,
             gamma: Rational) -> DivisorClass:
     """alpha*phi*H + beta*Ghat + gamma*E."""
-    return DivisorClass((_exact(alpha), _exact(beta), _exact(gamma)), params)
+    return DivisorClass((alpha, beta, gamma), params)
 
 
 def _divisor_coords(a: int, d: int) -> tuple[tuple[int, int, int], ...]:
@@ -206,15 +204,36 @@ class CurveGen(ValueEnum):
 _CURVE_GENS = frozenset(CurveGen)
 
 
-class CurveClass(NamedTuple):
+class CurveClass(checked_tuple("CurveClass", [
+        ("combo", tuple), ("context", FamilyParams)])):
     """A formal non-negative combination of the four curve generators.
 
-    Each coefficient is a positive ``int``, or a ``Fraction`` only when it is
-    not integral; build classes with :func:`curve` or :func:`curve_combo`.
+    The constructor takes (generator, coefficient) pairs, as a tuple or
+    ``dict.items()``.  It refuses a key that is no generator and a negative
+    or inexact coefficient, and keeps each generator's non-zero sum, in
+    generator order, as an ``int`` unless it is not integral.
     """
 
-    combo: tuple[tuple[CurveGen, Rational], ...]
-    context: FamilyParams
+    __slots__ = ()
+
+    def __new__(cls, combo: Collection, context: FamilyParams) -> CurveClass:
+        if len(combo) == 1:   # one generator: every class the records build
+            (gen, c), = combo
+            if type(c) is int and c > 0 and type(gen) is CurveGen:
+                return tuple.__new__(cls, (((gen, c),), context))
+        coefficients = {}
+        for gen, c in combo:
+            if gen not in _CURVE_GENS:
+                raise TypeError(f"not a curve generator: {gen!r}")
+            c = _exact(c)
+            if c < 0:
+                raise ValueError(f"negative coefficient {c} for {gen}")
+            if gen in coefficients:   # a repeated generator adds up
+                c = _exact(coefficients[gen] + c)
+            coefficients[gen] = c
+        terms = tuple([(gen, coefficients[gen]) for gen in CurveGen
+                       if coefficients.get(gen)])
+        return tuple.__new__(cls, (terms, context))
 
     @property
     def kind(self) -> CurveGen | None:
@@ -226,18 +245,13 @@ class CurveClass(NamedTuple):
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         _same_context(self.context, other.context)
-        out = dict(self.combo)
-        for gen, c in other.combo:
-            out[gen] = out.get(gen, 0) + c
-        return curve_combo(self.context, out)
+        return CurveClass(self.combo + other.combo, self.context)
 
     __mul__ = __radd__ = DivisorClass.__mul__
 
     def __rmul__(self, scalar: Rational) -> "CurveClass":
         s = _exact(scalar)
-        if s < 0:
-            raise ValueError("curve classes carry non-negative coefficients")
-        return curve_combo(self.context, {g: s * c for g, c in self.combo})
+        return CurveClass(tuple((g, s * c) for g, c in self.combo), self.context)
 
 
 def curve(params: FamilyParams, gen: CurveGen) -> CurveClass:
@@ -246,17 +260,7 @@ def curve(params: FamilyParams, gen: CurveGen) -> CurveClass:
 
 def curve_combo(params: FamilyParams,
                 combo: Mapping[CurveGen, Rational]) -> CurveClass:
-    if not _CURVE_GENS.issuperset(combo):
-        unknown = ", ".join(repr(k) for k in combo if k not in _CURVE_GENS)
-        raise TypeError(f"not a curve generator: {unknown}")
-    terms = []
-    for gen in CurveGen:
-        c = _exact(combo.get(gen, 0))
-        if c < 0:
-            raise ValueError(f"negative coefficient {c} for {gen.value}")
-        if c != 0:
-            terms.append((gen, c))
-    return CurveClass(tuple(terms), params)
+    return CurveClass(combo.items(), params)
 
 
 @lru_cache(maxsize=128)
@@ -295,11 +299,7 @@ def pairing(D: DivisorClass, C: CurveClass) -> Rational:
         if type(c) is int:
             total += c * cden * value
         else:
-            try:
-                n, m = c.numerator, c.denominator
-            except AttributeError:   # a float, say: the TypeError of _exact
-                _exact(c)
-                raise
+            n, m = c.numerator, c.denominator
             common = lcm(cden, m)
             total = total * (common // cden) + n * (common // m) * value
             cden = common

@@ -5,7 +5,8 @@ they are used to check: nothing here is derived, imported from, or shared
 with the computing modules.  Table 1 lists the seven base 3-folds, table 2
 the 28 families with their invariants, table 3 their tangent-sheaf
 cohomology (exact values where established, upper bounds otherwise), in the
-same order and under the keys of the record rows they are checked against.
+order and under the names of the catalogue rows and records that
+``report.verify_all`` checks them against key by key.
 """
 
 from __future__ import annotations

@@ -115,13 +115,6 @@ def _as_int(numerator: int, denominator: int, what: str,
     return value
 
 
-def _degrees(K4: int, K2c2: int, chi_numerator: int, chi_denominator: int,
-             what: str) -> CanonicalDegrees:
-    """CanonicalDegrees with chi(O(-K)) = chi_numerator/chi_denominator."""
-    return CanonicalDegrees(K4, K2c2, _as_int(chi_numerator, chi_denominator,
-                                              f"chi(O(-K)) of {what}"))
-
-
 def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     """Canonical degrees of the P^1-bundle P(E) -> W.
 
@@ -135,7 +128,8 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
             - 9 * (data.KW3 + data.KW_c1sq) - 2 * data.KW_c2W)
-    return _degrees(K4, K2c2, chi6, 6, "the bundle")
+    return CanonicalDegrees(K4, K2c2,
+                            _as_int(chi6, 6, "chi(O(-K)) of the bundle"))
 
 
 def surface_blowup_invariants(base: CanonicalDegrees,
@@ -153,7 +147,8 @@ def surface_blowup_invariants(base: CanonicalDegrees,
             - 2 * centre.KV_KYV - 2 * centre.c2N)
     chi2 = (2 * (base.chi_antiK - centre.chi_OV)
             - centre.KYV_sq - centre.KV_KYV)
-    return _degrees(K4, K2c2, chi2, 2, "the blow-up")
+    return CanonicalDegrees(K4, K2c2,
+                            _as_int(chi2, 2, "chi(O(-K)) of the blow-up"))
 
 
 def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:

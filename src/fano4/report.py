@@ -6,13 +6,13 @@ failure names the family once (see :mod:`fano4.errors`).  The record keeps
 only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
 data of the same build, through ``_record_and_cones``.  A
 :class:`FamilyRecord` is the row: the json and csv exports write its fields,
-``fano4 info`` prints them, and :func:`verify_all` compares them with the
-reference rows, which use the same names.  Records and reference rows are
-``typing.NamedTuple`` classes: ``FamilyRecord._fields`` lists the record
-fields, and ``_asdict`` gives a reference row's values.  Mismatches are data,
-never exceptions, so a red table is an ordinary result, not a crash; only
-reference tables that are misaligned or name a field no record has raise
-IntegrityError.
+``fano4 info`` prints them, and :func:`verify_all` compares them, and the
+catalogue rows, with the reference rows, which use the same names.  Records
+and reference rows are ``typing.NamedTuple`` classes: ``_fields`` lists the
+record fields, and ``_asdict`` gives a reference row's values.  Mismatches
+are data, never exceptions, so a red table is an ordinary result, not a
+crash; only reference tables that are misaligned or name a field no record
+has raise IntegrityError.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import classify, cones, intersect
-from .catalog import FamilyParams, enumerate_families
+from .catalog import FamilyParams, catalog, enumerate_families
 from .errors import IntegrityError
 from .hodge import hodge_of_fourfold
 
@@ -114,22 +114,26 @@ class VerificationReport(NamedTuple):
 
 
 def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
-    """Diff the records (by default the 28 canonical ones, built here)
-    against the reference tables.
+    """Diff the catalogue against reference table 1, and the records (by
+    default the 28 canonical ones, built here) against tables 2 and 3.
 
-    Tables 2 and 3 must list the same families in the same order, and name
-    only fields of :class:`FamilyRecord`, else IntegrityError.  Each table-2
-    row merged with its table-3 row holds the expected values of one family
-    under the record's field names; each field whose value differs is one
-    :class:`Mismatch`.  A family passes when it has exactly one record and no
-    mismatch; the records whose label has no reference row fail as one
-    family.
+    Table 1 must list the catalogue ids 1..7 in order, and tables 2 and 3 the
+    same families in the same order, naming only record fields, else
+    IntegrityError.  Each key of a reference row whose value differs from
+    its catalogue row (family ``Z_<id>``) or record is one :class:`Mismatch`;
+    the table-1 ones come first and count no family.  A family passes when
+    it has exactly one record and no mismatch; the records whose label has
+    no reference row fail as one family.
     """
     from .golden import golden_tables
 
     if records is None:
         records = build_all_records()
     tables = golden_tables()
+    threefolds = catalog()
+    if [row.id for row in tables.table1] != [z.id for z in threefolds]:
+        raise IntegrityError("reference table 1 does not list the catalogue "
+                             "ids 1..7 in order")
     labels = [row.label for row in tables.table2]
     if labels != [row.label for row in tables.table3]:
         raise IntegrityError("reference tables 2 and 3 list different families")
@@ -137,7 +141,8 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     for r in records:
         by_label.setdefault(r.label, []).append(r)
 
-    mismatches: list[Mismatch] = []
+    mismatches = [m for z, row in zip(threefolds, tables.table1)
+                  for m in _diff(f"Z_{z.id}", z, row._asdict())]
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
@@ -151,10 +156,7 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
         else:
             family = ([] if len(found) == 1 else
                       [Mismatch(label, "label", "1 record", f"{len(found)} records")])
-            record = found[0]
-            family += [Mismatch(label, key, want, computed)
-                       for key, want in expected.items()
-                       if (computed := getattr(record, key)) != want]
+            family += _diff(label, found[0], expected)
         if family:
             failed += 1
             mismatches.extend(family)
@@ -164,6 +166,13 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     mismatches += [Mismatch(r.label, "label", None, r.label)
                    for r in records if r.label in by_label]
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
+
+
+def _diff(family: str, row: object, expected: dict[str, object]) -> list[Mismatch]:
+    """A Mismatch for each key of ``expected`` that ``row`` differs on."""
+    return [Mismatch(family, key, want, computed)
+            for key, want in expected.items()
+            if (computed := getattr(row, key)) != want]
 
 
 _RECORD_FIELDS = frozenset(FamilyRecord._fields)

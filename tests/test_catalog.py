@@ -63,10 +63,10 @@ def test_chi_tangent_identity():
         assert z.h0_tangent - z.h1_tangent == z.minus_K3 // 2 - z.h12 - 17
 
 
+# a mistyped -K^3 (degree, index) is a table-1 mismatch in report.verify_all
 @pytest.mark.parametrize("z_id,change,message", [
-    (3, {"degree": 4}, "Z_3: i^3*delta = 32 != recorded -K^3 = 24"),
     (4, {"h1_tangent": 4}, "Z_4: h0(T)-h1(T) = -4 != chi(T) = -3"),
-], ids=["minus_K3_column", "chi_tangent"])
+], ids=["chi_tangent"])
 def test_catalogue_guards_fire(monkeypatch, z_id, change, message):
     rows = list(catalog_module._CATALOG)
     rows[z_id - 1] = rows[z_id - 1]._replace(**change)

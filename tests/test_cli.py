@@ -167,6 +167,54 @@ def test_verify_exit_two_on_internal_error(capsys, monkeypatch):
     assert "internal consistency error" in err
 
 
+def test_verify_exit_two_with_one_line_on_any_exception(capsys, monkeypatch):
+    def boom():
+        raise KeyError("K4")
+    monkeypatch.setattr(report, "verify_all", boom)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err == "internal error: KeyError: 'K4'\n"
+
+
+@pytest.mark.parametrize("field", [
+    name for name in golden.GoldenThreefold._fields if name != "id"])
+def test_verify_exit_one_on_a_tampered_table1_field(capsys, monkeypatch, field):
+    tables = golden_tables()
+    row = tables.table1[2]
+    value = getattr(row, field)
+    if isinstance(value, bool):
+        wrong = not value
+    elif isinstance(value, int):
+        wrong = value + 1
+    else:
+        wrong = "tampered"
+    tampered = tables._replace(
+        table1=tables.table1[:2] + (row._replace(**{field: wrong}),)
+        + tables.table1[3:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    assert out == (f"MISMATCH Z_3 {field}: expected {wrong}, computed {value}\n"
+                   "28/28 families match the reference tables\n")
+
+
+@pytest.mark.parametrize("change", [
+    lambda t1: (t1[1], t1[0]) + t1[2:],
+    lambda t1: t1[:-1],
+    lambda t1: t1[:3] + (t1[3]._replace(id=5),) + t1[4:],
+], ids=["swapped", "short", "id"])
+def test_verify_exit_two_on_a_misaligned_table1(capsys, monkeypatch, change):
+    tables = golden_tables()
+    misaligned = tables._replace(table1=change(tables.table1))
+    monkeypatch.setattr(golden, "golden_tables", lambda: misaligned)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency error: reference table 1 does not "
+                   "list the catalogue ids 1..7 in order\n")
+
+
 def test_verify_exit_two_on_misaligned_reference_tables(capsys, monkeypatch):
     tables = golden_tables()
     t3 = tables.table3

@@ -233,15 +233,46 @@ def test_float_and_bool_scalars_are_rejected():
         2.0 * curve(p, CurveGen.F)
     with pytest.raises(TypeError):
         from_alternate_basis(p, (0.5, 0, 0))
-    # classes built without divisor() or curve_combo() reach the common
-    # denominator helpers with the float still in them
-    direct_D = cones.DivisorClass((0.5, Fraction(1, 2), 0), p)
-    direct_C = cones.CurveClass(((CurveGen.F, 0.5),), p)
-    for call in (lambda: pairing(direct_D, curve(p, CurveGen.F)),
-                 lambda: to_alternate_basis(direct_D),
-                 lambda: pairing(divisor(p, Fraction(1, 2), 0, 0), direct_C)):
+    # the constructors themselves, and _make and _replace through them,
+    # refuse what divisor() and curve_combo() refuse
+    D = divisor(p, Fraction(1, 2), 0, 0)
+    C = curve(p, CurveGen.F)
+    for build in (lambda: cones.DivisorClass((0.5, Fraction(1, 2), 0), p),
+                  lambda: cones.DivisorClass._make(((0, 0, 0.5), p)),
+                  lambda: D._replace(coords=(0, 0.5, 0)),
+                  lambda: cones.CurveClass(((CurveGen.F, 0.5),), p),
+                  lambda: cones.CurveClass._make((((CurveGen.F, 0.5),), p)),
+                  lambda: C._replace(combo=((CurveGen.F, 0.5),))):
         with pytest.raises(TypeError, match="got float 0.5"):
-            call()
+            build()
+    with pytest.raises(TypeError, match="got bool True"):
+        cones.DivisorClass((True, 0, 0), p)
+    with pytest.raises(TypeError, match="got bool True"):
+        cones.CurveClass(((CurveGen.F, True),), p)
+
+
+def test_class_constructors_check_and_normalise():
+    p = FamilyParams(7, 0, 1)
+    half = Fraction(1, 2)
+    D = cones.DivisorClass((Fraction(2, 1), half, 0), p)
+    assert D.coords == (2, half, 0) and type(D.coords[0]) is int
+    assert D == divisor(p, 2, half, 0)
+    assert type(cones.DivisorClass([1, 2, 3], p).coords) is tuple
+    with pytest.raises(ValueError):
+        cones.DivisorClass((1, 2), p)
+    C = cones.CurveClass(((CurveGen.C_G, Fraction(4, 2)), (CurveGen.F, half),
+                          (CurveGen.F_HAT, 0)), p)
+    assert C.combo == ((CurveGen.F, half), (CurveGen.C_G, 2))
+    assert type(C.combo[1][1]) is int
+    assert C == curve_combo(p, {CurveGen.C_G: 2, CurveGen.F: half})
+    assert C._replace(context=FamilyParams(7, 1, 2)).combo == C.combo
+    with pytest.raises(TypeError, match="generator: 'bogus'"):
+        cones.CurveClass((("bogus", 1),), p)
+    # a repeated generator adds up, as in the sum of two classes
+    F = cones.CurveClass(((CurveGen.F, half), (CurveGen.F, half)), p)
+    assert F == curve(p, CurveGen.F) and type(F.combo[0][1]) is int
+    with pytest.raises(ValueError, match="negative"):
+        cones.CurveClass(((CurveGen.F, -half),), p)
 
 
 def test_classes_are_scaled_by_a_scalar_on_the_left_only():

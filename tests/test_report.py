@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import fano4.catalog as catalog_module
 import fano4.golden as golden
 from fano4.catalog import FamilyParams, catalog, enumerate_families
 from fano4.classify import BaseLocusKind, Rationality, ToricLabel
@@ -306,6 +307,46 @@ def test_verify_all_names_each_tampered_field(records, monkeypatch, table, field
         assert (result.pass_count, result.fail_count) == (27, 1), row.label
         assert result.mismatches == (
             Mismatch(row.label, field, getattr(bad, field), getattr(row, field)),)
+
+
+# the id is the join key: a tampered id misaligns table 1 (see test_cli)
+@pytest.mark.parametrize("field", [
+    name for name in golden.GoldenThreefold._fields if name != "id"])
+def test_verify_all_names_each_tampered_table1_field(records, monkeypatch, field):
+    tables = golden_tables()
+    rows = tables.table1
+    for k, row in enumerate(rows):
+        bad = row._replace(**{field: tampered_value(getattr(row, field))})
+        tampered = tables._replace(table1=rows[:k] + (bad,) + rows[k + 1:])
+        monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+        result = verify_all(records)
+        # a base 3-fold is no family: the 28 still pass, but the report fails
+        assert (result.pass_count, result.fail_count) == (28, 0), row.id
+        assert not result.ok
+        assert result.mismatches == (
+            Mismatch(f"Z_{row.id}", field, getattr(bad, field), getattr(row, field)),)
+
+
+def test_verify_all_names_a_mistyped_catalogue_degree(records, monkeypatch):
+    rows = list(catalog_module._CATALOG)
+    rows[2] = rows[2]._replace(degree=4)   # the cubic, with delta = 4
+    monkeypatch.setattr(catalog_module, "_CATALOG", tuple(rows))
+    result = verify_all(records)
+    assert (result.pass_count, result.fail_count) == (28, 0)
+    assert result.mismatches == (Mismatch("Z_3", "degree", 3, 4),
+                                 Mismatch("Z_3", "minus_K3", 24, 32))
+
+
+def test_table1_mismatches_come_first(records, monkeypatch):
+    tables = golden_tables()
+    tampered = tables._replace(
+        table1=(tables.table1[0]._replace(h12=20),) + tables.table1[1:],
+        table2=(tables.table2[0]._replace(K4=46),) + tables.table2[1:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+    result = verify_all(records)
+    assert (result.pass_count, result.fail_count) == (27, 1)
+    assert result.mismatches == (Mismatch("Z_1", "h12", 20, 21),
+                                 Mismatch("X^1_{0,1}", "K4", 46, 47))
 
 
 def test_verify_all_names_a_corrupted_toric_label(records):
