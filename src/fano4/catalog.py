@@ -197,9 +197,10 @@ def require_admissible(params: FamilyParams) -> None:
 def enumerate_families() -> list[FamilyParams]:
     """All 28 admissible triples, ordered by (z_id, a, d).
 
-    The admissibility constraints bound the search grid outright:
-    a <= i_Z - 1 and d <= 2*i_Z - 2.
+    The Fano bounds of the admissibility constraints bound the search grid
+    outright, a <= i_Z - 1 and d <= a + i_Z - 1; :func:`validate_params`
+    decides each triple of it.
     """
     return [p for z in _CATALOG for a in range(z.index)
-            for d in range(1, 2 * z.index - 1)
+            for d in range(1, a + z.index)
             if (p := FamilyParams(z.id, a, d)).is_admissible]

@@ -131,7 +131,8 @@ def h0_line_bundle(params: FamilyParams) -> int:
 def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int) -> int:
     """chi(T_X) = 27 - 5*h^0(-K) + K^4 + 3*b_2 - h^{1,2} - h^{2,2} + 3*h^{1,3},
     with b_2 = rho_X = 3."""
-    if any(type(v) is not int for v in (k4, h0_antiK, h12, h13, h22)):
+    if not (type(k4) is int and type(h0_antiK) is int and type(h12) is int
+            and type(h13) is int and type(h22) is int):
         raise TypeError("chi_tangent takes ints only")
     return 36 - 5 * h0_antiK + k4 - h12 - h22 + 3 * h13
 
@@ -170,9 +171,9 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     rigid = params.z_id == 7 and params.d <= 2
     if rigid:
         h1 = 0
-    bounds = TangentBounds(chi=chi, h1=h1,
-                           h1_is_exact=Z.h0_tangent == 0 or rigid)
-    for name, value in (("h1", bounds.h1), ("h0", bounds.h0)):
-        if value < 0:
-            raise IntegrityError(f"{params.label}: {name} = {value} < 0")
+    if h1 < 0:
+        raise IntegrityError(f"{params.label}: h1 = {h1} < 0")
+    bounds = TangentBounds(chi, h1, Z.h0_tangent == 0 or rigid)
+    if bounds.h0 < 0:
+        raise IntegrityError(f"{params.label}: h0 = {bounds.h0} < 0")
     return bounds

@@ -33,7 +33,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import FamilyParams, enumerate_families
+from .catalog import FamilyParams, catalog, enumerate_families
 from .errors import ConsistencyError, IntegrityError
 
 if TYPE_CHECKING:
@@ -127,8 +127,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for m in result.mismatches:
             print(f"MISMATCH {m.family} {m.field}: expected {m.expected}, "
                   f"computed {m.computed}")
-        print(f"{result.pass_count}/{result.pass_count + result.fail_count} "
-              f"families match the reference tables")
+        summary = (f"{result.pass_count}/{result.pass_count + result.fail_count}"
+                   f" families match the reference tables")
+        if failed := result.threefold_fail_count:
+            n = len(catalog())
+            summary += f"; {n - failed}/{n} base 3-folds match table 1"
+        print(summary)
     return 0 if result.ok else 1
 
 

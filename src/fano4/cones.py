@@ -31,7 +31,8 @@ All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
 which only rational input can produce; an integral ``Fraction`` is stored as
 an ``int``.  Scalars must be ``int`` or ``Fraction``: ``float`` and ``bool``
-raise ``TypeError``, from the class constructors too.
+raise ``TypeError``, from the class constructors too, which also refuse a
+context that is not a ``FamilyParams``.
 
 The multi-term sums of :func:`pairing`, :func:`to_alternate_basis` and
 :func:`from_alternate_basis` reduce once.  The coordinates are put over
@@ -112,12 +113,15 @@ class DivisorClass(checked_tuple("DivisorClass", [
     """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E).
 
     Each coordinate is an ``int``, or a ``Fraction`` only when it is not
-    integral: the constructor normalises them and refuses any other scalar.
+    integral: the constructor normalises them and refuses any other scalar,
+    and any context but a ``FamilyParams``.
     """
 
     __slots__ = ()
 
     def __new__(cls, coords: tuple, context: FamilyParams) -> DivisorClass:
+        if type(context) is not FamilyParams:
+            _not_a_family(context)
         x, y, z = coords
         if not (type(x) is int and type(y) is int and type(z) is int):
             coords = (_exact(x), _exact(y), _exact(z))
@@ -146,6 +150,11 @@ class DivisorClass(checked_tuple("DivisorClass", [
         return divisor(self.context, s * x, s * y, s * z)
 
 
+def _not_a_family(context: object) -> NoReturn:
+    raise TypeError(f"context must be a FamilyParams, got "
+                    f"{type(context).__name__} {context!r}")
+
+
 def _same_context(a: FamilyParams, b: FamilyParams) -> None:
     if a is not b and a != b:
         raise ContextMismatchError(f"mixed family contexts {a} and {b}")
@@ -164,14 +173,6 @@ def _divisor_coords(a: int, d: int) -> tuple[tuple[int, int, int], ...]:
 
 def _named(params: FamilyParams, k: int) -> DivisorClass:
     return DivisorClass(_divisor_coords(params.a, params.d)[k], params)
-
-
-def _add(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def _scale(s: int, u: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (s * u[0], s * u[1], s * u[2])
 
 
 def phi_star_H(params: FamilyParams) -> DivisorClass:
@@ -202,6 +203,9 @@ class CurveGen(ValueEnum):
 
 
 _CURVE_GENS = frozenset(CurveGen)
+# the members as module globals: reading one off its Enum class costs a
+# descriptor call on Python 3.11, and the record path reads them per family
+_F, _F_HAT, _C_G, _C_G_HAT = CurveGen
 
 
 class CurveClass(checked_tuple("CurveClass", [
@@ -211,12 +215,15 @@ class CurveClass(checked_tuple("CurveClass", [
     The constructor takes (generator, coefficient) pairs, as a tuple or
     ``dict.items()``.  It refuses a key that is no generator and a negative
     or inexact coefficient, and keeps each generator's non-zero sum, in
-    generator order, as an ``int`` unless it is not integral.
+    generator order, as an ``int`` unless it is not integral.  The context
+    must be a ``FamilyParams``.
     """
 
     __slots__ = ()
 
     def __new__(cls, combo: Collection, context: FamilyParams) -> CurveClass:
+        if type(context) is not FamilyParams:
+            _not_a_family(context)
         if len(combo) == 1:   # one generator: every class the records build
             (gen, c), = combo
             if type(c) is int and c > 0 and type(gen) is CurveGen:
@@ -286,8 +293,10 @@ def pairing(D: DivisorClass, C: CurveClass) -> Rational:
     least common denominator, and each coefficient of C over the running
     least common denominator of the coefficients so far.
     """
-    _same_context(D.context, C.context)
-    columns = _pairing_columns(D.context.a, D.context.d)
+    context = D.context
+    if C.context is not context:
+        _same_context(context, C.context)
+    columns = _pairing_columns(context.a, context.d)
     x, y, z = D.coords
     den = 1
     if not (type(x) is int and type(y) is int and type(z) is int):
@@ -303,7 +312,8 @@ def pairing(D: DivisorClass, C: CurveClass) -> Rational:
             common = lcm(cden, m)
             total = total * (common // cden) + n * (common // m) * value
             cden = common
-    return _reduced(total, den * cden)
+    den *= cden
+    return total if den == 1 else _reduced(total, den)
 
 
 def _alternate(a: int, d: int, coords: tuple) -> tuple:
@@ -344,10 +354,14 @@ def anticanonical(params: FamilyParams) -> DivisorClass:
     """
     require_admissible(params)
     i, a, d = params.threefold.index, params.a, params.d
-    h, ghat, e, g, _ = _divisor_coords(a, d)
+    (h0, h1, h2), (b0, b1, b2), (e0, e1, e2), (g0, g1, g2), _ = \
+        _divisor_coords(a, d)
+    s = i - a
     antiK = agree(params, "-K expressions", "(i-a)*phi*H+2*Ghat+E",
-                  _add(_add(_scale(i - a, h), _scale(2, ghat)), e),
-                  "i*phi*H+G+Ghat", _add(_add(_scale(i, h), g), ghat))
+                  (s * h0 + 2 * b0 + e0, s * h1 + 2 * b1 + e1,
+                   s * h2 + 2 * b2 + e2),
+                  "i*phi*H+G+Ghat",
+                  (i * h0 + g0 + b0, i * h1 + g1 + b1, i * h2 + g2 + b2))
     agree(params, "-K coordinates over (phi*H, G, Ehat)", "converted",
           _alternate(a, d, antiK), "closed form", (i + a - d, 2, 1))
     return DivisorClass(antiK, params)
@@ -355,10 +369,10 @@ def anticanonical(params: FamilyParams) -> DivisorClass:
 
 def _ne_kinds(a: int, d: int) -> tuple[CurveGen, ...]:
     if a == 0:
-        return (CurveGen.F, CurveGen.F_HAT, CurveGen.C_G_HAT)
+        return (_F, _F_HAT, _C_G_HAT)
     if a < d:
-        return (CurveGen.F, CurveGen.F_HAT, CurveGen.C_G, CurveGen.C_G_HAT)
-    return (CurveGen.F, CurveGen.F_HAT, CurveGen.C_G)
+        return (_F, _F_HAT, _C_G, _C_G_HAT)
+    return (_F, _F_HAT, _C_G)
 
 
 def ne_generators(params: FamilyParams) -> list[CurveClass]:
@@ -368,7 +382,7 @@ def ne_generators(params: FamilyParams) -> list[CurveClass]:
     out when a >= d.
     """
     require_admissible(params)
-    return [curve(params, g) for g in _ne_kinds(params.a, params.d)]
+    return [CurveClass(((g, 1),), params) for g in _ne_kinds(params.a, params.d)]
 
 
 class RayLabel(ValueEnum):
@@ -376,6 +390,9 @@ class RayLabel(ValueEnum):
     R2 = "R2"
     R3 = "R3"
     R4 = "R4"
+
+
+_R1, _R2, _R3, _R4 = RayLabel   # module globals, as _F .. _C_G_HAT
 
 
 class NefRay(NamedTuple):
@@ -406,34 +423,37 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
     """
     require_admissible(params)
     a, d = params.a, params.d
-    h, ghat, _, g, ehat = _divisor_coords(a, d)
+    h, ghat, _, (g0, g1, g2), (f0, f1, f2) = _divisor_coords(a, d)
+    h0, h1, h2 = h
     rays = [
-        (RayLabel.R1, "phi*H", h),
-        (RayLabel.R2, "G" if a == 0 else f"{a}*phi*H + G", _add(_scale(a, h), g)),
+        (_R1, "phi*H", h, "fibre type"),
+        (_R2, "G" if a == 0 else f"{a}*phi*H + G",
+         (a * h0 + g0, a * h1 + g1, a * h2 + g2), "divisorial"),
     ]
     if a >= d:
-        rays.append((RayLabel.R3, "Ghat", ghat))
+        rays.append((_R3, "Ghat", ghat, "divisorial"))
     else:
-        rays.append((RayLabel.R3, "G + Ehat", _add(g, ehat)))
+        rays.append((_R3, "G + Ehat", (g0 + f0, g1 + f1, g2 + f2),
+                     "divisorial"))
         if a > 0:
-            rays.append((RayLabel.R4, f"{d}*G + {a}*Ehat",
-                         _add(_scale(d, g), _scale(a, ehat))))
+            rays.append((_R4, f"{d}*G + {a}*Ehat",
+                         (d * g0 + a * f0, d * g1 + a * f1, d * g2 + a * f2),
+                         "divisorial"))
     columns = _pairing_columns(a, d)
     # each generator's column, looked up once per call rather than per ray
     kind_columns = [(kind, columns[kind]) for kind in _ne_kinds(a, d)]
     out = []
-    for label, name, coords in rays:
+    for label, name, coords, contraction in rays:
         x, y, z = coords
-        face = set()
+        face = []
         for kind, (p, q, r) in kind_columns:
             value = x * p + y * q + z * r
             if value == 0:
-                face.add(kind)
+                face.append(kind)
             elif value < 0:
                 raise ConsistencyError(
                     f"{params.label}: ray {name} pairs {value} < 0 with "
                     f"{kind.value}")
-        contraction = "fibre type" if label is RayLabel.R1 else "divisorial"
         out.append(NefRay(label, name, DivisorClass(coords, params),
                           frozenset(face), contraction))
     return out
@@ -469,7 +489,7 @@ def cone_data(params: FamilyParams) -> ConeData:
     if gcd(*degrees) != FANO_INDEX:
         raise ConsistencyError(
             f"{params.label}: -K degrees {degrees} have gcd != {FANO_INDEX}")
-    if any(v < 1 for v in degrees) or degrees[0] != 1:
+    if min(degrees) < 1 or degrees[0] != 1:
         raise ConsistencyError(
             f"{params.label}: -K degrees on NE generators are {degrees}")
     four_gens = 0 < params.a < params.d

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import FamilyParams, FanoThreefold
@@ -39,6 +40,11 @@ __all__ = [
     "hodge_of_surface",
     "hodge_of_fourfold",
 ]
+
+
+# the sort key of a term: its exponent pair, which no two terms share, so
+# the order is that of the whole terms, with cheaper comparisons
+_exponents = itemgetter(0)
 
 
 class HodgePolynomial:
@@ -69,13 +75,14 @@ class HodgePolynomial:
             if p < 0 or q < 0:
                 raise ValueError(f"negative exponent in term ({p},{q})")
             terms.append(((p, q), c))
-        terms.sort()
+        terms.sort(key=_exponents)
         self._terms = tuple(terms)
 
     @classmethod
     def _from_sums(cls, coeffs: dict[tuple[int, int], int]) -> "HodgePolynomial":
         poly = object.__new__(cls)
-        poly._terms = tuple(sorted([t for t in coeffs.items() if t[1]]))
+        poly._terms = tuple(sorted([t for t in coeffs.items() if t[1]],
+                                   key=_exponents))
         return poly
 
     def coeff(self, p: int, q: int) -> int:
@@ -98,16 +105,16 @@ class HodgePolynomial:
     def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
-        out = self.as_dict()
-        for pq, c in other.items():
+        out = dict(self._terms)
+        for pq, c in other._terms:
             out[pq] = out.get(pq, 0) + c
         return HodgePolynomial._from_sums(out)
 
     def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
-        out = self.as_dict()
-        for pq, c in other.items():
+        out = dict(self._terms)
+        for pq, c in other._terms:
             out[pq] = out.get(pq, 0) - c
         return HodgePolynomial._from_sums(out)
 
@@ -115,8 +122,8 @@ class HodgePolynomial:
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self.items():
-            for (p2, q2), c2 in other.items():
+        for (p1, q1), c1 in self._terms:
+            for (p2, q2), c2 in other._terms:
                 pq = (p1 + p2, q1 + q2)
                 out[pq] = out.get(pq, 0) + c1 * c2
         return HodgePolynomial._from_sums(out)
@@ -196,8 +203,14 @@ def surface_h02(params: FamilyParams) -> int:
 def surface_h11(params: FamilyParams) -> int:
     """h^{1,1} of a smooth surface A in |O_Z(d)|, via Noether's formula:
     h^{1,1} = 10 + 10*h^{0,2} - d*(d - i_Z)^2*delta."""
+    return _noether_h11(params, surface_h02(params))
+
+
+def _noether_h11(params: FamilyParams, h02: int) -> int:
+    """h^{1,1}(A) from h^{0,2}(A) by Noether's formula; IntegrityError
+    unless it is positive."""
     Z, d = params.threefold, params.d
-    value = 10 + 10 * surface_h02(params) - d * (d - Z.index) ** 2 * Z.degree
+    value = 10 + 10 * h02 - d * (d - Z.index) ** 2 * Z.degree
     if value <= 0:
         raise IntegrityError(f"{params.label}: h^{{1,1}}(A) = {value} <= 0")
     return value
@@ -227,7 +240,7 @@ def hodge_of_surface(params: FamilyParams) -> HodgePolynomial:
     return HodgePolynomial({
         (0, 0): 1, (2, 2): 1,
         (0, 2): h02, (2, 0): h02,
-        (1, 1): surface_h11(params),
+        (1, 1): _noether_h11(params, h02),
     })
 
 

@@ -95,24 +95,16 @@ def _check_ints(what: str, values: Iterable[int]) -> None:
             raise TypeError(f"{what}: expected ints, got {v!r}")
 
 
-def _ratio(numerator: int, denominator: int) -> int | Fraction:
-    """numerator/denominator exactly: an ``int`` when the division leaves no
-    remainder, else a Fraction."""
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        return Fraction(numerator, denominator)
-    return quotient
-
-
 def _as_int(numerator: int, denominator: int, what: str,
             family: FamilyParams | None = None) -> int:
     """numerator/denominator, or IntegrityError showing the exact p/q,
     after the family's label when there is a family."""
-    value = _ratio(numerator, denominator)
-    if type(value) is not int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
         where = "" if family is None else f"{family.label}: "
-        raise IntegrityError(f"{where}{what} = {value} is not an integer")
-    return value
+        raise IntegrityError(f"{where}{what} = "
+                             f"{Fraction(numerator, denominator)} is not an integer")
+    return quotient
 
 
 def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
@@ -157,15 +149,17 @@ def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
     else the exact Fraction; callers assert integrality where they are
     entitled to it.  A float or bool argument raises TypeError."""
     _check_ints("K^4, K^2.c2 and chi(O)", (K4, K2c2, chi_O))
-    return _ratio(12 * chi_O + 2 * K4 + K2c2, 12)
+    numerator = 12 * chi_O + 2 * K4 + K2c2
+    quotient, remainder = divmod(numerator, 12)
+    return Fraction(numerator, 12) if remainder else quotient
 
 
 def split_bundle_base(params: FamilyParams) -> BundleInput:
     """The :class:`BundleInput` for E = O_Z + O_Z(a): c1(E) = aH, c2(E) = 0,
     K_Z = -i*H, and K_Z.c2(Z) = -24 on any Fano 3-fold."""
     Z, a = params.threefold, params.a
-    return BundleInput(KW3=-Z.minus_K3, KW_c1sq=-Z.index * a * a * Z.degree,
-                       KW_c2E=0, KW_c2W=-24, chi_O=1)
+    # positional: KW3, KW_c1sq, KW_c2E, KW_c2W, chi_O
+    return BundleInput(-Z.minus_K3, -Z.index * a * a * Z.degree, 0, -24, 1)
 
 
 def surface_centre(params: FamilyParams) -> BlowupCentreData:
@@ -177,12 +171,13 @@ def surface_centre(params: FamilyParams) -> BlowupCentreData:
     """
     Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
+    # positional: KYV_sq, KV_KYV, KV_sq, c2N, chi_OV
     return BlowupCentreData(
-        KYV_sq=d * delta * (a + i) ** 2,
-        KV_KYV=-d * delta * (a + i) * (d - i),
-        KV_sq=d * delta * (d - i) ** 2,
-        c2N=a * d * d * delta,
-        chi_OV=1 + surface_h02(params),
+        d * delta * (a + i) ** 2,
+        -d * delta * (a + i) * (d - i),
+        d * delta * (d - i) ** 2,
+        a * d * d * delta,
+        1 + surface_h02(params),
     )
 
 

@@ -8,8 +8,8 @@ data of the same build, through ``_record_and_cones``.  A
 :class:`FamilyRecord` is the row: the json and csv exports write its fields,
 ``fano4 info`` prints them, and :func:`verify_all` compares them, and the
 catalogue rows, with the reference rows, which use the same names.  Records
-and reference rows are ``typing.NamedTuple`` classes: ``_fields`` lists the
-record fields, and ``_asdict`` gives a reference row's values.  Mismatches
+and reference rows are ``typing.NamedTuple`` classes: each diff runs over a
+reference row's ``_fields``, which must all be record fields.  Mismatches
 are data, never exceptions, so a red table is an ordinary result, not a
 crash; only reference tables that are misaligned or name a field no record
 has raise IntegrityError.
@@ -78,17 +78,16 @@ def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeDat
     hdg = hodge_of_fourfold(params)
     tangent = classify.tangent_bounds(params, classify.chi_tangent(
         inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
+    z_id, a, d = params
+    # positional, in FamilyRecord field order
     record = FamilyRecord(
-        z_id=params.z_id, a=params.a, d=params.d, label=params.label,
-        K4=inv.K4, K2c2=inv.K2c2, h0_antiK=inv.h0_antiK,
-        h12=hdg.h12, h13=hdg.h13, h22=hdg.h22,
-        base_locus=classify.base_locus(params),
-        rationality=classify.rationality(params),
-        toric_label=classify.toric_label(params),
-        fibre_like=cones.is_fibre_like(params),
-        chi_T=tangent.chi, h0_T=tangent.h0, h1_T=tangent.h1,
-        h0_T_is_exact=tangent.h1_is_exact, h1_T_is_exact=tangent.h1_is_exact,
-        ne_generator_count=len(cone.generators), nef_ray_count=len(cone.rays))
+        z_id, a, d, params.label, inv.K4, inv.K2c2, inv.h0_antiK,
+        hdg.h12, hdg.h13, hdg.h22,
+        classify.base_locus(params), classify.rationality(params),
+        classify.toric_label(params), cones.is_fibre_like(params),
+        tangent.chi, tangent.h0, tangent.h1,
+        tangent.h1_is_exact, tangent.h1_is_exact,
+        len(cone.generators), len(cone.rays))
     return record, cone
 
 
@@ -111,6 +110,12 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.fail_count == 0 and not self.mismatches
+
+    @property
+    def threefold_fail_count(self) -> int:
+        """How many base 3-folds (family ``Z_<id>``) differ from table 1."""
+        return len({m.family for m in self.mismatches
+                    if m.family.startswith("Z_")})
 
 
 def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
@@ -142,12 +147,13 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
         by_label.setdefault(r.label, []).append(r)
 
     mismatches = [m for z, row in zip(threefolds, tables.table1)
-                  for m in _diff(f"Z_{z.id}", z, row._asdict())]
+                  for m in _diff(f"Z_{z.id}", z, row)]
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
-        expected = {**family_row._asdict(), **tangent_row._asdict()}
-        if unknown := expected.keys() - _RECORD_FIELDS:
+        if not (_RECORD_FIELDS.issuperset(family_row._fields)
+                and _RECORD_FIELDS.issuperset(tangent_row._fields)):
+            unknown = {*family_row._fields, *tangent_row._fields} - _RECORD_FIELDS
             raise IntegrityError(f"reference row {label} names fields no "
                                  f"record has: {', '.join(sorted(unknown))}")
         found = by_label.pop(label, [])
@@ -156,7 +162,10 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
         else:
             family = ([] if len(found) == 1 else
                       [Mismatch(label, "label", "1 record", f"{len(found)} records")])
-            family += _diff(label, found[0], expected)
+            # both rows hold the label, which the tables' alignment check
+            # has matched already; the record found by it equals it too
+            family += _diff(label, found[0], family_row)
+            family += _diff(label, found[0], tangent_row)
         if family:
             failed += 1
             mismatches.extend(family)
@@ -168,11 +177,15 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
 
 
-def _diff(family: str, row: object, expected: dict[str, object]) -> list[Mismatch]:
-    """A Mismatch for each key of ``expected`` that ``row`` differs on."""
-    return [Mismatch(family, key, want, computed)
-            for key, want in expected.items()
-            if (computed := getattr(row, key)) != want]
+def _diff(family: str, row: object, expected: tuple) -> list[Mismatch]:
+    """A Mismatch for each field of the reference row ``expected`` that
+    ``row`` differs on."""
+    fields = expected._fields
+    computed = attrgetter(*fields)(row)
+    if computed == expected:   # a matching row costs one tuple comparison
+        return []
+    return [Mismatch(family, key, want, got)
+            for key, want, got in zip(fields, expected, computed) if got != want]
 
 
 _RECORD_FIELDS = frozenset(FamilyRecord._fields)
@@ -211,7 +224,8 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         # spliced in.  An encoded string never holds a raw newline, so
         # "},\n    {" occurs only between two rows.
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        rows = encode([dict(zip(EXPORT_FIELDS, _row(r))) for r in records])
+        # zip stops at the last of EXPORT_FIELDS, before the cone sizes
+        rows = encode([dict(zip(EXPORT_FIELDS, r)) for r in records])
         return ("[\n  {\n    "
                 + rows[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
                 + "\n  }\n]\n").encode("utf-8")

@@ -266,6 +266,14 @@ def test_enumerate_matches_validate_on_large_grid():
                     validate_params(z.id, a, d)
 
 
+def test_enumerate_search_grid_loses_no_family():
+    # enumerate_families searches d <= a + i_Z - 1 only; validate_params
+    # over a grid past both Fano bounds admits the same triples, in order
+    admitted = [(z.id, a, d) for z in catalog() for a in range(8)
+                for d in range(1, 14) if validate_params(z.id, a, d)]
+    assert admitted == [tuple(p) for p in enumerate_families()]
+
+
 def test_enumerate_degree_bound():
     for p in enumerate_families():
         assert p.d <= 2 * p.threefold.index - 2

@@ -176,6 +176,24 @@ def test_tangent_bounds_gives_only_bounds_for_grassmannian_section():
     assert not t.h1_is_exact
 
 
+def test_tangent_bounds_refuses_a_negative_h0():
+    # h1 = 36 over the weighted sextic, so chi = -36 leaves h0 = 0 and one
+    # less leaves h0 < 0 (the h1 guard is reached in test_report)
+    assert tangent_bounds(FamilyParams(1, 0, 1), chi=-36).h0 == 0
+    with pytest.raises(IntegrityError) as exc:
+        tangent_bounds(FamilyParams(1, 0, 1), chi=-37)
+    assert str(exc.value) == "X^1_{0,1}: h0 = -1 < 0"
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_chi_tangent_refuses_a_bool_in_each_position(position):
+    args = [100, 5, 0, 0, 0]
+    assert chi_tangent(*args) == 111
+    args[position] = True
+    with pytest.raises(TypeError, match="ints only"):
+        chi_tangent(*args)
+
+
 def test_tangent_bounds_arithmetic_invariants():
     from fano4.report import build_all_records
     for r in build_all_records():

@@ -275,6 +275,24 @@ def test_class_constructors_check_and_normalise():
         cones.CurveClass(((CurveGen.F, -half),), p)
 
 
+def test_divisor_class_refuses_a_context_that_is_no_family():
+    # a plain triple equals the FamilyParams it copies, so it would pass the
+    # context comparison of a sum and fail only inside pairing
+    with pytest.raises(TypeError, match="context must be a FamilyParams, "
+                                        "got tuple"):
+        cones.DivisorClass((1, 0, 0), (7, 0, 1))
+    with pytest.raises(TypeError, match="FamilyParams"):
+        phi_star_H(FamilyParams(7, 0, 1))._replace(context=(7, 0, 1))
+
+
+def test_curve_class_refuses_a_context_that_is_no_family():
+    # the one-generator fast path and the general path both check it
+    for combo in (((CurveGen.F, 1),), ((CurveGen.F, 1), (CurveGen.C_G, 2))):
+        with pytest.raises(TypeError, match="context must be a FamilyParams, "
+                                            "got tuple"):
+            cones.CurveClass(combo, (7, 0, 1))
+
+
 def test_classes_are_scaled_by_a_scalar_on_the_left_only():
     # a class is a tuple underneath: class * int must not repeat it, and
     # tuple + class must not join them

@@ -253,9 +253,11 @@ def test_integrity_error_for_impossible_surface(monkeypatch):
     monkeypatch.setattr(catalog_module, "_CATALOG",
                         (*catalog_module._CATALOG[:6], fake))
     # 10 + 10*binom(5, 3) - 6*(6-4)^2*60 = -1330
-    with pytest.raises(IntegrityError) as exc:
-        surface_h11(FamilyParams(7, 0, 6))
-    assert str(exc.value) == "X^7_{0,6}: h^{1,1}(A) = -1330 <= 0"
+    # reached directly, and through e(A) on the way to the 4-fold
+    for fn in (surface_h11, hodge_of_fourfold):
+        with pytest.raises(IntegrityError) as exc:
+            fn(FamilyParams(7, 0, 6))
+        assert str(exc.value) == "X^7_{0,6}: h^{1,1}(A) = -1330 <= 0"
 
 
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True, Fraction(0)],

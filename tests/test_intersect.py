@@ -319,10 +319,30 @@ def test_split_bundle_base_specialization():
 def test_closed_forms_reject_non_int_twist(bad):
     # the closed forms take a FamilyParams, whose constructor is the one
     # place a twist or degree is type-checked
-    for fn in (k4_closed_terms, closed_k4, closed_k2c2, closed_chi_antiK):
+    with pytest.raises(TypeError):
+        FamilyParams(7, bad, 1)
+    with pytest.raises(TypeError):
+        FamilyParams(7, 1, bad)
+    # the raw-number operations the closed forms are checked against take
+    # numbers, not a family: each refuses a bad one in every entry the twist
+    # reaches
+    p = FamilyParams(7, 1, 1)
+    base, centre = p1_bundle_invariants(p), surface_centre(p)
+    for call in (
+            lambda: projective_bundle_invariants(
+                split_bundle_base(p)._replace(KW_c1sq=bad)),
+            lambda: surface_blowup_invariants(base._replace(K4=bad), centre),
+            lambda: surface_blowup_invariants(base._replace(K2c2=bad), centre),
+            lambda: surface_blowup_invariants(
+                base._replace(chi_antiK=bad), centre),
+            lambda: surface_blowup_invariants(
+                base, centre._replace(KYV_sq=bad)),
+            lambda: surface_blowup_invariants(
+                base, centre._replace(KV_KYV=bad)),
+            lambda: surface_blowup_invariants(base, centre._replace(c2N=bad)),
+            lambda: riemann_roch_chi(bad, 0, 1),
+            lambda: riemann_roch_chi(0, bad, 1)):
         with pytest.raises(TypeError):
-            fn(FamilyParams(7, bad, 1))
-        with pytest.raises(TypeError):
-            fn(FamilyParams(7, 1, bad))
+            call()
     assert closed_k4(FamilyParams(7, 1, 1)) == \
         closed_k4(FamilyParams(7, int(True), 1))

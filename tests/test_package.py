@@ -159,31 +159,42 @@ def test_star_import_binds_every_public_name():
     assert namespace["verify_all"] is fano4.report.verify_all
 
 
-def _twist(bad):
-    return fano4.FamilyParams(7, bad, 1)
+def _blowup(bad, base_entry=None, centre_entry=None):
+    """surface_blowup_invariants on the bundle degrees and the blow-up
+    centre of X^7_{1,2}, with one entry of either replaced by ``bad``."""
+    p = fano4.FamilyParams(7, 1, 2)
+    base = fano4.p1_bundle_invariants(p)
+    centre = fano4.intersect.surface_centre(p)
+    if base_entry:
+        base = base._replace(**{base_entry: bad})
+    if centre_entry:
+        centre = centre._replace(**{centre_entry: bad})
+    return fano4.surface_blowup_invariants(base, centre)
 
 
-def _degree(bad):
-    return fano4.FamilyParams(7, 1, bad)
-
-
-#: one entry point per public function an int reaches; a family's twist and
-#: degree enter through the FamilyParams the family-level functions take
+#: one entry point per public function an int reaches.  A family's twist and
+#: degree are type-checked once, by the FamilyParams constructor that every
+#: family-level function takes (tests/test_catalog.py), so the entry of a
+#: family-level function puts the bad value where its output enters a
+#: raw-number operation instead
 NON_INT_ENTRIES = {
-    "surface_h02": lambda bad: fano4.surface_h02(_degree(bad)),
-    "surface_h11": lambda bad: fano4.surface_h11(_degree(bad)),
-    "hodge_of_fourfold": lambda bad: fano4.hodge_of_fourfold(_degree(bad)),
+    # chi(O_A) = 1 + h^{0,2}(A)
+    "surface_h02": lambda bad: _blowup(bad, centre_entry="chi_OV"),
+    # K_A^2, which Noether's formula turns into h^{1,1}(A)
+    "surface_h11": lambda bad: _blowup(bad, centre_entry="KV_sq"),
+    # chi(O_X), the alternating sum of the h^{0,q}(X)
+    "hodge_of_fourfold": lambda bad: fano4.riemann_roch_chi(100, 4, bad),
     "projective_space": lambda bad: fano4.projective_space(bad),
     "bundle_formula": lambda bad: fano4.bundle_formula(
         fano4.projective_space(1), bad),
-    "split_bundle_base": lambda bad: fano4.intersect.split_bundle_base(
-        _twist(bad)),
-    "surface_centre_a": lambda bad: fano4.intersect.surface_centre(
-        _twist(bad)),
-    "surface_centre_d": lambda bad: fano4.intersect.surface_centre(
-        _degree(bad)),
-    "p1_bundle_invariants": lambda bad: fano4.p1_bundle_invariants(
-        _twist(bad)),
+    # K_Z . c1(E)^2 = -i*a^2*delta, the one bundle entry the twist reaches
+    "split_bundle_base": lambda bad: fano4.projective_bundle_invariants(
+        fano4.intersect.split_bundle_base(fano4.FamilyParams(7, 1, 2))
+        ._replace(KW_c1sq=bad)),
+    # c2(N) = a*d^2*delta and (K_Y|A)^2 = d*delta*(a+i)^2
+    "surface_centre_a": lambda bad: _blowup(bad, centre_entry="c2N"),
+    "surface_centre_d": lambda bad: _blowup(bad, centre_entry="KYV_sq"),
+    "p1_bundle_invariants": lambda bad: _blowup(bad, base_entry="chi_antiK"),
     "chi_tangent_k4": lambda bad: fano4.chi_tangent(bad, 5, 0, 0, 0),
     "chi_tangent_h22": lambda bad: fano4.chi_tangent(100, 5, 0, 0, bad),
     "tangent_bounds": lambda bad: fano4.tangent_bounds(

@@ -178,9 +178,9 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
                 monkeypatch.setattr(module, attr, wrapper)
     build_all_records()
     # validate_params runs once per triple of enumerate_families' grid: the
-    # 28 families and 28 rejected triples, each built once as a FamilyParams
+    # 28 families and 14 rejected triples, each built once as a FamilyParams
     validated = calls["validate_params"]
-    assert sum(validated.values()) == 56
+    assert sum(validated.values()) == 42
     assert set(validated.values()) == {1}
     # _check_ints guards only the three raw-number operations of each record
     assert sum(calls["_check_ints"].values()) == 3 * 28
