@@ -51,21 +51,21 @@ class BaseLocusKind(ValueEnum):
         return _BASE_LOCUS_TEXT[self]
 
 
-_BASE_LOCUS_TEXT = {
-    BaseLocusKind.EMPTY: "empty",
-    BaseLocusKind.ONE_POINT: "{Q0}",
-    BaseLocusKind.TWO_POINTS: "{Q1, Q2}",
-}
+# the members as module globals: reading one off its Enum class costs a
+# descriptor call on Python 3.11, and the record path reads them per family
+_EMPTY, _ONE_POINT, _TWO_POINTS = BaseLocusKind
+_H_EMPTY = HBaseLocus.EMPTY
+
+_BASE_LOCUS_TEXT = {_EMPTY: "empty", _ONE_POINT: "{Q0}", _TWO_POINTS: "{Q1, Q2}"}
 
 
 def base_locus(params: FamilyParams) -> BaseLocusKind:
     """Base locus of |-K_X|: empty whenever |H| on Z is free, else one point
     for (a, d) = (0, 1) and two for (1, 2) (the only such Z is z_id 1)."""
     require_admissible(params)
-    if params.threefold.base_locus_H is HBaseLocus.EMPTY:
-        return BaseLocusKind.EMPTY
-    return (BaseLocusKind.ONE_POINT if (params.a, params.d) == (0, 1)
-            else BaseLocusKind.TWO_POINTS)
+    if params.threefold.base_locus_H is _H_EMPTY:
+        return _EMPTY
+    return _ONE_POINT if (params.a, params.d) == (0, 1) else _TWO_POINTS
 
 
 class Rationality(ValueEnum):
@@ -73,6 +73,9 @@ class Rationality(ValueEnum):
     VERY_GENERAL_NOT_RATIONAL = "very_general_not_rational"
     UNKNOWN = "unknown"
     TORIC = "toric"
+
+
+_RATIONAL, _VERY_GENERAL_NOT_RATIONAL, _UNKNOWN, _TORIC_RATIONALITY = Rationality
 
 
 class ToricLabel(ValueEnum):
@@ -105,12 +108,12 @@ def rationality(params: FamilyParams) -> Rationality:
     """
     require_admissible(params)
     if (params.z_id, params.a, params.d) in _TORIC:
-        return Rationality.TORIC
+        return _TORIC_RATIONALITY
     if params.threefold.rational:
-        return Rationality.RATIONAL
+        return _RATIONAL
     if params.z_id == 3:
-        return Rationality.UNKNOWN
-    return Rationality.VERY_GENERAL_NOT_RATIONAL
+        return _UNKNOWN
+    return _VERY_GENERAL_NOT_RATIONAL
 
 
 def h0_line_bundle(params: FamilyParams) -> int:

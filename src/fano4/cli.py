@@ -14,6 +14,10 @@ Subcommands:
 Every command exits 2 with one line on stderr on any exception, such as
 output that cannot be written: exit 1 means a mismatch only.
 
+The ``fano4`` command and ``python -m fano4.cli`` exit through :func:`run`,
+which ends the process as soon as the output is flushed; :func:`main` returns
+the exit code, for tests and in-process callers.
+
 All numeric output is exact; non-integral rationals (which only the pairing
 displays could ever produce) are rendered as p/q.
 
@@ -28,9 +32,10 @@ anyway, so no command loads ``dataclasses`` or, through it, ``inspect``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .catalog import FamilyParams, catalog, enumerate_families
@@ -39,7 +44,7 @@ from .errors import ConsistencyError, IntegrityError
 if TYPE_CHECKING:
     from . import cones
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _family_arg(args: argparse.Namespace) -> FamilyParams:
@@ -218,14 +223,39 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write {exc.filename or 'standard output'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
-        if exc.filename is None:  # so the interpreter's last flush cannot fail
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry point: :func:`main`, then an immediate exit.
+
+    A ``SystemExit`` from ``main`` (argparse's ``--help``, ``--version`` and
+    usage errors, or a bad family triple) gives its int code, and ``None``
+    gives 0, as with ``sys.exit``.  The ``atexit`` handlers run (through
+    CPython's ``atexit._run_exitfuncs``), since coverage tools and ``site``
+    hooks rely on them, and both standard streams are flushed; a flush that
+    fails is ignored, since ``main`` has flushed stdout already and reported
+    any failure.  Then ``os._exit`` ends the process, skipping the
+    interpreter's teardown: the unloading of every module and the final
+    garbage collection.  No ``fano4`` code holds a file, a thread or a
+    handler at that point.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code or 0   # argparse and _family_arg exit with an int
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None: the stream was closed at start
+                stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

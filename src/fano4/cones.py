@@ -398,7 +398,8 @@ _R1, _R2, _R3, _R4 = RayLabel   # module globals, as _F .. _C_G_HAT
 class NefRay(NamedTuple):
     """An extremal ray of the nef cone.
 
-    ``vanishing_face`` lists the NE generators the ray generator annihilates.
+    ``vanishing_face`` lists the NE generators the ray generator annihilates,
+    in :func:`ne_generators` order, so its repr is the same in every run.
     ``contraction`` is a hard-coded label: "fibre type" for R1 (the conic
     bundle onto Z), "divisorial" otherwise.  It is wrong for R2 = G when
     a = 0 (10 families), where G moves in a free pencil and maps X onto P^1.
@@ -407,7 +408,7 @@ class NefRay(NamedTuple):
     label: RayLabel
     name: str
     generator: DivisorClass
-    vanishing_face: frozenset[CurveGen]
+    vanishing_face: tuple[CurveGen, ...]
     contraction: str
 
 
@@ -455,7 +456,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
                     f"{params.label}: ray {name} pairs {value} < 0 with "
                     f"{kind.value}")
         out.append(NefRay(label, name, DivisorClass(coords, params),
-                          frozenset(face), contraction))
+                          tuple(face), contraction))
     return out
 
 
@@ -532,8 +533,11 @@ class FibreLike(ValueEnum):
     UNDETERMINED = "undetermined"
 
 
+_NOT_FIBRE_LIKE, _UNDETERMINED = FibreLike   # module globals, as _F .. _C_G_HAT
+
+
 def is_fibre_like(params: FamilyParams) -> FibreLike:
     require_admissible(params)
     if 2 * params.a != params.d:
-        return FibreLike.NOT_FIBRE_LIKE
-    return FibreLike.UNDETERMINED
+        return _NOT_FIBRE_LIKE
+    return _UNDETERMINED

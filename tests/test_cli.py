@@ -349,3 +349,103 @@ def test_unknown_format_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["export", "--format", "xml"])
     assert exc.value.code == 2
+
+
+# The process entry point: each test below runs one fresh interpreter that
+# exits through cli.run(); most compare what it wrote with the in-process main.
+
+def run_process(*argv: str, script: str | None = None
+                ) -> subprocess.CompletedProcess:
+    """``python -m fano4.cli argv``, or ``python -c script argv`` when a
+    script is given (``sys.argv[1:]`` is then ``argv``, as ``main`` reads)."""
+    command = ["-m", "fano4.cli"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *command, *argv],
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC),
+                                   COLUMNS="80"),
+                          timeout=120)
+
+
+def in_process(capsys, monkeypatch, *argv: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``main(argv)``; a
+    ``SystemExit`` gives its code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["list"], ["verify"], ["--help"],
+                                  ["--version"]], ids=" ".join)
+def test_run_exits_zero_with_the_output_of_main(capsys, monkeypatch, argv):
+    result = run_process(*argv)
+    assert result.returncode == 0, result.stderr
+    code, out, err = in_process(capsys, monkeypatch, *argv)
+    assert code == 0
+    assert (result.stdout.decode(), result.stderr.decode()) == (out, err)
+
+
+def test_run_exits_one_on_a_tampered_table2_value():
+    script = """
+import fano4.golden as golden
+from fano4.cli import run
+tables = golden.golden_tables()
+row = tables.table2[0]
+tampered = tables._replace(
+    table2=(row._replace(K4=row.K4 + 1),) + tables.table2[1:])
+golden.golden_tables = lambda: tampered
+run()
+"""
+    result = run_process("verify", script=script)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.decode().splitlines() == [
+        "MISMATCH X^1_{0,1} K4: expected 48, computed 47",
+        "27/28 families match the reference tables"]
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["info", "9", "0", "1"], "error: z_id must be in 1..7, got 9\n"),
+    (["cones", "7", "5", "1"], "error: (z_id=7, a=5, d=1) is not an "
+     "admissible family; run 'list' for the 28 admissible triples\n"),
+    # argparse words its usage errors differently across Python versions
+    (["export", "--format", "xml"], None),
+], ids=["malformed", "inadmissible", "usage"])
+def test_run_exits_two_with_the_error_of_main(capsys, monkeypatch, argv,
+                                              stderr):
+    result = run_process(*argv)
+    code, out, err = in_process(capsys, monkeypatch, *argv)
+    assert (result.returncode, code) == (2, 2)
+    assert result.stdout == b"" and out == ""
+    assert result.stderr.decode() == err == (stderr or err)
+
+
+def test_run_pipes_the_export_bytes_in_full():
+    result = run_process("export", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == report.export(report.build_all_records(), "json")
+
+
+def test_run_calls_the_atexit_handlers():
+    script = """
+import atexit
+from fano4.cli import run
+atexit.register(print, "atexit handler ran")
+run()
+"""
+    result = run_process("list", script=script)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.decode().splitlines()
+    assert len(lines) == 29 and lines[-1] == "atexit handler ran"
+
+
+def test_run_reports_a_stdout_closed_at_start():
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m fano4.cli list >&-', sys.executable],
+        stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("internal error: AttributeError: ")
+    assert len(result.stderr.splitlines()) == 1

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -428,7 +432,8 @@ def test_nef_ray_count_matches_ne_count(dual_cone):
         primitive = {}
         for ray in rays:
             coords = ray.generator.coords
-            primitive[tuple(c // gcd(*coords) for c in coords)] = ray.vanishing_face
+            primitive[tuple(c // gcd(*coords) for c in coords)] = \
+                frozenset(ray.vanishing_face)
         assert primitive == dual, p.label
         assert len(rays) == len(generators) == len(dual)
 
@@ -588,3 +593,20 @@ def test_is_fano_amplitude_check_fires_and_names_the_family(monkeypatch):
         is_fano(p)
     assert str(exc.value) == ("X^7_{2,4}: Fano verdicts disagree: amplitude "
                               "test False, index bounds True")
+
+
+def test_cone_data_repr_is_the_same_under_any_hash_seed():
+    # a set-valued field would iterate in a per-interpreter order
+    script = ("import hashlib; from fano4 import cones, catalog; "
+              "print(hashlib.sha256(repr([cones.cone_data(p) for p in "
+              "catalog.enumerate_families()]).encode()).hexdigest())")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            timeout=120)
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
