@@ -19,11 +19,10 @@ the record says so explicitly; no exact value is ever invented.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .catalog import FamilyParams, HBaseLocus, ValueEnum, require_admissible
-from .errors import IntegrityError
+from .errors import at_least, integral
 
 __all__ = [
     "BaseLocusKind",
@@ -120,15 +119,12 @@ def h0_line_bundle(params: FamilyParams) -> int:
     """h^0(O_Z(d)) = 1 + 2d/i + (d*delta/12)(i^2 + 3di + 2d^2), by
     Riemann-Roch plus Kodaira vanishing, for any twist a and any d >= 1.
     The integer numerator over 12i must divide to a positive integer, else
-    IntegrityError shows the p/q."""
+    IntegrityError."""
     Z, d = params.threefold, params.d
     i, delta = Z.index, Z.degree
     numerator = 12 * i + 24 * d + d * delta * i * (i * i + 3 * d * i + 2 * d * d)
-    value, remainder = divmod(numerator, 12 * i)
-    if remainder or value <= 0:
-        raise IntegrityError(f"{params.label}: h^0(O_Z(d)) = "
-                             f"{Fraction(numerator, 12 * i)}")
-    return value
+    return at_least(params, "h^0(O_Z(d))",
+                    integral(params, "h^0(O_Z(d))", numerator, 12 * i), 1)
 
 
 def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int) -> int:
@@ -174,9 +170,7 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     rigid = params.z_id == 7 and params.d <= 2
     if rigid:
         h1 = 0
-    if h1 < 0:
-        raise IntegrityError(f"{params.label}: h1 = {h1} < 0")
-    bounds = TangentBounds(chi, h1, Z.h0_tangent == 0 or rigid)
-    if bounds.h0 < 0:
-        raise IntegrityError(f"{params.label}: h0 = {bounds.h0} < 0")
+    bounds = TangentBounds(chi, at_least(params, "h1", h1, 0),
+                           Z.h0_tangent == 0 or rigid)
+    at_least(params, "h0", bounds.h0, 0)
     return bounds

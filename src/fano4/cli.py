@@ -12,7 +12,8 @@ Subcommands:
 * ``cones``   -- curve/nef cone generators and pairings for one family.
 
 Every command exits 2 with one line on stderr on any exception, such as
-output that cannot be written: exit 1 means a mismatch only.
+output that cannot be written or a standard output closed at start: exit 1
+means a mismatch only.  An unwritable stderr loses that line, not the code.
 
 The ``fano4`` command and ``python -m fano4.cli`` exit through :func:`run`,
 which ends the process as soon as the output is flushed; :func:`main` returns
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
@@ -213,20 +215,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        if sys.stdout is None:   # closed at start: print would drop the output
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
     except (ConsistencyError, IntegrityError) as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return 2
+        message = f"internal consistency error: {exc}"
     except OSError as exc:
-        print(f"error: cannot write {exc.filename or 'standard output'}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return 2
+        message = (f"error: cannot write {exc.filename or 'standard output'}: "
+                   f"{exc.strerror or exc}")
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        message = f"internal error: {type(exc).__name__}: {exc}"
+    try:
+        print(message, file=sys.stderr)
+    except OSError:   # stderr is unwritable too: the exit code still says 2
+        pass
+    return 2
 
 
 def run() -> NoReturn:

@@ -24,8 +24,8 @@ N_G = O_Z(-a), N_Ghat = O_Z(-(d-a)):
 The effective curve cone NE(X) needs only three of the four generators unless
 0 < a < d; the nef cone is its dual, with three or four extremal rays.
 :func:`cone_data` computes -K, the NE generators, the nef rays and the -K
-degrees once per family, and runs every cone cross-check on them; each
-failure raises ``ConsistencyError`` naming the family.
+degrees once per family, and runs every cone check on them; each failure
+names the family, and :mod:`fano4.errors` picks its class.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import Collection, Mapping, NamedTuple, NoReturn
 
 from .catalog import FamilyParams, ValueEnum, checked_tuple, require_admissible
-from .errors import ConsistencyError, ContextMismatchError, agree
+from .errors import ContextMismatchError, agree, at_least
 
 __all__ = [
     "DivisorClass",
@@ -420,7 +420,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
     ray is Ghat instead.  Faces are computed from the pairing of each ray with
     the NE generators of :func:`ne_generators`, read as their kinds without
     building the curve classes.  A ray that pairs negatively with a generator
-    raises ``ConsistencyError``.
+    raises ``IntegrityError``.
     """
     require_admissible(params)
     a, d = params.a, params.d
@@ -451,10 +451,8 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
             value = x * p + y * q + z * r
             if value == 0:
                 face.append(kind)
-            elif value < 0:
-                raise ConsistencyError(
-                    f"{params.label}: ray {name} pairs {value} < 0 with "
-                    f"{kind.value}")
+            elif value < 0:   # the quantity's name is built on failure only
+                at_least(params, f"{name} . {kind.value}", value, 0)
         out.append(NefRay(label, name, DivisorClass(coords, params),
                           tuple(face), contraction))
     return out
@@ -476,30 +474,23 @@ class ConeData(NamedTuple):
 
 def cone_data(params: FamilyParams) -> ConeData:
     """-K, the NE generators, the nef rays and the -K degrees of one family,
-    each computed once, with every cone cross-check run on them.
+    each computed once, with every cone check run on them.
 
-    Besides the checks of :func:`anticanonical` and :func:`nef_rays`: the -K
-    degrees have gcd equal to the Fano index, they are all >= 1 and the first
-    (on F) is 1, and there are four generators and four rays when 0 < a < d,
-    three of each otherwise.
+    Besides the checks of :func:`anticanonical` and :func:`nef_rays`, the -K
+    degrees have gcd the Fano index, no value below 1 and the value 1 on F
+    (the first generator), and both cones have 4 elements if 0 < a < d, else 3.
     """
     antiK = anticanonical(params)
     generators = ne_generators(params)
     rays = nef_rays(params)
     degrees = [pairing(antiK, C) for C in generators]
-    if gcd(*degrees) != FANO_INDEX:
-        raise ConsistencyError(
-            f"{params.label}: -K degrees {degrees} have gcd != {FANO_INDEX}")
-    if min(degrees) < 1 or degrees[0] != 1:
-        raise ConsistencyError(
-            f"{params.label}: -K degrees on NE generators are {degrees}")
-    four_gens = 0 < params.a < params.d
-    size = 4 if four_gens else 3
-    if len(generators) != size or len(rays) != size:
-        raise ConsistencyError(
-            f"{params.label}: cone sizes ({len(generators)} NE generators, "
-            f"{len(rays)} nef rays) do not match the case 0 < a < d = "
-            f"{four_gens}")
+    agree(params, "-K degree gcd", "pairing", gcd(*degrees),
+          "Fano index", FANO_INDEX)
+    at_least(params, "least -K degree", min(degrees), 1)
+    agree(params, "-K . F", "pairing", degrees[0], "blow-up fibre", 1)
+    size = 4 if 0 < params.a < params.d else 3
+    agree(params, "cone sizes", "NE generators and nef rays",
+          (len(generators), len(rays)), "case 0 < a < d", (size, size))
     return ConeData(antiK, tuple(generators), tuple(rays), tuple(degrees))
 
 

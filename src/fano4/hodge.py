@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import FamilyParams, FanoThreefold
-from .errors import IntegrityError, agree
+from .errors import agree, at_least
 
 __all__ = [
     "HodgePolynomial",
@@ -210,10 +210,8 @@ def _noether_h11(params: FamilyParams, h02: int) -> int:
     """h^{1,1}(A) from h^{0,2}(A) by Noether's formula; IntegrityError
     unless it is positive."""
     Z, d = params.threefold, params.d
-    value = 10 + 10 * h02 - d * (d - Z.index) ** 2 * Z.degree
-    if value <= 0:
-        raise IntegrityError(f"{params.label}: h^{{1,1}}(A) = {value} <= 0")
-    return value
+    return at_least(params, "h^{1,1}(A)",
+                    10 + 10 * h02 - d * (d - Z.index) ** 2 * Z.degree, 1)
 
 
 def hodge_of_threefold(Z: FanoThreefold) -> HodgePolynomial:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .catalog import FamilyParams, require_admissible
-from .errors import IntegrityError, agree
+from .errors import agree, at_least, integral
 from .hodge import surface_h02
 
 __all__ = [
@@ -95,18 +95,6 @@ def _check_ints(what: str, values: Iterable[int]) -> None:
             raise TypeError(f"{what}: expected ints, got {v!r}")
 
 
-def _as_int(numerator: int, denominator: int, what: str,
-            family: FamilyParams | None = None) -> int:
-    """numerator/denominator, or IntegrityError showing the exact p/q,
-    after the family's label when there is a family."""
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        where = "" if family is None else f"{family.label}: "
-        raise IntegrityError(f"{where}{what} = "
-                             f"{Fraction(numerator, denominator)} is not an integer")
-    return quotient
-
-
 def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     """Canonical degrees of the P^1-bundle P(E) -> W.
 
@@ -121,7 +109,7 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
             - 9 * (data.KW3 + data.KW_c1sq) - 2 * data.KW_c2W)
     return CanonicalDegrees(K4, K2c2,
-                            _as_int(chi6, 6, "chi(O(-K)) of the bundle"))
+                            integral(None, "chi(O(-K)) of the bundle", chi6, 6))
 
 
 def surface_blowup_invariants(base: CanonicalDegrees,
@@ -140,7 +128,7 @@ def surface_blowup_invariants(base: CanonicalDegrees,
     chi2 = (2 * (base.chi_antiK - centre.chi_OV)
             - centre.KYV_sq - centre.KV_KYV)
     return CanonicalDegrees(K4, K2c2,
-                            _as_int(chi2, 2, "chi(O(-K)) of the blow-up"))
+                            integral(None, "chi(O(-K)) of the blow-up", chi2, 2))
 
 
 def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
@@ -194,7 +182,7 @@ def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
     """
     Z, a = params.threefold, params.a
     core = Z.degree * Z.index * (a * a + Z.index**2)
-    chi = _as_int(18 + 3 * core, 2, "chi(O_Y(-K_Y))", params)
+    chi = integral(params, "chi(O_Y(-K_Y))", 18 + 3 * core, 2)
     closed = CanonicalDegrees(8 * core, 2 * core + 96, chi)
     return agree(params, "bundle degrees", "closed", closed, "generic",
                  projective_bundle_invariants(split_bundle_base(params)))
@@ -233,7 +221,7 @@ def closed_chi_antiK(params: FamilyParams) -> int:
     i, delta = Z.index, Z.degree
     chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(params)
             - d * delta * (a + i) * (a - d + 2 * i))
-    return _as_int(chi2, 2, "chi(O_X(-K_X))", params)
+    return integral(params, "chi(O_X(-K_X))", chi2, 2)
 
 
 def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
@@ -254,6 +242,5 @@ def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
     K4, K2c2, chi = closed
     agree(params, "chi(O(-K))", "closed", chi, "Riemann-Roch",
           riemann_roch_chi(K4, K2c2, 1))
-    if K4 <= 0 or chi <= 0:
-        raise IntegrityError(f"{params.label}: non-positive {closed}")
-    return FourfoldInvariants(K4, K2c2, chi)
+    return FourfoldInvariants(at_least(params, "K^4", K4, 1), K2c2,
+                              at_least(params, "h^0(-K)", chi, 1))

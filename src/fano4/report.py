@@ -147,7 +147,7 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
         by_label.setdefault(r.label, []).append(r)
 
     mismatches = [m for z, row in zip(threefolds, tables.table1)
-                  for m in _diff(f"Z_{z.id}", z, row)]
+                  for m in _diff(z.label, z, row)]
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label

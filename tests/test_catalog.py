@@ -12,7 +12,7 @@ from fano4.catalog import (
     threefold,
     validate_params,
 )
-from fano4.errors import IntegrityError
+from fano4.errors import ConsistencyError
 
 
 def brute_force_admissible(index: int, a_max: int, d_max: int) -> set[tuple[int, int]]:
@@ -65,14 +65,15 @@ def test_chi_tangent_identity():
 
 # a mistyped -K^3 (degree, index) is a table-1 mismatch in report.verify_all
 @pytest.mark.parametrize("z_id,change,message", [
-    (4, {"h1_tangent": 4}, "Z_4: h0(T)-h1(T) = -4 != chi(T) = -3"),
+    (4, {"h1_tangent": 4},
+     "Z_4: chi(T_Z) disagree: h0(T)-h1(T) -4, Riemann-Roch -3"),
 ], ids=["chi_tangent"])
 def test_catalogue_guards_fire(monkeypatch, z_id, change, message):
     rows = list(catalog_module._CATALOG)
     rows[z_id - 1] = rows[z_id - 1]._replace(**change)
     catalog_module._validate_catalog()   # sound before the fault
     monkeypatch.setattr(catalog_module, "_CATALOG", tuple(rows))
-    with pytest.raises(IntegrityError) as exc:
+    with pytest.raises(ConsistencyError) as exc:
         catalog_module._validate_catalog()
     assert str(exc.value) == message
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import errno
 import json
 import os
 import re
@@ -133,8 +134,8 @@ def test_cones_runs_the_cone_checks(capsys, monkeypatch):
     code, out, err = run(capsys, "cones", "6", "0", "1")
     assert code == 2 and out == "X^6_{0,1}:\n"
     assert err == ("internal consistency error: X^6_{0,1}: cone sizes "
-                   "(2 NE generators, 3 nef rays) do not match the case "
-                   "0 < a < d = False\n")
+                   "disagree: NE generators and nef rays (2, 3), "
+                   "case 0 < a < d (3, 3)\n")
 
 
 def test_verify_passes(capsys):
@@ -442,10 +443,28 @@ run()
 
 
 def test_run_reports_a_stdout_closed_at_start():
-    result = subprocess.run(
-        ["sh", "-c", 'exec "$0" -m fano4.cli list >&-', sys.executable],
-        stderr=subprocess.PIPE, text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    for command in ("list", "verify", "export --format json"):
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m fano4.cli {command} >&-',
+             sys.executable],
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        assert result.returncode == 2, command
+        assert result.stderr == (f"error: cannot write standard output: "
+                                 f"{os.strerror(errno.EBADF)}\n"), command
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["list"], ["info", "9", "0", "1"]], ids=" ".join)
+def test_run_exits_two_when_both_streams_are_unwritable(argv, unbuffered):
+    # the error line cannot be written either; the exit code still reports it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "fano4.cli", *argv],
+                                stdout=full, stderr=full,
+                                env=dict(env, PYTHONPATH=str(SRC)), timeout=120)
     assert result.returncode == 2
-    assert result.stderr.startswith("internal error: AttributeError: ")
-    assert len(result.stderr.splitlines()) == 1

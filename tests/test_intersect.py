@@ -302,8 +302,7 @@ def test_positivity_guard_fires_when_every_route_agrees(monkeypatch):
     assert riemann_roch_chi(0, -12, 1) == 0
     with pytest.raises(IntegrityError) as exc:
         intersect.fano4_invariants(p)
-    assert str(exc.value) == ("X^7_{1,2}: non-positive CanonicalDegrees("
-                              "K4=0, K2c2=-12, chi_antiK=0)")
+    assert str(exc.value) == "X^7_{1,2}: K^4 = 0 < 1"
 
 
 def test_split_bundle_base_specialization():

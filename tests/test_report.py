@@ -76,7 +76,8 @@ def test_build_record_names_the_family_once_on_a_cone_error(monkeypatch):
     monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
     with pytest.raises(ConsistencyError) as exc:
         build_record(FamilyParams(7, 2, 4))
-    assert str(exc.value) == "X^7_{2,4}: -K degrees [2] have gcd != 1"
+    assert str(exc.value) == ("X^7_{2,4}: -K degree gcd disagree: pairing 2, "
+                              "Fano index 1")
 
 
 def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch):
