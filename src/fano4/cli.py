@@ -224,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConsistencyError, IntegrityError) as exc:
         message = f"internal consistency error: {exc}"
     except OSError as exc:
-        message = (f"error: cannot write {exc.filename or 'standard output'}: "
+        name = "standard output" if exc.filename is None else exc.filename
+        message = (f"error: cannot write {name or repr(name)}: "
                    f"{exc.strerror or exc}")
     except Exception as exc:
         message = f"internal error: {type(exc).__name__}: {exc}"

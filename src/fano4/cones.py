@@ -26,6 +26,8 @@ The effective curve cone NE(X) needs only three of the four generators unless
 :func:`cone_data` computes -K, the NE generators, the nef rays and the -K
 degrees once per family, and runs every cone check on them; each failure
 names the family, and :mod:`fano4.errors` picks its class.
+:func:`anticanonical`, :func:`ne_generators`, :func:`nef_rays` and
+:func:`cone_data` build their results directly, without constructor checks.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
@@ -80,6 +82,10 @@ __all__ = [
 ]
 
 Rational = int | Fraction
+# Builds a class, ray or cone data that this module computed itself, without
+# its constructor's checks: each coordinate and coefficient is an int computed
+# from the checked FamilyParams, and the context is that same object.
+_built = tuple.__new__
 
 
 def _exact(value: Rational) -> Rational:
@@ -364,7 +370,7 @@ def anticanonical(params: FamilyParams) -> DivisorClass:
                   (i * h0 + g0 + b0, i * h1 + g1 + b1, i * h2 + g2 + b2))
     agree(params, "-K coordinates over (phi*H, G, Ehat)", "converted",
           _alternate(a, d, antiK), "closed form", (i + a - d, 2, 1))
-    return DivisorClass(antiK, params)
+    return _built(DivisorClass, (antiK, params))
 
 
 def _ne_kinds(a: int, d: int) -> tuple[CurveGen, ...]:
@@ -382,7 +388,8 @@ def ne_generators(params: FamilyParams) -> list[CurveClass]:
     out when a >= d.
     """
     require_admissible(params)
-    return [CurveClass(((g, 1),), params) for g in _ne_kinds(params.a, params.d)]
+    return [_built(CurveClass, (((g, 1),), params))
+            for g in _ne_kinds(params.a, params.d)]
 
 
 class RayLabel(ValueEnum):
@@ -453,8 +460,9 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
                 face.append(kind)
             elif value < 0:   # the quantity's name is built on failure only
                 at_least(params, f"{name} . {kind.value}", value, 0)
-        out.append(NefRay(label, name, DivisorClass(coords, params),
-                          tuple(face), contraction))
+        generator = _built(DivisorClass, (coords, params))
+        out.append(_built(NefRay, (label, name, generator, tuple(face),
+                                   contraction)))
     return out
 
 
@@ -491,7 +499,8 @@ def cone_data(params: FamilyParams) -> ConeData:
     size = 4 if 0 < params.a < params.d else 3
     agree(params, "cone sizes", "NE generators and nef rays",
           (len(generators), len(rays)), "case 0 < a < d", (size, size))
-    return ConeData(antiK, tuple(generators), tuple(rays), tuple(degrees))
+    return _built(ConeData, (antiK, tuple(generators), tuple(rays),
+                             tuple(degrees)))
 
 
 def is_fano(params: FamilyParams) -> bool:

@@ -293,6 +293,14 @@ def test_export_io_error_exits_two_with_one_line(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_export_to_an_empty_path_names_that_path(capsys):
+    # an empty path is falsy, but the failed write was not to standard output
+    code, out, err = run(capsys, "export", "--format", "json", "--out", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write '': No such file or directory\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_export_write_error_names_the_file(capsys):
     # open succeeds; the write fails, and its OSError carries no file name

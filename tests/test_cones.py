@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 import fano4.cones as cones
 from fano4.catalog import FamilyParams, enumerate_families
 from fano4.cones import (
+    ConeData,
+    CurveClass,
     CurveGen,
+    DivisorClass,
     E,
     E_hat,
     FibreLike,
     G,
     G_hat,
+    NefRay,
     RayLabel,
     anticanonical,
     cone_data,
@@ -516,6 +520,26 @@ def test_cone_data_bundles_the_public_results():
         assert cone.rays == tuple(nef_rays(p))
         assert cone.degrees == tuple(pairing(cone.antiK, C)
                                      for C in cone.generators)
+
+
+def test_cone_data_equals_what_the_public_constructors_build():
+    # cone_data builds its results without the constructors' checks; each
+    # must still be the object the checked constructor builds from its fields
+    for p in enumerate_families():
+        cone = cone_data(p)
+        divisors = [cone.antiK] + [ray.generator for ray in cone.rays]
+        for D in divisors:
+            assert type(D) is DivisorClass and D == DivisorClass(D.coords, p)
+            assert all(type(x) is int for x in D.coords), D
+            assert D.context is p
+        for C in cone.generators:
+            assert type(C) is CurveClass and C == CurveClass(C.combo, p)
+            assert all(type(c) is int for _, c in C.combo), C
+            assert C.context is p
+        for ray in cone.rays:
+            assert type(ray) is NefRay and ray == NefRay(*ray)
+        assert type(cone) is ConeData and cone == ConeData(*cone)
+        assert all(type(k) is int for k in cone.degrees)
 
 
 def _coords_with(**changed):
