@@ -92,7 +92,7 @@ _TORIC = {(7, 0, 1): ToricLabel.E3, (7, 2, 1): ToricLabel.E2,
 
 def toric_label(params: FamilyParams) -> ToricLabel | None:
     require_admissible(params)
-    return _TORIC.get((params.z_id, params.a, params.d))
+    return _TORIC.get(params)
 
 
 def rationality(params: FamilyParams) -> Rationality:
@@ -106,7 +106,7 @@ def rationality(params: FamilyParams) -> Rationality:
     open and nothing is known.
     """
     require_admissible(params)
-    if (params.z_id, params.a, params.d) in _TORIC:
+    if params in _TORIC:
         return _TORIC_RATIONALITY
     if params.threefold.rational:
         return _RATIONAL

@@ -26,8 +26,9 @@ The effective curve cone NE(X) needs only three of the four generators unless
 :func:`cone_data` computes -K, the NE generators, the nef rays and the -K
 degrees once per family, and runs every cone check on them; each failure
 names the family, and :mod:`fano4.errors` picks its class.
+The class constructors check and normalise caller input, on one path each;
 :func:`anticanonical`, :func:`ne_generators`, :func:`nef_rays` and
-:func:`cone_data` build their results directly, without constructor checks.
+:func:`cone_data` build what they compute through ``_built``, unchecked.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``.  A ``Fraction`` appears only for a value that is not an integer,
@@ -119,8 +120,9 @@ class DivisorClass(checked_tuple("DivisorClass", [
     """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E).
 
     Each coordinate is an ``int``, or a ``Fraction`` only when it is not
-    integral: the constructor normalises them and refuses any other scalar,
-    and any context but a ``FamilyParams``.
+    integral: the constructor, for caller input, normalises them on one path
+    and refuses any other scalar, and any context but a ``FamilyParams``;
+    what this module computes is built by ``_built``.
     """
 
     __slots__ = ()
@@ -129,9 +131,7 @@ class DivisorClass(checked_tuple("DivisorClass", [
         if type(context) is not FamilyParams:
             _not_a_family(context)
         x, y, z = coords
-        if not (type(x) is int and type(y) is int and type(z) is int):
-            coords = (_exact(x), _exact(y), _exact(z))
-        return tuple.__new__(cls, (tuple(coords), context))
+        return tuple.__new__(cls, ((_exact(x), _exact(y), _exact(z)), context))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_context(self.context, other.context)
@@ -208,18 +208,18 @@ class CurveGen(ValueEnum):
     C_G_HAT = "C_Ghat"
 
 
-_CURVE_GENS = frozenset(CurveGen)
-# the members as module globals: reading one off its Enum class costs a
-# descriptor call on Python 3.11, and the record path reads them per family
-_F, _F_HAT, _C_G, _C_G_HAT = CurveGen
+# the generators in order, each also a module global: reading a member off
+# its Enum class costs a descriptor call, iterating the class more (3.11)
+_CURVE_GENS = _F, _F_HAT, _C_G, _C_G_HAT = tuple(CurveGen)
 
 
 class CurveClass(checked_tuple("CurveClass", [
         ("combo", tuple), ("context", FamilyParams)])):
     """A formal non-negative combination of the four curve generators.
 
-    The constructor takes (generator, coefficient) pairs, as a tuple or
-    ``dict.items()``.  It refuses a key that is no generator and a negative
+    The constructor takes caller input, (generator, coefficient) pairs as a
+    tuple or ``dict.items()``, on one path; what this module computes is
+    built by ``_built``.  It refuses a key that is no generator and a negative
     or inexact coefficient, and keeps each generator's non-zero sum, in
     generator order, as an ``int`` unless it is not integral.  The context
     must be a ``FamilyParams``.
@@ -230,10 +230,6 @@ class CurveClass(checked_tuple("CurveClass", [
     def __new__(cls, combo: Collection, context: FamilyParams) -> CurveClass:
         if type(context) is not FamilyParams:
             _not_a_family(context)
-        if len(combo) == 1:   # one generator: every class the records build
-            (gen, c), = combo
-            if type(c) is int and c > 0 and type(gen) is CurveGen:
-                return tuple.__new__(cls, (((gen, c),), context))
         coefficients = {}
         for gen, c in combo:
             if gen not in _CURVE_GENS:
@@ -244,7 +240,7 @@ class CurveClass(checked_tuple("CurveClass", [
             if gen in coefficients:   # a repeated generator adds up
                 c = _exact(coefficients[gen] + c)
             coefficients[gen] = c
-        terms = tuple([(gen, coefficients[gen]) for gen in CurveGen
+        terms = tuple([(gen, coefficients[gen]) for gen in _CURVE_GENS
                        if coefficients.get(gen)])
         return tuple.__new__(cls, (terms, context))
 
@@ -377,7 +373,7 @@ def _ne_kinds(a: int, d: int) -> tuple[CurveGen, ...]:
     if a == 0:
         return (_F, _F_HAT, _C_G_HAT)
     if a < d:
-        return (_F, _F_HAT, _C_G, _C_G_HAT)
+        return _CURVE_GENS
     return (_F, _F_HAT, _C_G)
 
 
