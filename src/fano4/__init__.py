@@ -14,9 +14,9 @@ Importing the package loads no submodule.  A public name such as
 ``fano4.verify_all`` imports its home module on first access (PEP 562), so a
 program pays only for the modules it uses; the ``fano4`` command line loads
 ``catalog`` and ``errors`` for ``list``, adds ``cones`` for ``cones``, and
-loads the rest only for ``info``, ``verify`` and ``export`` (see
-:mod:`fano4.cli`).  ``fano4.catalog`` is always the module; the catalogue
-itself is ``fano4.catalog.catalog()``.
+loads the rest only for ``info``, ``verify`` and ``export``, none of which
+loads ``fractions`` (see :mod:`fano4.cli`).  ``fano4.catalog`` is always the
+module; the catalogue itself is ``fano4.catalog.catalog()``.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,8 @@ more: ``list`` loads ``catalog`` and ``errors``; ``cones`` adds ``cones``;
 ``info`` and ``export`` load everything except ``golden`` (the reference
 tables); ``verify`` loads everything except ``json`` and ``csv``.  Every
 record type is a ``typing.NamedTuple``, and this module imports ``typing``
-anyway, so no command loads ``dataclasses`` or, through it, ``inspect``.
+anyway, so no command loads ``dataclasses`` or, through it, ``inspect``; the
+records hold only ``int`` values, so none loads ``fractions`` either.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ The class constructors check and normalise caller input, on one path each;
 :func:`cone_data` build what they compute through ``_built``, unchecked.
 
 All of this data is integral, so coordinates and pairing values are Python
-``int``.  A ``Fraction`` appears only for a value that is not an integer,
-which only rational input can produce; an integral ``Fraction`` is stored as
-an ``int``.  Scalars must be ``int`` or ``Fraction``: ``float`` and ``bool``
+``int``; ``fractions`` is imported with the first scalar that is not.  Only
+rational input can give a ``Fraction``, and an integral one is stored as an
+``int``.  Scalars must be ``int`` or ``Fraction``: ``float`` and ``bool``
 raise ``TypeError``, from the class constructors too, which also refuse a
 context that is not a ``FamilyParams``.
 
@@ -46,13 +46,16 @@ instead of one gcd per ``Fraction`` step (Knuth, TAOCP Vol. 2, 4.5.1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Collection, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, NoReturn
 
 from .catalog import FamilyParams, ValueEnum, checked_tuple, require_admissible
 from .errors import ContextMismatchError, agree, at_least
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    Rational = int | Fraction
 
 __all__ = [
     "DivisorClass",
@@ -82,11 +85,17 @@ __all__ = [
     "is_fibre_like",
 ]
 
-Rational = int | Fraction
 # Builds a class, ray or cone data that this module computed itself, without
 # its constructor's checks: each coordinate and coefficient is an int computed
 # from the checked FamilyParams, and the context is that same object.
 _built = tuple.__new__
+_Fraction = None   # fractions.Fraction from its first use: no import per call
+
+
+def _load_fraction() -> type[Fraction]:
+    global _Fraction
+    from fractions import Fraction as _Fraction
+    return _Fraction
 
 
 def _exact(value: Rational) -> Rational:
@@ -94,7 +103,7 @@ def _exact(value: Rational) -> Rational:
     that is not an integer."""
     if type(value) is int:
         return value
-    if type(value) is Fraction:
+    if type(value) is (_Fraction or _load_fraction()):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an int or Fraction scalar, got "
                     f"{type(value).__name__} {value!r}")
@@ -112,7 +121,7 @@ def _over_lcm(x: Rational, y: Rational,
 
 def _reduced(num: int, den: int) -> Rational:
     """num/den as a canonical scalar, normalised by one Fraction."""
-    return num if den == 1 else _exact(Fraction(num, den))
+    return num if den == 1 else _exact((_Fraction or _load_fraction())(num, den))
 
 
 class DivisorClass(checked_tuple("DivisorClass", [

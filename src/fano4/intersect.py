@@ -18,19 +18,21 @@ takes as one ``FamilyParams``, these reproduce the closed forms
 independently and must agree.  A third route recovers chi(O(-K)) from K^4 and
 K^2.c2 by Riemann-Roch.  Everything is exact and no floats enter this module:
 each chi(O(-K)) formula is one integer numerator over a fixed denominator
-(6, 2 or 12) that must divide it.  A float or bool input raises TypeError:
-``FamilyParams`` refuses one in a triple, and the three raw-number operations
-refuse one in their own input.
+(6, 2 or 12) that must divide it, and ``fractions`` loads only for a p/q.  A
+float or bool input raises TypeError: ``FamilyParams`` refuses one in a
+triple, and the three raw-number operations refuse one in their own input.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .catalog import FamilyParams, require_admissible
 from .errors import agree, at_least, integral
 from .hodge import surface_h02
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BundleInput",
@@ -134,12 +136,16 @@ def surface_blowup_invariants(base: CanonicalDegrees,
 def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
     """chi(O(-K)) on a smooth 4-fold from Riemann-Roch:
     chi(O) + (2 K^4 + K^2.c2)/12.  An ``int`` when 12 divides the numerator,
-    else the exact Fraction; callers assert integrality where they are
-    entitled to it.  A float or bool argument raises TypeError."""
+    else the exact Fraction (only then is ``fractions`` imported); callers
+    assert integrality where they are entitled to it.  A float or bool
+    argument raises TypeError."""
     _check_ints("K^4, K^2.c2 and chi(O)", (K4, K2c2, chi_O))
     numerator = 12 * chi_O + 2 * K4 + K2c2
     quotient, remainder = divmod(numerator, 12)
-    return Fraction(numerator, 12) if remainder else quotient
+    if remainder:
+        from fractions import Fraction   # an integral chi skips its import
+        return Fraction(numerator, 12)
+    return quotient
 
 
 def split_bundle_base(params: FamilyParams) -> BundleInput:

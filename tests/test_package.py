@@ -1,10 +1,10 @@
 """The package surface and its lazy loading.
 
 ``import fano4`` loads no submodule; each public name imports its home
-module on first access, and each CLI command loads only what it uses.  The
-loading checks run in fresh interpreters, because this test session has
-long since imported everything.  Each place where an int enters the public
-functions refuses a float or a bool.
+module on first access, and each CLI command loads only what it uses, which
+never includes ``fractions``.  The loading checks run in fresh interpreters,
+because this test session has long since imported everything.  Each place
+where an int enters the public functions refuses a float or a bool.
 """
 
 from __future__ import annotations
@@ -27,6 +27,16 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_MODULES = {"fano4", "fano4.catalog", "fano4.errors", "fano4.cli"}
 
 
+def run_fresh(script: str) -> str:
+    """The standard output of ``script``, run by a fresh interpreter that
+    imports ``fano4`` from this checkout; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def loaded_after(*argvs: list[str]) -> list[tuple[set[str], set[str]]]:
     """In a fresh interpreter, import ``fano4.cli`` and run ``main`` on each
     argv in turn.  Returns, after the import and after each command, the
@@ -46,11 +56,7 @@ for argv in {argvs!r}:
 import json
 print(json.dumps(steps))
 """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    steps = json.loads(result.stdout.splitlines()[-1])
+    steps = json.loads(run_fresh(script).splitlines()[-1])
     return [(set(fano4_mods), set(added)) for fano4_mods, added in steps]
 
 
@@ -83,15 +89,36 @@ def test_verify_loads_the_tables_but_not_json_or_csv():
 INTROSPECTION = {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("argv", [
+#: every command, as the loading tests run it
+COMMANDS = [
     ["list"], ["cones", "7", "1", "2"], ["info", "7", "1", "2"], ["verify"],
     *(["export", "--format", fmt] for fmt in ("json", "csv", "markdown")),
-], ids=" ".join)
-def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+]
+
+
+def _runnable(argv: list[str], out: Path) -> list[str]:
     if argv[0] == "export":
-        argv = ["--quiet", *argv, "--out", str(tmp_path / "out")]
-    (_, on_import), (_, added) = loaded_after(argv)
+        return ["--quiet", *argv, "--out", str(out)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+    (_, on_import), (_, added) = loaded_after(_runnable(argv, tmp_path / "out"))
     assert not INTROSPECTION & (on_import | added)
+
+
+#: ``fractions`` and the modules it imports; every record value is an int
+NUMERIC = {"fractions", "decimal", "numbers"}
+
+
+def test_no_command_loads_fractions(tmp_path):
+    # one interpreter runs every command in turn: what one command loaded,
+    # the next would still show
+    steps = loaded_after(*(_runnable(argv, tmp_path / "out")
+                           for argv in COMMANDS))
+    for step, (_, added) in zip([["import"], *COMMANDS], steps):
+        assert not NUMERIC & added, step
 
 
 def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
@@ -105,13 +132,70 @@ import fano4.hodge, fano4.intersect, fano4.report
 steps.append(sorted(set(sys.modules) - before))
 print(json.dumps(steps))
 """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    golden_only, everything = json.loads(result.stdout)
+    golden_only, everything = json.loads(run_fresh(script))
     assert "fano4.golden" in golden_only and "fano4.report" in everything
-    assert not INTROSPECTION & set(everything)
+    assert not (INTROSPECTION | NUMERIC) & set(everything)
+
+
+#: the scalar paths that need ``Fraction``, each on its first use in a fresh
+#: interpreter; each script prints what the test compares, and all but
+#: ``caller_fraction`` (whose caller builds one first) check that importing
+#: ``fano4`` left ``fractions`` unloaded
+FIRST_USE = {
+    "float_refused": """
+import sys
+from fano4.cones import divisor
+from fano4.catalog import FamilyParams
+assert "fractions" not in sys.modules
+for bad in (0.5, True):
+    try:
+        divisor(FamilyParams(7, 1, 2), bad, 0, 0)
+    except TypeError as exc:
+        print(exc)
+""",
+    "caller_fraction": """
+from fractions import Fraction
+half, two = Fraction(1, 2), Fraction(4, 2)
+import fano4.cones as cones
+from fano4.catalog import FamilyParams
+p = FamilyParams(7, 1, 2)
+D = cones.divisor(p, half, two, 0)
+C = cones.curve_combo(p, {cones.CurveGen.F: two})
+assert D.coords == (half, 2, 0) and type(D.coords[1]) is int
+assert C.combo == ((cones.CurveGen.F, 2),) and type(C.combo[0][1]) is int
+print("ok")
+""",
+    "rational_pairing_and_basis_roundtrip": """
+import sys
+import fano4.cones as cones
+from fano4.catalog import FamilyParams
+assert "fractions" not in sys.modules
+from fractions import Fraction
+p = FamilyParams(7, 1, 2)
+D = cones.divisor(p, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5))
+value = cones.pairing(D, cones.curve(p, cones.CurveGen.F))
+assert type(value) is Fraction and value == Fraction(11, 15)
+assert cones.from_alternate_basis(p, cones.to_alternate_basis(D)) == D
+print("ok")
+""",
+    "riemann_roch_quarter": """
+import sys
+from fano4.intersect import riemann_roch_chi
+assert "fractions" not in sys.modules
+value = riemann_roch_chi(1, 1, 0)
+from fractions import Fraction
+assert type(value) is Fraction and value == Fraction(1, 4)
+print("ok")
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_USE))
+def test_rational_paths_work_on_first_use(case):
+    expected = ("expected an int or Fraction scalar, got float 0.5\n"
+                "expected an int or Fraction scalar, got bool True\n"
+                if case == "float_refused" else "ok\n")
+    assert run_fresh(FIRST_USE[case]) == expected
 
 
 def test_every_export_resolves_to_its_home_module_object():
@@ -145,11 +229,7 @@ def test_catalog_is_the_module_in_a_fresh_interpreter():
     script = ("import fano4, types; "
               "assert isinstance(fano4.catalog, types.ModuleType); "
               "print(len(fano4.catalog.catalog()))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "7"
+    assert run_fresh(script).strip() == "7"
 
 
 def test_star_import_binds_every_public_name():
