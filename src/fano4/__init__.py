@@ -15,7 +15,8 @@ Importing the package loads no submodule.  A public name such as
 program pays only for the modules it uses; the ``fano4`` command line loads
 ``catalog`` and ``errors`` for ``list``, adds ``cones`` for ``cones``, and
 loads the rest only for ``info``, ``verify`` and ``export``, none of which
-loads ``fractions`` (see :mod:`fano4.cli`).  ``fano4.catalog`` is always the
+loads ``fractions``, and loads ``argparse`` only for help, the version and
+usage errors (see :mod:`fano4.cli`).  ``fano4.catalog`` is always the
 module; the catalogue itself is ``fano4.catalog.catalog()``.
 """
 

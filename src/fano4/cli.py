@@ -29,15 +29,22 @@ tables); ``verify`` loads everything except ``json`` and ``csv``.  Every
 record type is a ``typing.NamedTuple``, and this module imports ``typing``
 anyway, so no command loads ``dataclasses`` or, through it, ``inspect``; the
 records hold only ``int`` values, so none loads ``fractions`` either.
+
+``argparse`` (which loads ``gettext`` and ``locale``) is the one definition of
+the grammar, but a plain command never imports it: :func:`main` first tries
+``_recognise``, which accepts only the documented spellings of each command
+and returns the namespace argparse would.  Anything else -- ``--help``,
+``--version``, a usage error, an abbreviated option or ``--opt=value`` -- goes
+to :func:`build_parser`, so argparse writes every help text and usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import errno
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
@@ -45,6 +52,8 @@ from .catalog import FamilyParams, catalog, enumerate_families
 from .errors import ConsistencyError, IntegrityError
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import cones
 
 __all__ = ["main", "run"]
@@ -162,23 +171,28 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the formats of ``export --format``
+_FORMATS = ("json", "csv", "markdown")
+
+
 def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("i", type=int, help="base 3-fold id (1..7)")
     parser.add_argument("a", type=int, help="bundle twist a >= 0")
     parser.add_argument("d", type=int, help="degree d >= 1 of the blown-up surface")
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message: str, file=None) -> None:
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        # argparse would drop a failed write of --help or --version text;
-        # main reports it, and it may fail at the flush only
-        file.write(message)
-        file.flush()
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def _print_message(self, message: str, file=None) -> None:
+            if file is not sys.stdout:
+                return super()._print_message(message, file)
+            # argparse would drop a failed write of --help or --version text;
+            # main reports it, and it may fail at the flush only
+            file.write(message)
+            file.flush()
+
     parser = _Parser(
         prog="fano4",
         description="Invariants of the 28 families of smooth Fano 4-folds of "
@@ -201,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     export_cmd = sub.add_parser("export", help="write all records")
-    export_cmd.add_argument("--format", choices=("json", "csv", "markdown"),
-                            required=True)
+    export_cmd.add_argument("--format", choices=_FORMATS, required=True)
     export_cmd.add_argument("--out", default=None, metavar="PATH",
                             help="output file (default: standard output)")
     export_cmd.set_defaults(func=_cmd_export)
@@ -214,11 +227,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _recognise(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for the spellings
+    that the README documents; ``None`` for anything else.
+
+    Those are an optional leading ``--quiet``, then ``list`` or ``verify``
+    alone, ``info`` or ``cones`` with three ASCII-digit tokens, or ``export``
+    with ``--format F`` and at most one ``--out P`` (P not starting with
+    ``-``), in either order.
+    """
+    quiet = argv[:1] == ["--quiet"]
+    command, *rest = argv[quiet:] or [None]
+    args = SimpleNamespace(quiet=quiet, command=command)
+    if command in ("list", "verify") and not rest:
+        args.func = _cmd_list if command == "list" else _cmd_verify
+    elif (command in ("info", "cones") and len(rest) == 3
+          and all(t.isascii() and t.isdigit() for t in rest)):
+        try:
+            args.i, args.a, args.d = map(int, rest)
+        except ValueError:   # too many digits: argparse words the error
+            return None
+        args.func = _cmd_info if command == "info" else _cmd_cones
+    elif command == "export":
+        options = dict(zip(rest[::2], rest[1::2]))
+        if (2 * len(options) != len(rest)
+                or not options.keys() <= {"--format", "--out"}
+                or options.get("--format") not in _FORMATS
+                or options.get("--out", "").startswith("-")):
+            return None
+        args.format, args.out = options["--format"], options.get("--out")
+        args.func = _cmd_export
+    else:
+        return None
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         if sys.stdout is None:   # closed at start: print would drop the output
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _recognise(argv) or build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

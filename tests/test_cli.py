@@ -360,6 +360,88 @@ def test_unknown_format_is_a_parse_error(capsys):
     assert exc.value.code == 2
 
 
+# The recogniser in front of argparse: each form it accepts must give what
+# argparse gives, and each form it declines must reach argparse unchanged.
+
+PINNED = sorted(json.loads((SRC.parent / "bench" / "expected.json")
+                           .read_text(encoding="utf-8"))["cli"])
+
+
+@pytest.mark.parametrize("command", PINNED)
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["", "quiet"])
+def test_recogniser_agrees_with_argparse_on_every_pinned_command(quiet,
+                                                                 command):
+    argv = [*quiet, *command.split()]
+    assert vars(cli._recognise(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize("path", ["families.out", "", "json", "a b=c"])
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["", "quiet"])
+def test_recogniser_agrees_with_argparse_on_export_options(quiet, path, fmt):
+    for options in (["--format", fmt, "--out", path],
+                    ["--out", path, "--format", fmt]):
+        argv = [*quiet, "export", *options]
+        assert vars(cli._recognise(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
+
+
+DECLINED = {
+    "format=": ["export", "--format=json"],
+    "abbreviated": ["export", "--form", "json"],
+    "out option": ["export", "--format", "json", "--out", "-x"],
+    "repeated format": ["export", "--format", "json", "--format", "csv"],
+    "no format": ["export", "--out", "families.json"],
+    "odd export": ["export", "--format", "json", "--out"],
+    "plus sign": ["info", "+7", "2", "5"],
+    "fullwidth digit": ["info", "\uff17", "2", "5"],
+    "negative z_id": ["info", "-1", "0", "1"],
+    "negative a": ["info", "7", "-1", "1"],
+    "two numbers": ["cones", "7", "2"],
+    "5000 digits": ["info", "7", "2", "1" * 5000],
+    "quiet after": ["verify", "--quiet"],
+    "quiet twice": ["--quiet", "--quiet", "list"],
+    "extra": ["list", "extra"],
+    "empty": [],
+    "help": ["-h"],
+    "info help": ["info", "-h"],
+    "version": ["--version"],
+}
+
+
+@pytest.mark.parametrize("argv", DECLINED.values(), ids=DECLINED)
+def test_recogniser_declines_every_other_form(argv):
+    assert cli._recognise(argv) is None
+
+
+def test_a_declined_fullwidth_triple_runs_through_argparse(capsys):
+    # argparse's int() reads any Unicode decimal digit
+    code, out, err = run(capsys, *DECLINED["fullwidth digit"])
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "info", "7", "2", "5")[1]
+
+
+def test_a_declined_overlong_number_is_an_argparse_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(DECLINED["5000 digits"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fano4 info ")
+    assert "argument d: invalid int value: " in err
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (DECLINED["negative z_id"], "error: z_id must be in 1..7, got -1\n"),
+    (DECLINED["negative a"], "error: a must be >= 0, got -1\n"),
+], ids=["z_id", "a"])
+def test_a_declined_negative_number_reaches_the_family_check(capsys, argv,
+                                                             stderr):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
 # The process entry point: each test below runs one fresh interpreter that
 # exits through cli.run(); most compare what it wrote with the in-process main.
 

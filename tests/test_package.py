@@ -2,9 +2,11 @@
 
 ``import fano4`` loads no submodule; each public name imports its home
 module on first access, and each CLI command loads only what it uses, which
-never includes ``fractions``.  The loading checks run in fresh interpreters,
-because this test session has long since imported everything.  Each place
-where an int enters the public functions refuses a float or a bool.
+never includes ``fractions`` and, unless argparse must word a help text or a
+usage error, not ``argparse`` either.  The loading checks run in fresh
+interpreters, because this test session has long since imported everything.
+Each place where an int enters the public functions refuses a float or a
+bool.
 """
 
 from __future__ import annotations
@@ -112,13 +114,27 @@ def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
 NUMERIC = {"fractions", "decimal", "numbers"}
 
 
-def test_no_command_loads_fractions(tmp_path):
-    # one interpreter runs every command in turn: what one command loaded,
-    # the next would still show
+def _added_by_each_step(tmp_path: Path):
+    """The import of ``fano4.cli``, then each command of ``COMMANDS``, paired
+    with the modules it added.  One interpreter runs every command in turn:
+    what one command loaded, the next would still show."""
     steps = loaded_after(*(_runnable(argv, tmp_path / "out")
                            for argv in COMMANDS))
-    for step, (_, added) in zip([["import"], *COMMANDS], steps):
+    return zip([["import"], *COMMANDS], (added for _, added in steps))
+
+
+def test_no_command_loads_fractions(tmp_path):
+    for step, added in _added_by_each_step(tmp_path):
         assert not NUMERIC & added, step
+
+
+#: what argparse loads; a plain command is parsed without it
+PARSING = {"argparse", "gettext"}
+
+
+def test_no_plain_command_loads_argparse(tmp_path):
+    for step, added in _added_by_each_step(tmp_path):
+        assert not PARSING & added, step
 
 
 def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
@@ -134,7 +150,7 @@ print(json.dumps(steps))
 """
     golden_only, everything = json.loads(run_fresh(script))
     assert "fano4.golden" in golden_only and "fano4.report" in everything
-    assert not (INTROSPECTION | NUMERIC) & set(everything)
+    assert not (INTROSPECTION | NUMERIC | PARSING) & set(everything)
 
 
 #: the scalar paths that need ``Fraction``, each on its first use in a fresh
