@@ -17,8 +17,6 @@ equivalent).  Where only the bound is known
 the record says so explicitly; no exact value is ever invented.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .catalog import FamilyParams, HBaseLocus, ValueEnum, require_admissible

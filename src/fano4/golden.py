@@ -9,8 +9,6 @@ order and under the names of the catalogue rows and records that
 ``report.verify_all`` checks them against key by key.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 __all__ = [

@@ -18,8 +18,6 @@ of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
 e(P^{c-1}) - e(P^0); no check is cached.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 from operator import itemgetter

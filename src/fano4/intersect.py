@@ -23,8 +23,6 @@ float or bool input raises TypeError: ``FamilyParams`` refuses one in a
 triple, and the three raw-number operations refuse one in their own input.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .catalog import FamilyParams, require_admissible
@@ -133,7 +131,7 @@ def surface_blowup_invariants(base: CanonicalDegrees,
                             integral(None, "chi(O(-K)) of the blow-up", chi2, 2))
 
 
-def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> int | Fraction:
+def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> "int | Fraction":
     """chi(O(-K)) on a smooth 4-fold from Riemann-Roch:
     chi(O) + (2 K^4 + K^2.c2)/12.  An ``int`` when 12 divides the numerator,
     else the exact Fraction (only then is ``fractions`` imported); callers

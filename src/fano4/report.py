@@ -3,19 +3,16 @@
 :func:`build_record` runs every module on one family and bundles the results;
 all cross-checks of the underlying modules run as a side effect, and each
 failure names the family once (see :mod:`fano4.errors`).  The record keeps
-only the two cone sizes of the cone data; ``fano4 info`` prints the full cone
-data of the same build, through ``_record_and_cones``.  A
-:class:`FamilyRecord` is the row: the json and csv exports write its fields,
-``fano4 info`` prints them, and :func:`verify_all` compares them, and the
-catalogue rows, with the reference rows, which use the same names.  Records
-and reference rows are ``typing.NamedTuple`` classes: each diff runs over a
-reference row's ``_fields``, which must all be record fields.  Mismatches
-are data, never exceptions, so a red table is an ordinary result, not a
-crash; only reference tables that are misaligned or name a field no record
-has raise IntegrityError.
+no cone data; ``fano4 info`` prints the cone data of the same build, through
+``_record_and_cones``.  A :class:`FamilyRecord` is the row: the json and csv
+exports write its fields, ``fano4 info`` prints them, and :func:`verify_all`
+compares them, and the catalogue rows, with the reference rows, which use the
+same names.  Records and reference rows are ``typing.NamedTuple`` classes:
+each diff runs over a reference row's ``_fields``, which must all be record
+fields.  Mismatches are data, never exceptions, so a red table is an ordinary
+result, not a crash; only reference tables that are misaligned or name a field
+no record has raise IntegrityError.
 """
-
-from __future__ import annotations
 
 from operator import attrgetter
 from typing import NamedTuple
@@ -39,8 +36,7 @@ __all__ = [
 
 class FamilyRecord(NamedTuple):
     """Everything the tables record about one family, as one flat row whose
-    field names are the row keys.  The first fields are :data:`EXPORT_FIELDS`;
-    the two cone sizes after them are not exported."""
+    field names are the row keys; its fields are :data:`EXPORT_FIELDS`."""
 
     z_id: int
     a: int
@@ -61,8 +57,6 @@ class FamilyRecord(NamedTuple):
     h1_T: int
     h0_T_is_exact: bool
     h1_T_is_exact: bool
-    ne_generator_count: int
-    nef_ray_count: int
 
 
 def build_record(params: FamilyParams) -> FamilyRecord:
@@ -86,8 +80,7 @@ def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeDat
         classify.base_locus(params), classify.rationality(params),
         classify.toric_label(params), cones.is_fibre_like(params),
         tangent.chi, tangent.h0, tangent.h1,
-        tangent.h1_is_exact, tangent.h1_is_exact,
-        len(cone.generators), len(cone.rays))
+        tangent.h1_is_exact, tangent.h1_is_exact)
     return record, cone
 
 
@@ -190,11 +183,7 @@ def _diff(family: str, row: object, expected: tuple) -> list[Mismatch]:
 
 _RECORD_FIELDS = frozenset(FamilyRecord._fields)
 
-# every record field but the two cone sizes
-EXPORT_FIELDS = FamilyRecord._fields[:-2]
-
-# the exported values of a record, in EXPORT_FIELDS order
-_row = attrgetter(*EXPORT_FIELDS)
+EXPORT_FIELDS = FamilyRecord._fields
 
 
 _RATIONALITY_TEXT = {
@@ -224,7 +213,6 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         # spliced in.  An encoded string never holds a raw newline, so
         # "},\n    {" occurs only between two rows.
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        # zip stops at the last of EXPORT_FIELDS, before the cone sizes
         rows = encode([dict(zip(EXPORT_FIELDS, r)) for r in records])
         return ("[\n  {\n    "
                 + rows[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
@@ -237,7 +225,7 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(EXPORT_FIELDS)
-        writer.writerows(map(_row, records))
+        writer.writerows(records)
         return buf.getvalue().encode("utf-8")
     if format == "markdown":
         lines = [

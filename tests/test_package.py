@@ -19,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
+from typing import ForwardRef
 
 import pytest
 
@@ -151,6 +152,30 @@ print(json.dumps(steps))
     golden_only, everything = json.loads(run_fresh(script))
     assert "fano4.golden" in golden_only and "fano4.report" in everything
     assert not (INTROSPECTION | NUMERIC | PARSING) & set(everything)
+
+
+#: the modules whose record types hold evaluated annotations.  ``cones``
+#: keeps ``from __future__ import annotations``: its annotations name its
+#: own classes before they exist and ``Rational``, which it imports only
+#: for type checkers, so its ``NefRay`` and ``ConeData`` keep strings
+EVALUATED_ANNOTATIONS = ("classify", "golden", "hodge", "intersect", "report")
+
+
+@pytest.mark.parametrize("name", EVALUATED_ANNOTATIONS)
+def test_record_types_declare_real_types(name):
+    # typing turns each string annotation of a NamedTuple into a ForwardRef
+    # when the class is created, and keeps that in __annotations__
+    module = importlib.import_module(f"fano4.{name}")
+    records = [obj for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__ == module.__name__
+               and "__annotations__" in vars(obj)]
+    assert records
+    for cls in records:
+        postponed = {field: annotation
+                     for field, annotation in cls.__annotations__.items()
+                     if isinstance(annotation, (str, ForwardRef))}
+        assert not postponed, cls.__name__
 
 
 #: the scalar paths that need ``Fraction``, each on its first use in a fresh
