@@ -197,6 +197,19 @@ def require_admissible(params: FamilyParams) -> None:
         raise ValueError(f"{params.label} is not admissible")
 
 
+def _h0_twist(params: FamilyParams, k: int) -> int:
+    """h^0(O_Z(k)) on the base 3-fold of ``params``, for any int k: 0 for
+    k < 0, else 1 + 2k/i + (k*delta/12)(i^2 + 3ki + 2k^2) by Riemann-Roch
+    plus Kodaira vanishing (1 at k = 0).  The numerator over 12i must
+    divide, else IntegrityError naming the family."""
+    if k < 0:
+        return 0
+    Z = params.threefold
+    i, delta = Z.index, Z.degree
+    numerator = 12 * i + 24 * k + k * delta * i * (i * i + 3 * k * i + 2 * k * k)
+    return integral(params, "h^0(O_Z(k))", numerator, 12 * i)
+
+
 def enumerate_families() -> list[FamilyParams]:
     """All 28 admissible triples, ordered by (z_id, a, d).
 

@@ -19,8 +19,9 @@ the record says so explicitly; no exact value is ever invented.
 
 from typing import NamedTuple
 
-from .catalog import FamilyParams, HBaseLocus, ValueEnum, require_admissible
-from .errors import at_least, integral
+from .catalog import (FamilyParams, HBaseLocus, ValueEnum, _h0_twist,
+                      require_admissible)
+from .errors import at_least
 
 __all__ = [
     "BaseLocusKind",
@@ -114,15 +115,11 @@ def rationality(params: FamilyParams) -> Rationality:
 
 
 def h0_line_bundle(params: FamilyParams) -> int:
-    """h^0(O_Z(d)) = 1 + 2d/i + (d*delta/12)(i^2 + 3di + 2d^2), by
-    Riemann-Roch plus Kodaira vanishing, for any twist a and any d >= 1.
-    The integer numerator over 12i must divide to a positive integer, else
-    IntegrityError."""
-    Z, d = params.threefold, params.d
-    i, delta = Z.index, Z.degree
-    numerator = 12 * i + 24 * d + d * delta * i * (i * i + 3 * d * i + 2 * d * d)
-    return at_least(params, "h^0(O_Z(d))",
-                    integral(params, "h^0(O_Z(d))", numerator, 12 * i), 1)
+    """h^0(O_Z(d)) = 1 + 2d/i + (d*delta/12)(i^2 + 3di + 2d^2), for any twist
+    a and any d >= 1: ``catalog._h0_twist`` at k = d, which raises
+    IntegrityError unless the Riemann-Roch numerator divides by 12i; the
+    result must be positive, else IntegrityError."""
+    return at_least(params, "h^0(O_Z(d))", _h0_twist(params, params.d), 1)
 
 
 def chi_tangent(k4: int, h0_antiK: int, h12: int, h13: int, h22: int) -> int:

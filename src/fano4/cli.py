@@ -36,6 +36,9 @@ the grammar, but a plain command never imports it: :func:`main` first tries
 and returns the namespace argparse would.  Anything else -- ``--help``,
 ``--version``, a usage error, an abbreviated option or ``--opt=value`` -- goes
 to :func:`build_parser`, so argparse writes every help text and usage error.
+One table, ``_COMMANDS``, names each command with its handler, the kind of
+its arguments and its help text; both parsers and :func:`main`'s dispatch
+read it.
 """
 
 from __future__ import annotations
@@ -174,11 +177,16 @@ def _cmd_export(args: argparse.Namespace) -> int:
 #: the formats of ``export --format``
 _FORMATS = ("json", "csv", "markdown")
 
-
-def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("i", type=int, help="base 3-fold id (1..7)")
-    parser.add_argument("a", type=int, help="bundle twist a >= 0")
-    parser.add_argument("d", type=int, help="degree d >= 1 of the blown-up surface")
+#: every command, in ``--help`` order: its handler, the kind of its arguments
+#: (none, the "family" triple i a d, or the "export" options) and its help
+_COMMANDS = {
+    "list": (_cmd_list, None, "print the 28 family labels"),
+    "info": (_cmd_info, "family", "full record for one family"),
+    "verify": (_cmd_verify, None,
+               "check 3-folds and records against the reference tables"),
+    "export": (_cmd_export, "export", "write all records"),
+    "cones": (_cmd_cones, "family", "curve/nef cone data for one family"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,28 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="print the 28 family labels").set_defaults(
-        func=_cmd_list)
-
-    info = sub.add_parser("info", help="full record for one family")
-    _add_family_arguments(info)
-    info.set_defaults(func=_cmd_info)
-
-    verify = sub.add_parser(
-        "verify", help="check 3-folds and records against the reference tables")
-    verify.set_defaults(func=_cmd_verify)
-
-    export_cmd = sub.add_parser("export", help="write all records")
-    export_cmd.add_argument("--format", choices=_FORMATS, required=True)
-    export_cmd.add_argument("--out", default=None, metavar="PATH",
-                            help="output file (default: standard output)")
-    export_cmd.set_defaults(func=_cmd_export)
-
-    cones_cmd = sub.add_parser(
-        "cones", help="curve/nef cone data for one family")
-    _add_family_arguments(cones_cmd)
-    cones_cmd.set_defaults(func=_cmd_cones)
+    for name, (_, kind, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        if kind == "family":
+            cmd.add_argument("i", type=int, help="base 3-fold id (1..7)")
+            cmd.add_argument("a", type=int, help="bundle twist a >= 0")
+            cmd.add_argument("d", type=int,
+                             help="degree d >= 1 of the blown-up surface")
+        elif kind == "export":
+            cmd.add_argument("--format", choices=_FORMATS, required=True)
+            cmd.add_argument("--out", default=None, metavar="PATH",
+                             help="output file (default: standard output)")
     return parser
 
 
@@ -238,17 +235,18 @@ def _recognise(argv: list[str]) -> SimpleNamespace | None:
     """
     quiet = argv[:1] == ["--quiet"]
     command, *rest = argv[quiet:] or [None]
+    if command not in _COMMANDS:
+        return None
+    kind = _COMMANDS[command][1]
     args = SimpleNamespace(quiet=quiet, command=command)
-    if command in ("list", "verify") and not rest:
-        args.func = _cmd_list if command == "list" else _cmd_verify
-    elif (command in ("info", "cones") and len(rest) == 3
-          and all(t.isascii() and t.isdigit() for t in rest)):
+    if kind == "family":
+        if len(rest) != 3 or not all(t.isascii() and t.isdigit() for t in rest):
+            return None
         try:
             args.i, args.a, args.d = map(int, rest)
         except ValueError:   # too many digits: argparse words the error
             return None
-        args.func = _cmd_info if command == "info" else _cmd_cones
-    elif command == "export":
+    elif kind == "export":
         options = dict(zip(rest[::2], rest[1::2]))
         if (2 * len(options) != len(rest)
                 or not options.keys() <= {"--format", "--out"}
@@ -256,8 +254,7 @@ def _recognise(argv: list[str]) -> SimpleNamespace | None:
                 or options.get("--out", "").startswith("-")):
             return None
         args.format, args.out = options["--format"], options.get("--out")
-        args.func = _cmd_export
-    else:
+    elif rest:
         return None
     return args
 
@@ -268,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _recognise(argv) or build_parser().parse_args(argv)
-        code = args.func(args)
+        code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except (ConsistencyError, IntegrityError) as exc:

@@ -11,7 +11,9 @@ For a family (Z, a, d), passed as one ``FamilyParams``, the 4-fold is a
 blow-up of the P^1-bundle Y over Z along a surface isomorphic to a smooth
 member A of |O_Z(d)|, so its three unknown Hodge numbers have closed forms in
 terms of h^{1,2}(Z) and the surface numbers h^{0,2}(A), h^{1,1}(A).  Both
-routes are computed here and must agree.
+routes are computed here and must agree.  h^{0,2}(A) = h^0(O_Z(d - i_Z))
+is the Riemann-Roch count of ``catalog._h0_twist``, which also gives the
+h^0(O_Z(d)) of the tangent bound; h^{1,1}(A) follows by Noether's formula.
 
 The shared factor e(Z)*e(P^1) is cached keyed on h^{1,2}(Z), the only number
 of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
@@ -19,11 +21,10 @@ e(P^{c-1}) - e(P^0); no check is cached.
 """
 
 from functools import lru_cache
-from math import comb
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .catalog import FamilyParams, FanoThreefold
+from .catalog import FamilyParams, FanoThreefold, _h0_twist
 from .errors import agree, at_least
 
 __all__ = [
@@ -173,29 +174,16 @@ def _exceptional_factor(c: int) -> HodgePolynomial:
 def surface_h02(params: FamilyParams) -> int:
     """h^{0,2} of a smooth surface A in |O_Z(d)|, for any twist a.
 
-    Equals h^3(O_Z(-d)) by the restriction sequence, which Kodaira vanishing
-    pins down for d <= i_Z; the two indices with room above i_Z (the quadric
-    and P^3) are handled by their ambient-space cohomology:
-
-    * d <  i_Z: 0
-    * d == i_Z: 1
-    * i_Z == 3, d == 4: 5
-    * i_Z == 4: binom(d-1, 3)
+    The restriction sequence gives h^2(O_A) = h^3(O_Z(-d)), which Serre
+    duality (K_Z = O_Z(-i_Z)) turns into h^0(O_Z(d - i_Z)): 0 for d < i_Z,
+    1 for d == i_Z, and Riemann-Roch above it (``catalog._h0_twist``).
 
     A d above 2*i_Z - 2, which ``FamilyParams`` allows, raises ValueError.
     """
     i, d = params.threefold.index, params.d
     if not 1 <= d <= 2 * i - 2:
         raise ValueError(f"d must be in 1..{2 * i - 2} for index {i}, got {d}")
-    if d < i:
-        return 0
-    if d == i:
-        return 1
-    if i == 3 and d == 4:
-        return 5
-    if i == 4:
-        return comb(d - 1, 3)
-    raise AssertionError("unreachable: d <= 2i-2 leaves no other case")
+    return _h0_twist(params, d - i)
 
 
 def surface_h11(params: FamilyParams) -> int:

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from fano4.catalog import FamilyParams, catalog, enumerate_families
+from fano4.catalog import FamilyParams, _h0_twist, catalog, enumerate_families
 from fano4.classify import (
     BaseLocusKind,
     Rationality,
@@ -128,6 +128,20 @@ def test_h0_line_bundle_is_an_exact_int_on_all_families():
         assert type(value) is int and value > 0, (p.label, value)
 
 
+@pytest.mark.parametrize("z", catalog(), ids=lambda z: z.label)
+def test_h0_twist_clamps_negative_twists(z):
+    # Riemann-Roch alone reads -1 at k = -i: the clamp, not the formula,
+    # gives h^0 = 0 for every negative twist
+    params = FamilyParams(z.id, 0, 1)
+    i = z.index
+    assert [_h0_twist(params, k) for k in range(-2 * i, 0)] == [0] * (2 * i)
+    assert _h0_twist(params, 0) == 1
+    oracle = {7: sections_of_p3, 6: sections_of_quadric}.get(z.id)
+    if oracle is not None:
+        for k in range(1, 13):
+            assert _h0_twist(params, k) == oracle(k), (z.label, k)
+
+
 def test_h0_line_bundle_integrality_guard(monkeypatch):
     import fano4.catalog as catalog_module
     from fano4.catalog import FanoThreefold, HBaseLocus
@@ -142,7 +156,7 @@ def test_h0_line_bundle_integrality_guard(monkeypatch):
         h0_line_bundle(FamilyParams(7, 0, 1))
     assert str(exc.value).startswith("X^7_{0,1}: ")
     assert str(exc.value).count("X^7_{0,1}") == 1
-    assert str(exc.value) == "X^7_{0,1}: h^0(O_Z(d)) = 49/10 is not an integer"
+    assert str(exc.value) == "X^7_{0,1}: h^0(O_Z(k)) = 49/10 is not an integer"
 
 
 @pytest.mark.parametrize("label,expected", [

@@ -1,5 +1,6 @@
-"""The failure vocabulary: the three check helpers of ``fano4.errors`` and
-the modules that must route every failed family-level check through them."""
+"""The failure vocabulary: the three check helpers of ``fano4.errors``, the
+modules that must route every failed family-level check through them, and
+the two distinct route names of every ``agree`` call."""
 
 from __future__ import annotations
 
@@ -67,3 +68,35 @@ def test_agree_message():
                      "Riemann-Roch", -3)
     assert str(exc.value) == ("Z_4: chi(T_Z) disagree: h0(T)-h1(T) -4, "
                               "Riemann-Roch -3")
+
+
+def agree_calls():
+    """(module, line, route, other_route) for every ``agree(...)`` call in
+    ``src/fano4``, its arguments bound by name as ``errors.agree`` takes them."""
+    names = ("family", "quantity", "route", "value", "other_route", "other")
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name != "agree":
+                continue
+            bound = dict(zip(names, node.args))
+            bound.update((k.arg, k.value) for k in node.keywords)
+            calls.append((path.stem, node.lineno, bound.get("route"),
+                          bound.get("other_route")))
+    return calls
+
+
+def test_every_agree_call_names_two_distinct_literal_routes():
+    calls = agree_calls()
+    assert {module for module, *_ in calls} >= {"catalog", "cones", "hodge",
+                                                "intersect"}
+    for module, line, route, other in calls:
+        where = f"{module}.py:{line}"
+        for node in (route, other):
+            assert isinstance(node, ast.Constant) and type(node.value) is str, where
+        assert route.value != other.value, where

@@ -154,15 +154,17 @@ def test_bundle_formula_scales_total(f):
     assert coefficient_total(bundle_formula(f, 1)) == 2 * coefficient_total(f)
 
 
+# every pair with 1 <= d <= 2i - 2, from the ambient cohomology of each Z
+# rather than Riemann-Roch: 0 for d < i, 1 for d = i, 5 linear forms on the
+# quadric at d = 4, and binom(d - 1, 3) on P^3
 @pytest.mark.parametrize("z_id,d,expected", [
-    (3, 1, 0),
-    (6, 4, 5),
-    (7, 6, 10),
-    (1, 2, 1),   # d = index
-    (7, 5, 4),   # binom(4, 3)
-    (7, 4, 1),
-    (6, 3, 1),
-    (5, 1, 0),
+    (1, 1, 0), (1, 2, 1),
+    (2, 1, 0), (2, 2, 1),
+    (3, 1, 0), (3, 2, 1),
+    (4, 1, 0), (4, 2, 1),
+    (5, 1, 0), (5, 2, 1),
+    (6, 1, 0), (6, 2, 0), (6, 3, 1), (6, 4, 5),
+    (7, 1, 0), (7, 2, 0), (7, 3, 0), (7, 4, 1), (7, 5, 4), (7, 6, 10),
 ])
 def test_surface_h02_values(z_id, d, expected):
     assert surface_h02(FamilyParams(z_id, 0, d)) == expected
@@ -252,12 +254,12 @@ def test_integrity_error_for_impossible_surface(monkeypatch):
     fake = FanoThreefold(7, 4, 60, 0, 15, 0, HBaseLocus.EMPTY, True, "fake")
     monkeypatch.setattr(catalog_module, "_CATALOG",
                         (*catalog_module._CATALOG[:6], fake))
-    # 10 + 10*binom(5, 3) - 6*(6-4)^2*60 = -1330
+    # d = 1 < i: h^{0,2} = 0, so 10 + 0 - 1*(1-4)^2*60 = -530
     # reached directly, and through e(A) on the way to the 4-fold
     for fn in (surface_h11, hodge_of_fourfold):
         with pytest.raises(IntegrityError) as exc:
-            fn(FamilyParams(7, 0, 6))
-        assert str(exc.value) == "X^7_{0,6}: h^{1,1}(A) = -1330 < 1"
+            fn(FamilyParams(7, 0, 1))
+        assert str(exc.value) == "X^7_{0,1}: h^{1,1}(A) = -530 < 1"
 
 
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True, Fraction(0)],
