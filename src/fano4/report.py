@@ -1,15 +1,19 @@
 """Record assembly, verification against the reference tables, and export.
 
-:func:`build_record` runs every module on one family and bundles the results;
-all cross-checks of the underlying modules run as a side effect, and each
-failure names the family once (see :mod:`fano4.errors`).  The record keeps
-no cone data; ``fano4 info`` prints the cone data of the same build, through
-``_record_and_cones``.  A :class:`FamilyRecord` is the row: the json and csv
-exports write its fields, ``fano4 info`` prints them, and :func:`verify_all`
-compares them, and the catalogue rows, with the reference rows, which use the
-same names.  Records and reference rows are ``typing.NamedTuple`` classes:
-each diff runs over a reference row's ``_fields``, which must all be record
-fields.  Mismatches are data, never exceptions, so a red table is an ordinary
+:func:`build_record` computes the row of one family: the invariants, Hodge
+numbers, tangent bounds and labels, with the cross-checks of those modules
+run as a side effect; each failure names the family once (see
+:mod:`fano4.errors`).  The cone checks of ``cones.cone_data`` cover data the
+row does not keep, so they run beside it: the 28-family pass
+(:func:`build_all_records`, behind :func:`verify_all` and ``fano4 export``)
+runs them for every family in a loop of their own before it builds the rows;
+``fano4 info`` runs them through ``_record_and_cones``, and ``fano4 cones``
+alone.  A :class:`FamilyRecord` is the row: the json and csv exports write
+its fields, ``fano4 info`` prints them, and :func:`verify_all` compares them,
+and the catalogue rows, with the reference rows, which use the same names.
+Records and reference rows are ``typing.NamedTuple`` classes: each diff runs
+over a reference row's ``_fields``, which must all be record fields.
+Mismatches are data, never exceptions, so a red table is an ordinary
 result, not a crash; only reference tables that are misaligned or name a field
 no record has raise IntegrityError.
 """
@@ -60,32 +64,40 @@ class FamilyRecord(NamedTuple):
 
 
 def build_record(params: FamilyParams) -> FamilyRecord:
-    """Compute the full record for one admissible family."""
-    return _record_and_cones(params)[0]
-
-
-def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
-    """The record of one family and the cone data it was built from, which
-    the record does not keep."""
-    cone = cones.cone_data(params)
+    """The row of one admissible family.  It runs no cone check of
+    ``cones.cone_data``; :func:`build_all_records` and ``_record_and_cones``
+    run those beside it."""
     inv = intersect.fano4_invariants(params)
     hdg = hodge_of_fourfold(params)
     tangent = classify.tangent_bounds(params, classify.chi_tangent(
         inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
     z_id, a, d = params
     # positional, in FamilyRecord field order
-    record = FamilyRecord(
+    return FamilyRecord(
         z_id, a, d, params.label, inv.K4, inv.K2c2, inv.h0_antiK,
         hdg.h12, hdg.h13, hdg.h22,
         classify.base_locus(params), classify.rationality(params),
         classify.toric_label(params), cones.is_fibre_like(params),
         tangent.chi, tangent.h0, tangent.h1,
         tangent.h1_is_exact, tangent.h1_is_exact)
-    return record, cone
+
+
+def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
+    """The record of one family and its cone data, which the record does not
+    keep; the cone checks run first, as in the 28-family pass."""
+    cone = cones.cone_data(params)
+    return build_record(params), cone
 
 
 def build_all_records() -> list[FamilyRecord]:
-    return [build_record(p) for p in enumerate_families()]
+    """The records of the 28 families, in :func:`enumerate_families` order.
+    The cone checks run first, for every family, and only then are the rows
+    built: one loop per layer runs faster than the layers interleaved per
+    family."""
+    families = enumerate_families()
+    for p in families:
+        cones.cone_data(p)
+    return [build_record(p) for p in families]
 
 
 class Mismatch(NamedTuple):

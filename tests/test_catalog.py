@@ -12,7 +12,7 @@ from fano4.catalog import (
     threefold,
     validate_params,
 )
-from fano4.errors import ConsistencyError
+from fano4.errors import ConsistencyError, IntegrityError
 
 
 def brute_force_admissible(index: int, a_max: int, d_max: int) -> set[tuple[int, int]]:
@@ -64,16 +64,19 @@ def test_chi_tangent_identity():
 
 
 # a mistyped -K^3 (degree, index) is a table-1 mismatch in report.verify_all
-@pytest.mark.parametrize("z_id,change,message", [
-    (4, {"h1_tangent": 4},
+@pytest.mark.parametrize("z_id,change,error,message", [
+    (4, {"h1_tangent": 4}, ConsistencyError,
      "Z_4: chi(T_Z) disagree: h0(T)-h1(T) -4, Riemann-Roch -3"),
-], ids=["chi_tangent"])
-def test_catalogue_guards_fire(monkeypatch, z_id, change, message):
+    # -K^3 = 5^3 * 1 is odd too: the divisibility check must fire first
+    (7, {"index": 5}, IntegrityError,
+     "Z_7: 24/i_Z = 24/5 is not an integer"),
+], ids=["chi_tangent", "index_divides_24"])
+def test_catalogue_guards_fire(monkeypatch, z_id, change, error, message):
     rows = list(catalog_module._CATALOG)
     rows[z_id - 1] = rows[z_id - 1]._replace(**change)
     catalog_module._validate_catalog()   # sound before the fault
     monkeypatch.setattr(catalog_module, "_CATALOG", tuple(rows))
-    with pytest.raises(ConsistencyError) as exc:
+    with pytest.raises(error) as exc:
         catalog_module._validate_catalog()
     assert str(exc.value) == message
 

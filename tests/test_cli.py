@@ -138,6 +138,16 @@ def test_cones_runs_the_cone_checks(capsys, monkeypatch):
                    "case 0 < a < d (3, 3)\n")
 
 
+def test_verify_runs_the_cone_checks(capsys, monkeypatch):
+    import fano4.cones as cones
+
+    monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert err == ("internal consistency error: X^1_{0,1}: -K degree gcd "
+                   "disagree: pairing 2, Fano index 1\n")
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

@@ -71,13 +71,46 @@ def test_build_record_attaches_the_label_on_internal_errors(monkeypatch):
 
 def test_build_record_names_the_family_once_on_a_cone_error(monkeypatch):
     import fano4.cones as cones
+    import fano4.report as report
     from fano4.errors import ConsistencyError
 
     monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
     with pytest.raises(ConsistencyError) as exc:
-        build_record(FamilyParams(7, 2, 4))
+        report._record_and_cones(FamilyParams(7, 2, 4))
     assert str(exc.value) == ("X^7_{2,4}: -K degree gcd disagree: pairing 2, "
                               "Fano index 1")
+
+
+def test_verify_all_runs_the_cone_checks(monkeypatch):
+    import fano4.cones as cones
+
+    monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
+    with pytest.raises(ConsistencyError) as exc:
+        verify_all()
+    # the first family fails first
+    assert str(exc.value) == ("X^1_{0,1}: -K degree gcd disagree: pairing 2, "
+                              "Fano index 1")
+
+
+def test_the_pass_runs_the_cone_layer_first(monkeypatch):
+    import fano4.cones as cones
+    import fano4.intersect as intersect
+
+    build_all_records()   # every cache is warm
+    calls = []
+    for module, name in ((cones, "cone_data"), (intersect, "fano4_invariants")):
+        def logged(p, _name=name, _original=getattr(module, name)):
+            calls.append((_name, p))
+            return _original(p)
+        monkeypatch.setattr(module, name, logged)
+    build_all_records()
+    families = enumerate_families()
+    # the cone layer runs on all 28 families, in order, before any row
+    assert calls == ([("cone_data", p) for p in families]
+                     + [("fano4_invariants", p) for p in families])
+    calls.clear()
+    build_record(families[0])
+    assert calls == [("fano4_invariants", families[0])]
 
 
 def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch):
