@@ -181,13 +181,11 @@ def validate_params(z_id: int, a: int, d: int) -> bool:
     """
     if type(z_id) is not int or type(a) is not int or type(d) is not int:
         raise TypeError(f"(z_id, a, d) must be three ints, got {(z_id, a, d)!r}")
-    if not 1 <= z_id <= 7:
-        raise ValueError(f"z_id must be in 1..7, got {z_id}")
+    i = threefold(z_id).index
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    i = _CATALOG[z_id - 1].index
     if not (a > d or 2 * a <= d):
         return False
     return a <= i - 1 and d - a <= i - 1

@@ -104,9 +104,10 @@ def _print_cones(cone: cones.ConeData) -> None:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     params = _family_arg(args)
-    from . import report
+    from . import cones, report
 
-    record, cone = report._record_and_cones(params)
+    cone = cones.cone_data(params)   # the cone checks run before any output
+    record = report.build_record(params)
     Z = params.threefold
     print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
           f"a={params.a}, d={params.d}")

@@ -175,15 +175,10 @@ def surface_h02(params: FamilyParams) -> int:
     """h^{0,2} of a smooth surface A in |O_Z(d)|, for any twist a.
 
     The restriction sequence gives h^2(O_A) = h^3(O_Z(-d)), which Serre
-    duality (K_Z = O_Z(-i_Z)) turns into h^0(O_Z(d - i_Z)): 0 for d < i_Z,
-    1 for d == i_Z, and Riemann-Roch above it (``catalog._h0_twist``).
-
-    A d above 2*i_Z - 2, which ``FamilyParams`` allows, raises ValueError.
+    duality (K_Z = O_Z(-i_Z)) turns into h^0(O_Z(d - i_Z)), the
+    Riemann-Roch count of ``catalog._h0_twist``, for every d >= 1.
     """
-    i, d = params.threefold.index, params.d
-    if not 1 <= d <= 2 * i - 2:
-        raise ValueError(f"d must be in 1..{2 * i - 2} for index {i}, got {d}")
-    return _h0_twist(params, d - i)
+    return _h0_twist(params, params.d - params.threefold.index)
 
 
 def surface_h11(params: FamilyParams) -> int:

@@ -4,13 +4,13 @@
 numbers, tangent bounds and labels, with the cross-checks of those modules
 run as a side effect; each failure names the family once (see
 :mod:`fano4.errors`).  The cone checks of ``cones.cone_data`` cover data the
-row does not keep, so they run beside it: the 28-family pass
-(:func:`build_all_records`, behind :func:`verify_all` and ``fano4 export``)
-runs them for every family in a loop of their own before it builds the rows;
-``fano4 info`` runs them through ``_record_and_cones``, and ``fano4 cones``
-alone.  A :class:`FamilyRecord` is the row: the json and csv exports write
-its fields, ``fano4 info`` prints them, and :func:`verify_all` compares them,
-and the catalogue rows, with the reference rows, which use the same names.
+row does not keep, so each caller calls ``cones.cone_data`` itself: the
+28-family pass (:func:`build_all_records`, behind :func:`verify_all` and
+``fano4 export``) for every family, in a loop of its own before it builds the
+rows; ``fano4 info`` before it builds its one row; ``fano4 cones`` alone.
+A :class:`FamilyRecord` is the row: the json and csv exports write its
+fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
+the catalogue rows, with the reference rows, which use the same names.
 Records and reference rows are ``typing.NamedTuple`` classes: each diff runs
 over a reference row's ``_fields``, which must all be record fields.
 Mismatches are data, never exceptions, so a red table is an ordinary
@@ -65,8 +65,8 @@ class FamilyRecord(NamedTuple):
 
 def build_record(params: FamilyParams) -> FamilyRecord:
     """The row of one admissible family.  It runs no cone check of
-    ``cones.cone_data``; :func:`build_all_records` and ``_record_and_cones``
-    run those beside it."""
+    ``cones.cone_data``: its callers, :func:`build_all_records` and
+    ``fano4 info``, call that first."""
     inv = intersect.fano4_invariants(params)
     hdg = hodge_of_fourfold(params)
     tangent = classify.tangent_bounds(params, classify.chi_tangent(
@@ -80,13 +80,6 @@ def build_record(params: FamilyParams) -> FamilyRecord:
         classify.toric_label(params), cones.is_fibre_like(params),
         tangent.chi, tangent.h0, tangent.h1,
         tangent.h1_is_exact, tangent.h1_is_exact)
-
-
-def _record_and_cones(params: FamilyParams) -> tuple[FamilyRecord, cones.ConeData]:
-    """The record of one family and its cone data, which the record does not
-    keep; the cone checks run first, as in the 28-family pass."""
-    cone = cones.cone_data(params)
-    return build_record(params), cone
 
 
 def build_all_records() -> list[FamilyRecord]:

@@ -46,6 +46,17 @@ def test_info_shows_record_and_cones(capsys):
     assert "R1: phi*H" in out
 
 
+def test_info_names_the_family_once_on_a_cone_error(capsys, monkeypatch):
+    import fano4.cones as cones
+
+    monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
+    code, out, err = run(capsys, "info", "7", "2", "4")
+    # the cone checks run before any line of the record is printed
+    assert (code, out) == (2, "")
+    assert err == ("internal consistency error: X^7_{2,4}: -K degree gcd "
+                   "disagree: pairing 2, Fano index 1\n")
+
+
 def test_info_matches_the_reference_tables_on_every_family(capsys):
     tables = golden_tables()
     table3 = {row.label: row for row in tables.table3}

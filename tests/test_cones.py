@@ -207,6 +207,35 @@ def test_pairing_context_mismatch():
         phi_star_H(FamilyParams(7, 0, 1)) + E(FamilyParams(6, 0, 1))
 
 
+curve_combos = st.dictionaries(
+    st.sampled_from(list(CurveGen)),
+    st.fractions(min_value=0, max_value=20, max_denominator=12), max_size=4)
+
+
+@given(family_params, curve_combos, curve_combos)
+@example(FamilyParams(6, 2, 4), {CurveGen.F: 1},
+         {CurveGen.F: Fraction(1, 2), CurveGen.C_G: 2})
+def test_curve_class_sum_adds_the_coefficients(p, x, y):
+    # the example holds F in both operands, whose coefficients must sum
+    total = curve_combo(p, x) + curve_combo(p, y)
+    assert type(total) is CurveClass and total.context == p
+    expected = {g: x.get(g, 0) + y.get(g, 0) for g in CurveGen}
+    assert dict(total.combo) == {g: c for g, c in expected.items() if c}
+
+
+def test_curve_class_sum_refuses_mixed_contexts():
+    with pytest.raises(ContextMismatchError):
+        (curve(FamilyParams(7, 0, 1), CurveGen.F)
+         + curve(FamilyParams(7, 0, 2), CurveGen.F))
+
+
+def test_curve_class_kind_is_none_off_a_single_generator():
+    p = FamilyParams(7, 1, 2)
+    assert curve_combo(p, {CurveGen.F: 1, CurveGen.C_G: 1}).kind is None
+    assert curve_combo(p, {CurveGen.F: 2}).kind is None
+    assert curve_combo(p, {CurveGen.F: 1}).kind is CurveGen.F
+
+
 def test_curve_combo_rejects_negative_coefficients():
     p = FamilyParams(7, 0, 1)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fano4.catalog import (FamilyParams, enumerate_families, threefold,
@@ -132,6 +132,21 @@ def test_arithmetic_results_equal_the_checked_constructor(f, g):
         assert result == HodgePolynomial(result.as_dict())
 
 
+@given(_signed_polynomials(), _signed_polynomials())
+@example(HodgePolynomial({(0, 0): 2}), HodgePolynomial({(0, 0): 1, (1, 2): 3}))
+def test_difference_is_the_coefficient_difference(f, g):
+    # the example's (1, 2) term is held only by the right operand
+    difference = f - g
+    for p in range(4):
+        for q in range(4):
+            assert difference.coeff(p, q) == f.coeff(p, q) - g.coeff(p, q)
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError):
+        HodgePolynomial({(-1, 0): 1})
+
+
 def test_arithmetic_takes_only_hodge_polynomials():
     # a plain mapping would slip a float or a negative exponent past the
     # checks that the results skip
@@ -142,6 +157,9 @@ def test_arithmetic_takes_only_hodge_polynomials():
         f - {(0, 0): 0.5}
     with pytest.raises(TypeError):
         f * {(-1, 0): 1}
+    # == returns NotImplemented, and int has no answer either
+    assert f.__eq__(1) is NotImplemented
+    assert (HodgePolynomial({(0, 0): 1}) == 1) is False
 
 
 def coefficient_total(f):
@@ -173,10 +191,10 @@ def test_surface_h02_values(z_id, d, expected):
 def test_surface_h02_domain():
     with pytest.raises(ValueError):
         surface_h02(FamilyParams(1, 0, 0))   # refused where it is built
-    with pytest.raises(ValueError):
-        surface_h02(FamilyParams(1, 0, 3))   # 2*i - 2 = 2
-    with pytest.raises(ValueError):
-        surface_h02(FamilyParams(7, 0, 7))
+    # past d = 2i - 2, from the ambient cohomology again: the three
+    # weight-1 coordinates of P(1,1,1,2,3) for Z_1, and binom(6, 3) on P^3
+    assert surface_h02(FamilyParams(1, 0, 3)) == 3
+    assert surface_h02(FamilyParams(7, 0, 7)) == 20
 
 
 @pytest.mark.parametrize("z_id,d,expected", [
@@ -192,6 +210,18 @@ def test_surface_h11_positive_on_admissible_degrees():
     for z in (threefold(i) for i in range(1, 8)):
         for d in range(1, 2 * z.index - 1):
             assert surface_h11(FamilyParams(z.id, 0, d)) > 0
+
+
+@pytest.mark.parametrize("z_id", range(1, 8))
+def test_surface_euler_number_by_chern_classes(z_id):
+    # c(T_A) = c(T_Z)|_A / (1 + dH) gives e(A) = 24d/i + d^2 delta (d - i),
+    # which reads no h^{0,2}(A); past d = 2i - 2 too, up to d = 4i
+    Z = threefold(z_id)
+    i, delta = Z.index, Z.degree
+    for d in range(1, 4 * i + 1):
+        eA = hodge_of_surface(FamilyParams(z_id, 0, d))
+        alternating = sum((-1) ** (p + q) * c for (p, q), c in eA.items())
+        assert alternating == 24 * d // i + d * d * delta * (d - i), d
 
 
 def test_surface_hodge_irregularity_vanishes():

@@ -314,6 +314,19 @@ def test_split_bundle_base_specialization():
     assert data.chi_O == 1
 
 
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_twisting_the_bundle_keeps_the_degrees(k):
+    # P(E) = P(E(k)), and E(k) = O(k) + O(a + k) has c1 = (a + 2k)H and
+    # c2 = k(a + k)H^2: every K_W.c2(E) coefficient counts once k(a + k) != 0
+    for p in enumerate_families():
+        Z, a = p.threefold, p.a
+        i, delta = Z.index, Z.degree
+        twisted = BundleInput(-i**3 * delta, -i * (a + 2 * k)**2 * delta,
+                              -i * k * (a + k) * delta, -24, 1)
+        assert (projective_bundle_invariants(twisted)
+                == projective_bundle_invariants(split_bundle_base(p))), p.label
+
+
 @pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
 def test_closed_forms_reject_non_int_twist(bad):
     # the closed forms take a FamilyParams, whose constructor is the one

@@ -69,18 +69,6 @@ def test_build_record_attaches_the_label_on_internal_errors(monkeypatch):
         build_record(FamilyParams(6, 2, 4))
 
 
-def test_build_record_names_the_family_once_on_a_cone_error(monkeypatch):
-    import fano4.cones as cones
-    import fano4.report as report
-    from fano4.errors import ConsistencyError
-
-    monkeypatch.setattr(cones, "_ne_kinds", lambda a, d: (cones.CurveGen.C_G,))
-    with pytest.raises(ConsistencyError) as exc:
-        report._record_and_cones(FamilyParams(7, 2, 4))
-    assert str(exc.value) == ("X^7_{2,4}: -K degree gcd disagree: pairing 2, "
-                              "Fano index 1")
-
-
 def test_verify_all_runs_the_cone_checks(monkeypatch):
     import fano4.cones as cones
 
