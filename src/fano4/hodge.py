@@ -13,7 +13,8 @@ member A of |O_Z(d)|, so its three unknown Hodge numbers have closed forms in
 terms of h^{1,2}(Z) and the surface numbers h^{0,2}(A), h^{1,1}(A).  Both
 routes are computed here and must agree.  h^{0,2}(A) = h^0(O_Z(d - i_Z))
 is the Riemann-Roch count of ``catalog._h0_twist``, which also gives the
-h^0(O_Z(d)) of the tangent bound; h^{1,1}(A) follows by Noether's formula.
+h^0(O_Z(d)) of the tangent bound; h^{1,1}(A) follows by Noether's formula,
+and the Euler number of A by Chern classes checks the pair.
 
 The shared factor e(Z)*e(P^1) is cached keyed on h^{1,2}(Z), the only number
 of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
@@ -239,11 +240,20 @@ def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
 
     Computed twice -- closed forms and the polynomial calculus
     e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked, on one e(A).
+    That e(A) is checked first through its Euler number: Noether's route
+    gives 2 + 2h^{0,2} + h^{1,1}, and Chern classes give
+    e(A) = 24d/i + d^2*delta*(d - i), from c(T_A) = c(T_Z)|_A / (1 + dH) and
+    c2(Z).H = 24/i, with no h^{0,2}(A) in it (the catalogue checks that i
+    divides 24).  A wrong h^{0,2}(A) moves both routes of the Hodge numbers
+    alike, so only this check sees it.
     """
-    h12 = params.threefold.h12
+    Z, d = params.threefold, params.d
     eA = hodge_of_surface(params)
-    eX = blowup_formula(_bundle_over_threefold(h12), eA, 2)
+    h02, h11 = eA.coeff(0, 2), eA.coeff(1, 1)
+    agree(params, "e(A)", "Noether", 2 + 2 * h02 + h11, "Chern classes",
+          24 // Z.index * d + d * d * Z.degree * (d - Z.index))
+    eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
     return FourfoldHodge(*agree(
         params, "Hodge numbers (h12, h13, h22)", "closed",
-        (h12, eA.coeff(0, 2), 2 + eA.coeff(1, 1)),
+        (Z.h12, h02, 2 + h11),
         "polynomial", (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))))

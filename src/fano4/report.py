@@ -1,13 +1,14 @@
 """Record assembly, verification against the reference tables, and export.
 
-:func:`build_record` computes the row of one family: the invariants, Hodge
-numbers, tangent bounds and labels, with the cross-checks of those modules
-run as a side effect; each failure names the family once (see
-:mod:`fano4.errors`).  The cone checks of ``cones.cone_data`` cover data the
-row does not keep, so each caller calls ``cones.cone_data`` itself: the
-28-family pass (:func:`build_all_records`, behind :func:`verify_all` and
-``fano4 export``) for every family, in a loop of its own before it builds the
-rows; ``fano4 info`` before it builds its one row; ``fano4 cones`` alone.
+The 28-family pass, :func:`build_all_records` (behind :func:`verify_all` and
+``fano4 export``), runs one loop per layer, in this order: the cone checks of
+``cones.cone_data``, which cover data the row does not keep, then
+``intersect.fano4_invariants`` and ``hodge.hodge_of_fourfold``, each with the
+cross-checks of its module; then :func:`build_record` assembles each row from
+that family's two layer results, which are freed as the row is built.
+``fano4 info`` calls the same four functions for its one family; ``fano4
+cones`` calls ``cones.cone_data`` alone.  Each failure names the family once
+(see :mod:`fano4.errors`).
 A :class:`FamilyRecord` is the row: the json and csv exports write its
 fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
 the catalogue rows, with the reference rows, which use the same names.
@@ -21,10 +22,9 @@ no record has raise IntegrityError.
 from operator import attrgetter
 from typing import NamedTuple
 
-from . import classify, cones, intersect
+from . import classify, cones, hodge, intersect
 from .catalog import FamilyParams, catalog, enumerate_families
 from .errors import IntegrityError
-from .hodge import hodge_of_fourfold
 
 __all__ = [
     "FamilyRecord",
@@ -63,19 +63,22 @@ class FamilyRecord(NamedTuple):
     h1_T_is_exact: bool
 
 
-def build_record(params: FamilyParams) -> FamilyRecord:
-    """The row of one admissible family.  It runs no cone check of
-    ``cones.cone_data``: its callers, :func:`build_all_records` and
-    ``fano4 info``, call that first."""
-    inv = intersect.fano4_invariants(params)
-    hdg = hodge_of_fourfold(params)
+def build_record(params: FamilyParams,
+                 invariants: intersect.FourfoldInvariants,
+                 hodge_numbers: hodge.FourfoldHodge) -> FamilyRecord:
+    """The row of one admissible family, from its two layer results: the
+    tangent bounds and labels of ``classify`` are computed here.  It runs
+    none of ``cones.cone_data``, ``intersect.fano4_invariants`` or
+    ``hodge.hodge_of_fourfold``: its callers, :func:`build_all_records` and
+    ``fano4 info``, call those first."""
+    K4, K2c2, h0_antiK = invariants
+    h12, h13, h22 = hodge_numbers
     tangent = classify.tangent_bounds(params, classify.chi_tangent(
-        inv.K4, inv.h0_antiK, hdg.h12, hdg.h13, hdg.h22))
+        K4, h0_antiK, h12, h13, h22))
     z_id, a, d = params
     # positional, in FamilyRecord field order
     return FamilyRecord(
-        z_id, a, d, params.label, inv.K4, inv.K2c2, inv.h0_antiK,
-        hdg.h12, hdg.h13, hdg.h22,
+        z_id, a, d, params.label, K4, K2c2, h0_antiK, h12, h13, h22,
         classify.base_locus(params), classify.rationality(params),
         classify.toric_label(params), cones.is_fibre_like(params),
         tangent.chi, tangent.h0, tangent.h1,
@@ -84,13 +87,22 @@ def build_record(params: FamilyParams) -> FamilyRecord:
 
 def build_all_records() -> list[FamilyRecord]:
     """The records of the 28 families, in :func:`enumerate_families` order.
-    The cone checks run first, for every family, and only then are the rows
-    built: one loop per layer runs faster than the layers interleaved per
-    family."""
+
+    One loop per layer runs faster than the layers interleaved per family:
+    the cone checks run for every family first, then the invariants, then
+    the Hodge numbers, and only then are the rows built.  Each family's two
+    layer results are popped as its row is built, so none outlives its row:
+    the pass never holds all 28 rows and all 56 layer results at once.
+    """
     families = enumerate_families()
     for p in families:
         cones.cone_data(p)
-    return [build_record(p) for p in families]
+    invariants = [intersect.fano4_invariants(p) for p in families]
+    hodge_numbers = [hodge.hodge_of_fourfold(p) for p in families]
+    invariants.reverse()   # pop() hands the results on in family order
+    hodge_numbers.reverse()
+    return [build_record(p, invariants.pop(), hodge_numbers.pop())
+            for p in families]
 
 
 class Mismatch(NamedTuple):

@@ -165,10 +165,12 @@ def test_h0_line_bundle_integrality_guard(monkeypatch):
     ("X^6_{2,4}", -43),
 ])
 def test_chi_tangent_examples(label, expected):
-    from fano4.report import build_record
-    by_label = {p.label: p for p in enumerate_families()}
-    r = build_record(by_label[label])
-    assert chi_tangent(r.K4, r.h0_antiK, r.h12, r.h13, r.h22) == expected
+    from fano4.hodge import hodge_of_fourfold
+    from fano4.intersect import fano4_invariants
+    p = {p.label: p for p in enumerate_families()}[label]
+    inv, hdg = fano4_invariants(p), hodge_of_fourfold(p)
+    assert chi_tangent(inv.K4, inv.h0_antiK, hdg.h12, hdg.h13,
+                       hdg.h22) == expected
 
 
 def test_tangent_bounds_weighted_sextic_first_family():
@@ -231,8 +233,10 @@ def test_tangent_exactness_pattern():
 
 
 def chi_for(p: FamilyParams) -> int:
+    from fano4.hodge import hodge_of_fourfold
+    from fano4.intersect import fano4_invariants
     from fano4.report import build_record
-    return build_record(p).chi_T
+    return build_record(p, fano4_invariants(p), hodge_of_fourfold(p)).chi_T
 
 
 def test_classify_rejects_inadmissible():

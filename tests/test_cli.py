@@ -124,17 +124,25 @@ def test_cones_output(capsys):
 
 def test_info_computes_the_cone_data_once(capsys, monkeypatch):
     import fano4.cones as cones
+    import fano4.hodge as hodge
+    import fano4.intersect as intersect
 
     calls = {}
-    for name in ("anticanonical", "ne_generators", "nef_rays", "pairing"):
-        def counted(*args, _name=name, _original=getattr(cones, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args)
-        monkeypatch.setattr(cones, name, counted)
+    for module, names in ((cones, ("cone_data", "anticanonical",
+                                   "ne_generators", "nef_rays", "pairing")),
+                          (intersect, ("fano4_invariants",)),
+                          (hodge, ("hodge_of_fourfold",))):
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
     code, out, _ = run(capsys, "info", "7", "1", "2")
     assert code == 0 and "R4: 2*G + 1*Ehat" in out
-    assert calls == {"anticanonical": 1, "ne_generators": 1, "nef_rays": 1,
-                     "pairing": 4}
+    # each of the three layer results once, as in the 28-family pass
+    assert calls == {"cone_data": 1, "anticanonical": 1, "ne_generators": 1,
+                     "nef_rays": 1, "pairing": 4, "fano4_invariants": 1,
+                     "hodge_of_fourfold": 1}
 
 
 def test_cones_runs_the_cone_checks(capsys, monkeypatch):

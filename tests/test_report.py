@@ -14,8 +14,8 @@ from fano4.classify import BaseLocusKind, Rationality, ToricLabel
 from fano4.cones import CurveGen, cone_data, pairing_matrix
 from fano4.errors import ConsistencyError, IntegrityError
 from fano4.golden import GoldenFamilyRow, GoldenTangentRow, golden_tables
-from fano4.hodge import HodgePolynomial
-from fano4.intersect import k4_closed_terms
+from fano4.hodge import HodgePolynomial, hodge_of_fourfold
+from fano4.intersect import fano4_invariants, k4_closed_terms
 from fano4.report import (
     EXPORT_FIELDS,
     FamilyRecord,
@@ -56,17 +56,21 @@ def test_build_record_weighted_sextic_family(by_label):
 
 
 def test_build_record_rejects_inadmissible():
-    with pytest.raises(ValueError):
-        build_record(FamilyParams(7, 4, 1))
+    # the layer results of an admissible family make no row for a triple
+    # that fano4_invariants would have refused: the classify calls refuse it
+    p = FamilyParams(7, 3, 6)
+    with pytest.raises(ValueError, match=r"^X\^7_\{4,1\} is not admissible$"):
+        build_record(FamilyParams(7, 4, 1), fano4_invariants(p),
+                     hodge_of_fourfold(p))
 
 
-def test_build_record_attaches_the_label_on_internal_errors(monkeypatch):
+def test_the_invariant_layer_attaches_the_label_on_internal_errors(monkeypatch):
     import fano4.intersect as intersect
     from fano4.errors import ConsistencyError
 
     monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
     with pytest.raises(ConsistencyError, match=r"X\^6_\{2,4\}"):
-        build_record(FamilyParams(6, 2, 4))
+        intersect.fano4_invariants(FamilyParams(6, 2, 4))
 
 
 def test_verify_all_runs_the_cone_checks(monkeypatch):
@@ -82,23 +86,29 @@ def test_verify_all_runs_the_cone_checks(monkeypatch):
 
 def test_the_pass_runs_the_cone_layer_first(monkeypatch):
     import fano4.cones as cones
+    import fano4.hodge as hodge
     import fano4.intersect as intersect
+    import fano4.report as report
 
     build_all_records()   # every cache is warm
     calls = []
-    for module, name in ((cones, "cone_data"), (intersect, "fano4_invariants")):
-        def logged(p, _name=name, _original=getattr(module, name)):
+    for module, name in ((cones, "cone_data"), (intersect, "fano4_invariants"),
+                         (hodge, "hodge_of_fourfold"), (report, "build_record")):
+        def logged(p, *results, _name=name, _original=getattr(module, name)):
             calls.append((_name, p))
-            return _original(p)
+            return _original(p, *results)
         monkeypatch.setattr(module, name, logged)
     build_all_records()
     families = enumerate_families()
-    # the cone layer runs on all 28 families, in order, before any row
-    assert calls == ([("cone_data", p) for p in families]
-                     + [("fano4_invariants", p) for p in families])
+    # each layer runs on all 28 families, in order, before the next one
+    assert calls == [(name, p) for name in ("cone_data", "fano4_invariants",
+                                            "hodge_of_fourfold", "build_record")
+                     for p in families]
+    inv, hdg = fano4_invariants(families[0]), hodge_of_fourfold(families[0])
     calls.clear()
-    build_record(families[0])
-    assert calls == [("fano4_invariants", families[0])]
+    # build_record only assembles the row from the layer results it is given
+    build_record(families[0], inv, hdg)
+    assert calls == []
 
 
 def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch):
@@ -117,20 +127,22 @@ _H13 = HodgePolynomial({(1, 3): 1, (3, 1): 1})
 _HODGE_MESSAGE = ("X^6_{2,4}: Hodge numbers (h12, h13, h22) disagree: "
                   "closed (0, 5, 54), polynomial (0, 6, 54)")
 
-#: name -> (module, function, corruption of its result, the whole message
-#: of the check that fires for X^6_{2,4})
+#: name -> (module, function, corruption of its result, the layer function
+#: whose check fires, the whole message of that check for X^6_{2,4})
 RECORD_FAULTS = {
     "hodge_blowup_formula": ("hodge", "blowup_formula", lambda e: e + _H13,
-                             _HODGE_MESSAGE),
+                             hodge_of_fourfold, _HODGE_MESSAGE),
     "hodge_cached_bundle_term": ("hodge", "_bundle_over_threefold",
-                                 lambda e: e + _H13, _HODGE_MESSAGE),
+                                 lambda e: e + _H13, hodge_of_fourfold,
+                                 _HODGE_MESSAGE),
     "bundle_generic_form": (
         "intersect", "projective_bundle_invariants",
-        lambda c: c._replace(K4=c.K4 + 8),
+        lambda c: c._replace(K4=c.K4 + 8), fano4_invariants,
         "X^6_{2,4}: bundle degrees disagree: closed CanonicalDegrees(K4=624, "
         "K2c2=252, chi_antiK=126), generic CanonicalDegrees(K4=632, K2c2=252, "
         "chi_antiK=126)"),
     "riemann_roch": ("intersect", "riemann_roch_chi", lambda chi: chi + 1,
+                     fano4_invariants,
                      "X^6_{2,4}: chi(O(-K)) disagree: closed 40, "
                      "Riemann-Roch 41"),
 }
@@ -138,24 +150,83 @@ RECORD_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
 def test_record_checks_fire_with_warm_caches(monkeypatch, fault):
-    module_name, name, corrupt, message = RECORD_FAULTS[fault]
+    module_name, name, corrupt, layer, message = RECORD_FAULTS[fault]
     module = importlib.import_module(f"fano4.{module_name}")
     build_all_records()   # every cache is warm: none may hide the fault
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: corrupt(original(*args)))
     with pytest.raises(ConsistencyError) as exc:
-        build_record(FamilyParams(6, 2, 4))
+        layer(FamilyParams(6, 2, 4))
     assert str(exc.value).startswith("X^6_{2,4}: ")
     assert str(exc.value).count("X^6_{2,4}") == 1
     assert str(exc.value) == message
 
 
+def test_the_euler_number_of_the_surface_catches_a_wrong_h02(monkeypatch):
+    import sys
+
+    import fano4.hodge as hodge
+
+    target = FamilyParams(6, 2, 4)
+    original = hodge.surface_h02
+
+    def shifted(p):
+        return original(p) + (1 if p == target else 0)
+
+    build_all_records()   # every cache is warm: none may hide the fault
+    sound = fano4_invariants(target)
+    # rebind every name a fano4 module holds for surface_h02
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fano4":
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, shifted)
+    # the invariant routes shift alike, and so do both Hodge routes: h13 is
+    # 6 against table 2's 5, and only e(A) by Chern classes tells
+    assert fano4_invariants(target) == sound._replace(
+        K2c2=sound.K2c2 - 12, h0_antiK=sound.h0_antiK - 1)
+    with pytest.raises(ConsistencyError) as exc:
+        build_all_records()
+    assert str(exc.value) == ("X^6_{2,4}: e(A) disagree: Noether 76, "
+                              "Chern classes 64")
+
+
+def test_the_pass_frees_each_layer_result_as_its_row_is_built():
+    import gc
+    import tracemalloc
+
+    def record_major():
+        families = enumerate_families()
+        for p in families:
+            cone_data(p)
+        return [build_record(p, fano4_invariants(p), hodge_of_fourfold(p))
+                for p in families]
+
+    def transient_bytes(build):
+        # the peak of one warm pass less what its records keep alive
+        gc.collect()
+        tracemalloc.start()
+        try:
+            records = build()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 28
+        return peak - current
+
+    assert build_all_records() == record_major()   # every cache is warm
+    # holding all 56 layer results to the end of the pass costs ~4.4 KB more
+    assert transient_bytes(build_all_records) <= \
+        transient_bytes(record_major) + 1024
+
+
 def test_a_negative_tangent_bound_names_the_family_once(monkeypatch):
     import fano4.classify as classify
 
+    p = FamilyParams(7, 1, 3)
+    inv, hdg = fano4_invariants(p), hodge_of_fourfold(p)
     monkeypatch.setattr(classify, "h0_line_bundle", lambda params: -100)
     with pytest.raises(IntegrityError) as exc:
-        build_record(FamilyParams(7, 1, 3))
+        build_record(p, inv, hdg)
     assert str(exc.value) == "X^7_{1,3}: h1 = -101 < 0"
 
 
@@ -167,7 +238,7 @@ def test_a_corrupted_catalogue_row_names_the_family_once(monkeypatch):
     monkeypatch.setattr(catalog_module, "_CATALOG", tuple(rows))
     # chi(O_Y(-K_Y)) = 9 + (3/2)*delta*i*(a^2 + i^2) = 9 + 81/2
     with pytest.raises(IntegrityError) as exc:
-        build_record(FamilyParams(6, 0, 1))
+        fano4_invariants(FamilyParams(6, 0, 1))
     assert str(exc.value).startswith("X^6_{0,1}: ")
     assert str(exc.value).count("X^6_{0,1}") == 1
     assert str(exc.value) == "X^6_{0,1}: chi(O_Y(-K_Y)) = 99/2 is not an integer"
