@@ -41,7 +41,8 @@ _EXPORTS = {
                  "TangentBounds", "base_locus", "rationality", "toric_label",
                  "h0_line_bundle", "chi_tangent", "tangent_bounds"),
     "report": ("FamilyRecord", "Mismatch", "VerificationReport",
-               "build_record", "build_all_records", "verify_all", "export"),
+               "build_record", "build_records", "build_all_records",
+               "verify_all", "export"),
     "golden": ("GoldenTables", "golden_tables"),
     "errors": ("ConsistencyError", "IntegrityError", "ContextMismatchError"),
 }

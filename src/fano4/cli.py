@@ -5,9 +5,8 @@ Subcommands:
 * ``list``    -- the 28 family labels with their (z_id, a, d);
 * ``info``    -- full record for one family (the row the exports write),
                  cones and pairings included (exit 2 on a malformed or
-                 inadmissible triple, as ``cones``); it runs the cone,
-                 invariant and Hodge checks once each, as the 28-family
-                 pass does, before it prints a line;
+                 inadmissible triple, as ``cones``); it runs the checks
+                 of the 28-family pass once, before it prints a line;
 * ``verify``  -- check the base 3-folds and records against the reference
                  tables (exit 0 all pass, 1 any mismatch, 2 internal error);
 * ``export``  -- write all records as json, csv or markdown;
@@ -106,12 +105,10 @@ def _print_cones(cone: cones.ConeData) -> None:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     params = _family_arg(args)
-    from . import cones, hodge, intersect, report
+    from . import cones, report
 
-    # each layer's checks run before any output, in the order of the pass
     cone = cones.cone_data(params)
-    record = report.build_record(params, intersect.fano4_invariants(params),
-                                 hodge.hodge_of_fourfold(params))
+    record, = report.build_records([params])
     Z = params.threefold
     print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
           f"a={params.a}, d={params.d}")

@@ -154,6 +154,8 @@ def projective_space(n: int) -> HodgePolynomial:
 
 def bundle_formula(eW: HodgePolynomial, n: int) -> HodgePolynomial:
     """Hodge polynomial of a P^n-bundle over a variety with polynomial eW."""
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return eW * projective_space(n)
@@ -161,6 +163,8 @@ def bundle_formula(eW: HodgePolynomial, n: int) -> HodgePolynomial:
 
 def blowup_formula(eW: HodgePolynomial, eV: HodgePolynomial, c: int) -> HodgePolynomial:
     """Hodge polynomial of the blow-up of W along a codimension-c centre V."""
+    if type(c) is not int:
+        raise TypeError(f"codimension must be an int, got {c!r}")
     if c < 2:
         raise ValueError(f"codimension must be >= 2, got {c}")
     return eW + eV * _exceptional_factor(c)

@@ -1,14 +1,10 @@
 """Record assembly, verification against the reference tables, and export.
 
+The row layers and their order are stated once, in :func:`build_records`.
 The 28-family pass, :func:`build_all_records` (behind :func:`verify_all` and
-``fano4 export``), runs one loop per layer, in this order: the cone checks of
-``cones.cone_data``, which cover data the row does not keep, then
-``intersect.fano4_invariants`` and ``hodge.hodge_of_fourfold``, each with the
-cross-checks of its module; then :func:`build_record` assembles each row from
-that family's two layer results, which are freed as the row is built.
-``fano4 info`` calls the same four functions for its one family; ``fano4
-cones`` calls ``cones.cone_data`` alone.  Each failure names the family once
-(see :mod:`fano4.errors`).
+``fano4 export``), runs the cone checks of ``cones.cone_data`` for every
+family before it, as ``fano4 info`` does for its one family.  Each failure
+names the family once (see :mod:`fano4.errors`).
 A :class:`FamilyRecord` is the row: the json and csv exports write its
 fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
 the catalogue rows, with the reference rows, which use the same names.
@@ -31,6 +27,7 @@ __all__ = [
     "Mismatch",
     "VerificationReport",
     "build_record",
+    "build_records",
     "build_all_records",
     "verify_all",
     "export",
@@ -67,10 +64,8 @@ def build_record(params: FamilyParams,
                  invariants: intersect.FourfoldInvariants,
                  hodge_numbers: hodge.FourfoldHodge) -> FamilyRecord:
     """The row of one admissible family, from its two layer results: the
-    tangent bounds and labels of ``classify`` are computed here.  It runs
-    none of ``cones.cone_data``, ``intersect.fano4_invariants`` or
-    ``hodge.hodge_of_fourfold``: its callers, :func:`build_all_records` and
-    ``fano4 info``, call those first."""
+    tangent bounds and labels of ``classify`` are computed here, and no
+    layer function runs (see :func:`build_records`)."""
     K4, K2c2, h0_antiK = invariants
     h12, h13, h22 = hodge_numbers
     tangent = classify.tangent_bounds(params, classify.chi_tangent(
@@ -85,24 +80,30 @@ def build_record(params: FamilyParams,
         tangent.h1_is_exact, tangent.h1_is_exact)
 
 
-def build_all_records() -> list[FamilyRecord]:
-    """The records of the 28 families, in :func:`enumerate_families` order.
+def build_records(families: list[FamilyParams]) -> list[FamilyRecord]:
+    """The rows of ``families``, in order: one loop of
+    ``intersect.fano4_invariants``, one of ``hodge.hodge_of_fourfold``, each
+    with its module's cross-checks, then :func:`build_record` per family.
 
-    One loop per layer runs faster than the layers interleaved per family:
-    the cone checks run for every family first, then the invariants, then
-    the Hodge numbers, and only then are the rows built.  Each family's two
-    layer results are popped as its row is built, so none outlives its row:
-    the pass never holds all 28 rows and all 56 layer results at once.
+    Layer loops run faster than the layers interleaved per family.  Each
+    family's two layer results are popped as its row is built, so none
+    outlives its row.  New per-family work joins here as a loop of its own.
     """
-    families = enumerate_families()
-    for p in families:
-        cones.cone_data(p)
     invariants = [intersect.fano4_invariants(p) for p in families]
     hodge_numbers = [hodge.hodge_of_fourfold(p) for p in families]
     invariants.reverse()   # pop() hands the results on in family order
     hodge_numbers.reverse()
     return [build_record(p, invariants.pop(), hodge_numbers.pop())
             for p in families]
+
+
+def build_all_records() -> list[FamilyRecord]:
+    """The records of the 28 families, in :func:`enumerate_families` order:
+    the cone checks run for every family first, then :func:`build_records`."""
+    families = enumerate_families()
+    for p in families:
+        cones.cone_data(p)
+    return build_records(families)
 
 
 class Mismatch(NamedTuple):

@@ -173,6 +173,49 @@ def test_chi_tangent_examples(label, expected):
                        hdg.h22) == expected
 
 
+def chi_tangent_by_chern_numbers(K4: int, K2c2: int, c1c3: int, c2sq: int,
+                                 c4: int) -> int:
+    """Oracle: chi(T_X) of a 4-fold by Hirzebruch-Riemann-Roch, from its
+    Chern numbers (c1 = -K); the division must be exact."""
+    chi, rest = divmod(29 * K4 - 71 * K2c2 + 76 * c1c3 + 3 * c2sq - 31 * c4,
+                       180)
+    assert rest == 0
+    return chi
+
+
+def chern_numbers(K4: int, K2c2: int, h12: int, h13: int,
+                  h22: int) -> tuple[int, int, int]:
+    """Oracle: (c4, c1c3, c2^2) of a Fano 4-fold of Picard number 3.
+
+    c4 is the Euler number of the Hodge diamond (h^{1,1} = 3, h^{p,0} = 0
+    for p > 0).  c1c3 comes from the Libgober-Wood identity (J. Differential
+    Geom. 32, 1990), sum_p (-1)^p (p - 2)^2 chi(Omega^p) = c4/3 + c1c3/6,
+    whose left side is 8 + 2(3 - h^{1,2} + h^{1,3}) here.  c2^2 is the Todd
+    class at chi(O_X) = 1; its division by 3 must be exact.
+    """
+    c4 = 8 + h22 - 4 * h12 + 2 * h13
+    c1c3 = 6 * (8 + 2 * (3 - h12 + h13)) - 2 * c4
+    c2sq, rest = divmod(720 + c4 - c1c3 - 4 * K2c2 + K4, 3)
+    assert rest == 0
+    return c4, c1c3, c2sq
+
+
+def test_chi_tangent_of_projective_space_by_chern_numbers():
+    # c(P^4) = (1 + h)^5: c1^4 = 625, c1^2c2 = 250, c1c3 = 50, c2^2 = 100
+    assert chi_tangent_by_chern_numbers(625, 250, 50, 100, 5) == 24
+
+
+def test_chi_tangent_agrees_with_hirzebruch_riemann_roch():
+    from fano4.report import build_all_records
+    computed = {}
+    for r in build_all_records():
+        c4, c1c3, c2sq = chern_numbers(r.K4, r.K2c2, r.h12, r.h13, r.h22)
+        chi = chi_tangent_by_chern_numbers(r.K4, r.K2c2, c1c3, c2sq, c4)
+        assert chi == r.chi_T, r.label
+        computed[r.label] = (c4, c1c3, c2sq, chi)
+    assert computed["X^7_{0,1}"] == (11, 62, 92, 14)
+
+
 def test_tangent_bounds_weighted_sextic_first_family():
     t = tangent_bounds(FamilyParams(1, 0, 1), chi=-34)
     assert (t.chi, t.h1, t.h0) == (-34, 36, 2)

@@ -407,6 +407,26 @@ def test_named_divisor_relations():
         assert p.d * phi_star_H(p) == E(p) + E_hat(p)
 
 
+#: each divisor a printed ray name may hold, by its printed name
+_PRINTED_DIVISORS = {"phi*H": phi_star_H, "G": G, "Ghat": G_hat, "E": E,
+                     "Ehat": E_hat}
+
+
+def test_each_printed_ray_name_evaluates_to_its_ray():
+    # each term of a name is an optional "k*" and one named divisor, so the
+    # name is checked against the generator it is printed beside
+    for p in enumerate_families():
+        for ray in nef_rays(p):
+            total = divisor(p, 0, 0, 0)
+            for term in ray.name.split(" + "):
+                k, star, rest = term.partition("*")
+                if star and k.isdigit():
+                    total = total + int(k) * _PRINTED_DIVISORS[rest](p)
+                else:
+                    total = total + _PRINTED_DIVISORS[term](p)
+            assert total == ray.generator, (p.label, ray.label, ray.name)
+
+
 def test_pairing_matrix_has_rank_three_with_known_kernel():
     for p in enumerate_families():
         matrix = pairing_matrix(p)

@@ -81,8 +81,9 @@ def test_bundle_formula_keeps_h12_of_the_base():
 
 
 def test_bundle_formula_rejects_rank_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         bundle_formula(POINT, 0)
+    assert str(exc.value) == "n must be >= 1, got 0"
 
 
 def test_blowup_formula_point_centre():
@@ -108,8 +109,26 @@ def test_blowup_formula_quadric_degree_four_surface():
 
 
 def test_blowup_formula_rejects_codimension_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         blowup_formula(POINT, POINT, 1)
+    assert str(exc.value) == "codimension must be >= 2, got 1"
+
+
+#: the P^n argument of each formula, by its name in the error messages
+_P_N_ARGUMENTS = {
+    "n": lambda value: bundle_formula(POINT, value),
+    "codimension": lambda value: blowup_formula(POINT, POINT, value),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 0.0), ("n", False), ("n", 1.0), ("n", True),
+    ("codimension", 1.0), ("codimension", True), ("codimension", 2.0)])
+def test_a_p_n_argument_is_type_checked_before_its_range(name, value):
+    # the type is refused before the range, by the argument's own name
+    with pytest.raises(TypeError) as exc:
+        _P_N_ARGUMENTS[name](value)
+    assert str(exc.value) == f"{name} must be an int, got {value!r}"
 
 
 @given(small_polynomials(), small_polynomials())

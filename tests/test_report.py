@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import csv
 import importlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +111,41 @@ def test_the_pass_runs_the_cone_layer_first(monkeypatch):
     # build_record only assembles the row from the layer results it is given
     build_record(families[0], inv, hdg)
     assert calls == []
+
+
+#: the functions whose order makes a row, which only build_records may call
+ROW_LAYERS = ("fano4_invariants", "hodge_of_fourfold", "build_record")
+
+
+def row_layer_calls() -> set[tuple[str, str]]:
+    """("<module>.<enclosing def>", callee) for every call of a row layer in
+    ``src/fano4``, named by bare name or attribute alike."""
+    calls = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                if name in ROW_LAYERS:
+                    calls.add((scope, name))
+            visit(child, scope)
+
+    src = Path(__file__).resolve().parent.parent / "src" / "fano4"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return calls
+
+
+def test_the_row_layers_are_sequenced_in_build_records_alone():
+    # fano4 info and the 28-family pass build their rows through one function
+    assert row_layer_calls() == {("report.build_records", name)
+                                 for name in ROW_LAYERS}
 
 
 def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch):
