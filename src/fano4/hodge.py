@@ -19,6 +19,11 @@ and the Euler number of A by Chern classes checks the pair.
 The shared factor e(Z)*e(P^1) is cached keyed on h^{1,2}(Z), the only number
 of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
 e(P^{c-1}) - e(P^0); no check is cached.
+
+Raw input is checked where it enters: the ``HodgePolynomial`` constructor
+checks each term, and ``projective_space``, ``bundle_formula`` and
+``blowup_formula`` their n or c.  The family-level functions trust the
+``FamilyParams`` they take, which checked its triple when it was built.
 """
 
 from functools import lru_cache
@@ -58,23 +63,30 @@ class HodgePolynomial:
     ``coeff`` scans it rather than building a dict.  +, - and * take only
     another ``HodgePolynomial``, and their results are built by
     ``_from_sums``, which skips the term checks: sums and products of
-    checked terms are ints at non-negative exponents already.
+    checked terms are ints at non-negative exponents already.  A product
+    whose right factor has one term, such as the blow-up factor
+    e(P^1) - e(P^0) = uv, shifts the left factor's terms instead.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int]):
         terms = []
-        for (p, q), c in coeffs.items():
-            # __class__, not type(): no call per term
-            if not p.__class__ is q.__class__ is c.__class__ is int:
-                raise TypeError(f"term ({p!r},{q!r}): {c!r} needs int "
-                                f"exponents and an int coefficient")
-            if c == 0:
-                continue
-            if p < 0 or q < 0:
-                raise ValueError(f"negative exponent in term ({p},{q})")
-            terms.append(((p, q), c))
+        try:
+            for (p, q), c in coeffs.items():
+                # __class__, not type(): no call per term
+                if not p.__class__ is q.__class__ is c.__class__ is int:
+                    raise TypeError(f"term ({p!r},{q!r}): {c!r} needs int "
+                                    f"exponents and an int coefficient")
+                if c == 0:
+                    continue
+                if p < 0 or q < 0:
+                    raise ValueError(f"negative exponent in term ({p},{q})")
+                terms.append(((p, q), c))
+        except (TypeError, ValueError):
+            # a key that is not a pair fails in the unpacking: name it
+            _refuse_unpaired(coeffs)
+            raise
         terms.sort(key=_exponents)
         self._terms = tuple(terms)
 
@@ -121,6 +133,19 @@ class HodgePolynomial:
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
+        if len(other._terms) == 1:
+            # a one-term factor c*u^p*v^q shifts every exponent by (p, q),
+            # which keeps the terms sorted, and scales every coefficient by
+            # c != 0, which keeps them non-zero: no dict and no sort.  A
+            # loop, not a comprehension: before Python 3.12 one reading
+            # p2, q2, c2 would make them cells, built on every product.
+            ((p2, q2), c2), = other._terms
+            terms = []
+            for (p1, q1), c1 in self._terms:
+                terms.append(((p1 + p2, q1 + q2), c1 * c2))
+            poly = object.__new__(HodgePolynomial)
+            poly._terms = tuple(terms)
+            return poly
         out: dict[tuple[int, int], int] = {}
         for (p1, q1), c1 in self._terms:
             for (p2, q2), c2 in other._terms:
@@ -139,6 +164,16 @@ class HodgePolynomial:
     def __repr__(self) -> str:
         inner = ", ".join(f"({p},{q}): {c}" for (p, q), c in self._terms)
         return f"HodgePolynomial({{{inner}}})"
+
+
+def _refuse_unpaired(coeffs: Mapping[tuple[int, int], int]) -> None:
+    """TypeError naming the first term whose key is not an exponent pair."""
+    for key, c in coeffs.items():
+        try:
+            _, _ = key
+        except (TypeError, ValueError):
+            raise TypeError(f"term {key!r}: {c!r} needs a (p, q) exponent "
+                            f"pair") from None
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -221,10 +256,12 @@ def _bundle_over_threefold(h12: int) -> HodgePolynomial:
 def hodge_of_surface(params: FamilyParams) -> HodgePolynomial:
     """e(A) for a smooth surface A in |O_Z(d)|; h^{0,1}(A) = 0 (Lefschetz)."""
     h02 = surface_h02(params)
+    return _surface_hodge(h02, _noether_h11(params, h02))
+
+
+def _surface_hodge(h02: int, h11: int) -> HodgePolynomial:
     return HodgePolynomial({
-        (0, 0): 1, (2, 2): 1,
-        (0, 2): h02, (2, 0): h02,
-        (1, 1): _noether_h11(params, h02),
+        (0, 0): 1, (2, 2): 1, (0, 2): h02, (2, 0): h02, (1, 1): h11,
     })
 
 
@@ -252,11 +289,12 @@ def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
     alike, so only this check sees it.
     """
     Z, d = params.threefold, params.d
-    eA = hodge_of_surface(params)
-    h02, h11 = eA.coeff(0, 2), eA.coeff(1, 1)
+    h02 = surface_h02(params)
+    h11 = _noether_h11(params, h02)
     agree(params, "e(A)", "Noether", 2 + 2 * h02 + h11, "Chern classes",
           24 // Z.index * d + d * d * Z.degree * (d - Z.index))
-    eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
+    eX = blowup_formula(_bundle_over_threefold(Z.h12),
+                        _surface_hodge(h02, h11), 2)
     return FourfoldHodge(*agree(
         params, "Hodge numbers (h12, h13, h22)", "closed",
         (Z.h12, h02, 2 + h11),

@@ -20,7 +20,12 @@ K^2.c2 by Riemann-Roch.  Everything is exact and no floats enter this module:
 each chi(O(-K)) formula is one integer numerator over a fixed denominator
 (6, 2 or 12) that must divide it, and ``fractions`` loads only for a p/q.  A
 float or bool input raises TypeError: ``FamilyParams`` refuses one in a
-triple, and the three raw-number operations refuse one in their own input.
+triple, and the three raw-number operations (the two above and
+:func:`riemann_roch_chi`) refuse one in their own input, then run a private
+formula core.  The family-level functions trust the ``FamilyParams`` they
+take, so :func:`p1_bundle_invariants` and :func:`fano4_invariants` call those
+cores directly with the ints they compute from it; every cross-check still
+runs.
 """
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -104,6 +109,10 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
                      - (3 K_W^3 + 3 K_W.c1(E)^2)/2 - K_W.c2(W)/3
     """
     _check_ints("the bundle input", data)
+    return _bundle_degrees(data)
+
+
+def _bundle_degrees(data: BundleInput) -> CanonicalDegrees:
     K4 = -8 * data.KW_c1sq + 32 * data.KW_c2E - 8 * data.KW3
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
@@ -121,6 +130,11 @@ def surface_blowup_invariants(base: CanonicalDegrees,
     (iii) chi(-K) = chi(O_Y(-K_Y)) - chi(O_V) - ((K_Y|V)^2 + K_V.K_Y|V)/2
     """
     _check_ints("the blow-up input", (*base, *centre))
+    return _blowup_degrees(base, centre)
+
+
+def _blowup_degrees(base: CanonicalDegrees,
+                    centre: BlowupCentreData) -> CanonicalDegrees:
     K4 = (base.K4 - 3 * centre.KYV_sq - 2 * centre.KV_KYV
           + centre.c2N - centre.KV_sq)
     K2c2 = (base.K2c2 - 12 * centre.chi_OV + 2 * centre.KV_sq
@@ -138,6 +152,10 @@ def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> "int | Fraction":
     assert integrality where they are entitled to it.  A float or bool
     argument raises TypeError."""
     _check_ints("K^4, K^2.c2 and chi(O)", (K4, K2c2, chi_O))
+    return _riemann_roch(K4, K2c2, chi_O)
+
+
+def _riemann_roch(K4: int, K2c2: int, chi_O: int) -> "int | Fraction":
     numerator = 12 * chi_O + 2 * K4 + K2c2
     quotient, remainder = divmod(numerator, 12)
     if remainder:
@@ -189,7 +207,7 @@ def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
     chi = integral(params, "chi(O_Y(-K_Y))", 18 + 3 * core, 2)
     closed = CanonicalDegrees(8 * core, 2 * core + 96, chi)
     return agree(params, "bundle degrees", "closed", closed, "generic",
-                 projective_bundle_invariants(split_bundle_base(params)))
+                 _bundle_degrees(split_bundle_base(params)))
 
 
 def k4_closed_terms(params: FamilyParams) -> dict[str, int]:
@@ -241,10 +259,10 @@ def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
         params, "canonical degrees", "closed",
         CanonicalDegrees(closed_k4(params), closed_k2c2(params),
                          closed_chi_antiK(params)),
-        "pipeline", surface_blowup_invariants(p1_bundle_invariants(params),
-                                              surface_centre(params)))
+        "pipeline", _blowup_degrees(p1_bundle_invariants(params),
+                                    surface_centre(params)))
     K4, K2c2, chi = closed
     agree(params, "chi(O(-K))", "closed", chi, "Riemann-Roch",
-          riemann_roch_chi(K4, K2c2, 1))
+          _riemann_roch(K4, K2c2, 1))
     return FourfoldInvariants(at_least(params, "K^4", K4, 1), K2c2,
                               at_least(params, "h^0(-K)", chi, 1))

@@ -4,7 +4,10 @@ The row layers and their order are stated once, in :func:`build_records`.
 The 28-family pass, :func:`build_all_records` (behind :func:`verify_all` and
 ``fano4 export``), runs the cone checks of ``cones.cone_data`` for every
 family before it, as ``fano4 info`` does for its one family.  Each failure
-names the family once (see :mod:`fano4.errors`).
+names the family once (see :mod:`fano4.errors`).  The layers take each
+family as a ``FamilyParams``, which checked its triple when it was built,
+and check no type of it again; the pass calls the formula cores of the
+raw-number functions of ``intersect``, not their type checks.
 A :class:`FamilyRecord` is the row: the json and csv exports write its
 fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
 the catalogue rows, with the reference rows, which use the same names.
@@ -203,6 +206,11 @@ _RECORD_FIELDS = frozenset(FamilyRecord._fields)
 
 EXPORT_FIELDS = FamilyRecord._fields
 
+# one row of the json export, as json.dumps(indent=2) writes it, with a %s
+# per value; the field names are identifiers, which json writes verbatim
+_JSON_ROW = ("  {\n" + ",\n".join(f'    "{f}": %s' for f in EXPORT_FIELDS)
+             + "\n  }")
+
 
 _RATIONALITY_TEXT = {
     classify.Rationality.RATIONAL: "rational",
@@ -226,15 +234,14 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         import json
 
         # the bytes of json.dumps(rows, indent=2), from one call into the C
-        # encoder, which indent turns off: each row is flat, so its items get
-        # the row indent from the separator, and only the row frames are
-        # spliced in.  An encoded string never holds a raw newline, so
-        # "},\n    {" occurs only between two rows.
-        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-        rows = encode([dict(zip(EXPORT_FIELDS, r)) for r in records])
-        return ("[\n  {\n    "
-                + rows[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-                + "\n  }\n]\n").encode("utf-8")
+        # encoder, which indent turns off, over the records as flat arrays.
+        # An encoded value never holds a raw newline nor ends in "]", so the
+        # "\n" separators and the "]\n[" row boundaries split out exactly
+        # the values, which fill the keyed row template.
+        encoded = json.JSONEncoder(separators=("\n", ": ")).encode(records)
+        values = encoded[2:-2].replace("]\n[", "\n").split("\n")
+        return ("[\n" + ",\n".join([_JSON_ROW] * len(records)) % tuple(values)
+                + "\n]\n").encode("utf-8")
     if format == "csv":
         import csv
         import io

@@ -138,9 +138,37 @@ def test_product_is_commutative_and_symmetric(f, g):
     assert all(product.get((q, p), 0) == c for (p, q), c in (f * g).items())
 
 
-def _signed_polynomials():
+def _signed_polynomials(coefficients=st.integers(-9, 9), max_size=6):
     pair = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    return st.dictionaries(pair, st.integers(-9, 9), max_size=6).map(HodgePolynomial)
+    return st.dictionaries(pair, coefficients,
+                           max_size=max_size).map(HodgePolynomial)
+
+
+# signed coefficients far beyond any machine word
+_WIDE = st.integers(-10**30, 10**30)
+
+
+def _convolution(f, g):
+    out = {}
+    for (p1, q1), c1 in f.items():
+        for (p2, q2), c2 in g.items():
+            pq = (p1 + p2, q1 + q2)
+            out[pq] = out.get(pq, 0) + c1 * c2
+    return {pq: c for pq, c in out.items() if c}
+
+
+@given(_signed_polynomials(_WIDE),
+       _signed_polynomials(_WIDE.filter(bool), max_size=1))
+@example(HodgePolynomial({}), HodgePolynomial({(1, 1): 1}))
+@example(HodgePolynomial({(0, 0): 1, (0, 2): -3, (2, 0): -3}),
+         HodgePolynomial({(1, 1): -1}))
+def test_a_product_with_a_one_term_factor_is_the_convolution(f, m):
+    # m has at most one term: as the right factor it takes the shift, as the
+    # left one the general product, and both give sorted, zero-free terms
+    want = _convolution(f.as_dict(), m.as_dict())
+    for product in (f * m, m * f):
+        assert product.as_dict() == want
+        assert product == HodgePolynomial(product.as_dict())
 
 
 @given(_signed_polynomials(), _signed_polynomials())
@@ -318,9 +346,14 @@ def test_non_int_coefficient_is_refused(bad):
         HodgePolynomial({(0, 0): 1, (1, 1): bad})
 
 
-@pytest.mark.parametrize("term", [(0.5, 1), (1, 1.0), (True, 0), (0, False)],
-                         ids=["float_p", "float_q", "bool_p", "bool_q"])
+@pytest.mark.parametrize("term", [(0.5, 1), (1, 1.0), (True, 0), (0, False),
+                                  (0,), (0, 0, 0), 5],
+                         ids=["float_p", "float_q", "bool_p", "bool_q",
+                              "one_exponent", "three_exponents", "int_key"])
 def test_non_int_exponent_is_refused(term):
-    # a bool exponent would otherwise count towards betti(1) as a 1
-    with pytest.raises(TypeError):
-        HodgePolynomial({term: 1})
+    # a bool exponent would otherwise count towards betti(1) as a 1, and a
+    # key that is not a pair must not fail as a bare unpacking error
+    with pytest.raises(TypeError) as exc:
+        HodgePolynomial({(3, 3): 2, term: 1})
+    message = str(exc.value).replace(" ", "")
+    assert message.startswith(f"term{term!r}".replace(" ", ""))

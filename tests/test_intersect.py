@@ -297,7 +297,7 @@ def test_positivity_guard_fires_when_every_route_agrees(monkeypatch):
     monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
     monkeypatch.setattr(intersect, "closed_k2c2", lambda params: -12)
     monkeypatch.setattr(intersect, "closed_chi_antiK", lambda params: 0)
-    monkeypatch.setattr(intersect, "surface_blowup_invariants",
+    monkeypatch.setattr(intersect, "_blowup_degrees",
                         lambda base, centre: CanonicalDegrees(0, -12, 0))
     assert riemann_roch_chi(0, -12, 1) == 0
     with pytest.raises(IntegrityError) as exc:
