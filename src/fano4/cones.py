@@ -29,6 +29,8 @@ names the family, and :mod:`fano4.errors` picks its class.
 The class constructors check and normalise caller input, on one path each;
 :func:`anticanonical`, :func:`ne_generators`, :func:`nef_rays` and
 :func:`cone_data` build what they compute through ``_built``, unchecked.
+``+`` and ``-`` take only a class of the same kind, and ``*`` only a scalar
+on the left: any other operand raises an "unsupported operand" TypeError.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``; ``fractions`` is imported with the first scalar that is not.  Only
@@ -48,7 +50,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, NoReturn
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Collection, Mapping, NamedTuple, NoReturn
 
 from .catalog import FamilyParams, ValueEnum, checked_tuple, require_admissible
 from .errors import ContextMismatchError, agree, at_least
@@ -142,15 +145,18 @@ class DivisorClass(checked_tuple("DivisorClass", [
         x, y, z = coords
         return tuple.__new__(cls, ((_exact(x), _exact(y), _exact(z)), context))
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def _combined(self, other: "DivisorClass", op: Callable) -> "DivisorClass":
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
         _same_context(self.context, other.context)
         (x, y, z), (u, v, w) = self.coords, other.coords
-        return divisor(self.context, x + u, y + v, z + w)
+        return divisor(self.context, op(x, u), op(y, v), op(z, w))
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return self._combined(other, add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _same_context(self.context, other.context)
-        (x, y, z), (u, v, w) = self.coords, other.coords
-        return divisor(self.context, x - u, y - v, z - w)
+        return self._combined(other, sub)
 
     def __mul__(self, other: object) -> NoReturn:
         # a class is a tuple: class * int would repeat it, tuple + class join
@@ -262,6 +268,8 @@ class CurveClass(checked_tuple("CurveClass", [
         return None
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
+        if other.__class__ is not CurveClass:
+            return NotImplemented
         _same_context(self.context, other.context)
         return CurveClass(self.combo + other.combo, self.context)
 

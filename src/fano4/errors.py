@@ -26,6 +26,9 @@ if TYPE_CHECKING:
     from .catalog import FamilyParams, FanoThreefold
     Labelled = FamilyParams | FanoThreefold
 
+__all__ = ["ConsistencyError", "IntegrityError", "ContextMismatchError",
+           "agree", "integral", "at_least"]
+
 T = TypeVar("T")
 
 

@@ -20,15 +20,16 @@ The shared factor e(Z)*e(P^1) is cached keyed on h^{1,2}(Z), the only number
 of Z that e(Z) reads (``_bundle_over_threefold``), as are e(P^n) and
 e(P^{c-1}) - e(P^0); no check is cached.
 
-Raw input is checked where it enters: the ``HodgePolynomial`` constructor
-checks each term, and ``projective_space``, ``bundle_formula`` and
-``blowup_formula`` their n or c.  The family-level functions trust the
-``FamilyParams`` they take, which checked its triple when it was built.
+Raw input is checked where it enters: the ``HodgePolynomial`` constructor is
+the one term check, ``projective_space``, ``bundle_formula`` and
+``blowup_formula`` check their n or c, and the family-level functions trust
+their ``FamilyParams``.  ``_built``, the one builder that checks nothing,
+builds sums and products.
 """
 
 from functools import lru_cache
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from operator import add, itemgetter, sub
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .catalog import FamilyParams, FanoThreefold, _h0_twist
 from .errors import agree, at_least
@@ -55,47 +56,36 @@ _exponents = itemgetter(0)
 class HodgePolynomial:
     """A sparse two-variable polynomial with integer coefficients.
 
-    Coefficients are indexed by (p, q); exponents and coefficients must be
-    exactly ``int`` (a float, Fraction or bool raises TypeError), and zero
-    entries are dropped.  Supports +, - and * (polynomial product), which is
-    all the structure formulas need.
     The terms are kept as a tuple sorted by (p, q), the most compact form;
-    ``coeff`` scans it rather than building a dict.  +, - and * take only
-    another ``HodgePolynomial``, and their results are built by
-    ``_from_sums``, which skips the term checks: sums and products of
-    checked terms are ints at non-negative exponents already.  A product
-    whose right factor has one term, such as the blow-up factor
-    e(P^1) - e(P^0) = uv, shifts the left factor's terms instead.
+    ``coeff`` scans it rather than building a dict.  The constructor is the
+    one term check: a key must be a plain ``tuple`` of two non-negative
+    ``int`` exponents and a coefficient exactly an ``int`` (a float, Fraction
+    or bool raises TypeError); zero entries are dropped.  +, - (one merge)
+    and * (the product), all the structure formulas need, take only another
+    ``HodgePolynomial``; ``_built``, the one builder that checks nothing,
+    builds their results.  A product by one term, such as the blow-up factor
+    e(P^1) - e(P^0) = uv, shifts the left factor's terms instead of sorting.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int]):
         terms = []
-        try:
-            for (p, q), c in coeffs.items():
-                # __class__, not type(): no call per term
-                if not p.__class__ is q.__class__ is c.__class__ is int:
-                    raise TypeError(f"term ({p!r},{q!r}): {c!r} needs int "
-                                    f"exponents and an int coefficient")
-                if c == 0:
-                    continue
-                if p < 0 or q < 0:
-                    raise ValueError(f"negative exponent in term ({p},{q})")
-                terms.append(((p, q), c))
-        except (TypeError, ValueError):
-            # a key that is not a pair fails in the unpacking: name it
-            _refuse_unpaired(coeffs)
-            raise
+        for key, c in coeffs.items():
+            # __class__, not type(): no call per term
+            if key.__class__ is not tuple or len(key) != 2:
+                raise TypeError(f"term {key!r}: {c!r} needs a (p, q) exponent pair")
+            p, q = key
+            if not p.__class__ is q.__class__ is c.__class__ is int:
+                raise TypeError(f"term ({p!r},{q!r}): {c!r} needs int "
+                                f"exponents and an int coefficient")
+            if c == 0:
+                continue
+            if p < 0 or q < 0:
+                raise ValueError(f"negative exponent in term ({p},{q})")
+            terms.append((key, c))
         terms.sort(key=_exponents)
         self._terms = tuple(terms)
-
-    @classmethod
-    def _from_sums(cls, coeffs: dict[tuple[int, int], int]) -> "HodgePolynomial":
-        poly = object.__new__(cls)
-        poly._terms = tuple(sorted([t for t in coeffs.items() if t[1]],
-                                   key=_exponents))
-        return poly
 
     def coeff(self, p: int, q: int) -> int:
         key = (p, q)
@@ -114,44 +104,40 @@ class HodgePolynomial:
         """Sum of coefficients on the antidiagonal p + q = k."""
         return sum(c for (p, q), c in self._terms if p + q == k)
 
-    def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
+    def _merged(self, other: "HodgePolynomial",
+                op: Callable[[int, int], int]) -> "HodgePolynomial":
+        # self op other for op = add or sub; a loop, not a comprehension:
+        # before Python 3.12 one reading ``op`` would make it a cell
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
         out = dict(self._terms)
         for pq, c in other._terms:
-            out[pq] = out.get(pq, 0) + c
-        return HodgePolynomial._from_sums(out)
+            out[pq] = op(out.get(pq, 0), c)
+        return _from_sums(out)
+
+    def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
+        return self._merged(other, add)
 
     def __sub__(self, other: "HodgePolynomial") -> "HodgePolynomial":
-        if other.__class__ is not HodgePolynomial:
-            return NotImplemented
-        out = dict(self._terms)
-        for pq, c in other._terms:
-            out[pq] = out.get(pq, 0) - c
-        return HodgePolynomial._from_sums(out)
+        return self._merged(other, sub)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
         if len(other._terms) == 1:
-            # a one-term factor c*u^p*v^q shifts every exponent by (p, q),
-            # which keeps the terms sorted, and scales every coefficient by
-            # c != 0, which keeps them non-zero: no dict and no sort.  A
-            # loop, not a comprehension: before Python 3.12 one reading
-            # p2, q2, c2 would make them cells, built on every product.
+            # c*u^p*v^q shifts every exponent by (p, q) and scales every
+            # coefficient by c != 0: no dict, no sort, a loop as in _merged
             ((p2, q2), c2), = other._terms
             terms = []
             for (p1, q1), c1 in self._terms:
                 terms.append(((p1 + p2, q1 + q2), c1 * c2))
-            poly = object.__new__(HodgePolynomial)
-            poly._terms = tuple(terms)
-            return poly
+            return _built(terms)
         out: dict[tuple[int, int], int] = {}
         for (p1, q1), c1 in self._terms:
             for (p2, q2), c2 in other._terms:
                 pq = (p1 + p2, q1 + q2)
                 out[pq] = out.get(pq, 0) + c1 * c2
-        return HodgePolynomial._from_sums(out)
+        return _from_sums(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HodgePolynomial):
@@ -166,14 +152,16 @@ class HodgePolynomial:
         return f"HodgePolynomial({{{inner}}})"
 
 
-def _refuse_unpaired(coeffs: Mapping[tuple[int, int], int]) -> None:
-    """TypeError naming the first term whose key is not an exponent pair."""
-    for key, c in coeffs.items():
-        try:
-            _, _ = key
-        except (TypeError, ValueError):
-            raise TypeError(f"term {key!r}: {c!r} needs a (p, q) exponent "
-                            f"pair") from None
+def _built(terms: list[tuple[tuple[int, int], int]]) -> HodgePolynomial:
+    """The polynomial on ``terms``, sorted, non-zero and checked already."""
+    poly = object.__new__(HodgePolynomial)
+    poly._terms = tuple(terms)
+    return poly
+
+
+def _from_sums(coeffs: dict[tuple[int, int], int]) -> HodgePolynomial:
+    """The polynomial on the non-zero entries of ``coeffs``, sorted."""
+    return _built(sorted([t for t in coeffs.items() if t[1]], key=_exponents))
 
 
 @lru_cache(maxsize=16, typed=True)

@@ -134,7 +134,8 @@ class VerificationReport(NamedTuple):
 
 def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     """Diff the catalogue against reference table 1, and the records (by
-    default the 28 canonical ones, built here) against tables 2 and 3.
+    default the 28 canonical ones, built here; an iterable is read once)
+    against tables 2 and 3.
 
     Table 1 must list the catalogue ids 1..7 in order, and tables 2 and 3 the
     same families in the same order, naming only record fields, else
@@ -146,8 +147,7 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     """
     from .golden import golden_tables
 
-    if records is None:
-        records = build_all_records()
+    records = build_all_records() if records is None else list(records)
     tables = golden_tables()
     threefolds = catalog()
     if [row.id for row in tables.table1] != [z.id for z in threefolds]:

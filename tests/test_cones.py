@@ -341,6 +341,12 @@ def test_classes_are_scaled_by_a_scalar_on_the_left_only():
         for other in ((), (1, 0, 0)):
             with pytest.raises(TypeError, match="unsupported operand"):
                 other + cls
+        # + and - take only a class of the same kind
+        for other in (5, (1, 0, 0), C if cls is D else D):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                cls + other
+            with pytest.raises(TypeError, match="unsupported operand"):
+                cls - other
     assert 2 * D == divisor(p, 2, 0, 0)
     assert 2 * C == curve_combo(p, {CurveGen.F: 2})
 

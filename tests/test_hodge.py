@@ -357,3 +357,11 @@ def test_non_int_exponent_is_refused(term):
         HodgePolynomial({(3, 3): 2, term: 1})
     message = str(exc.value).replace(" ", "")
     assert message.startswith(f"term{term!r}".replace(" ", ""))
+
+
+def test_a_key_that_unpacks_into_a_pair_is_refused():
+    # a frozenset unpacks into two ints, but it is no exponent pair: taken,
+    # it would add a second term at (1, 2)
+    with pytest.raises(TypeError) as exc:
+        HodgePolynomial({frozenset({2, 1}): 1, (1, 2): 5})
+    assert str(exc.value).startswith("term frozenset({1, 2}): 1")

@@ -15,6 +15,7 @@ import doctest
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +272,21 @@ def test_catalog_is_the_module_in_a_fresh_interpreter():
               "assert isinstance(fano4.catalog, types.ModuleType); "
               "print(len(fano4.catalog.catalog()))")
     assert run_fresh(script).strip() == "7"
+
+
+#: every module of the package, the package itself first
+MODULES = ["fano4", *(f"fano4.{info.name}"
+                      for info in pkgutil.iter_modules(fano4.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_declares_all_and_binds_it(name):
+    # without __all__, a star import would bind the module's own imports
+    module = importlib.import_module(name)
+    assert "__all__" in vars(module)
+    namespace: dict[str, object] = {}
+    exec(f"from {name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
 
 
 def test_star_import_binds_every_public_name():

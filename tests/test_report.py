@@ -669,3 +669,15 @@ def test_an_unknown_label_fails_as_one_family(records):
     assert (result.pass_count, result.fail_count) == (28, 1)
     stray_row = Mismatch("X^8_{0,1}", "label", None, "X^8_{0,1}")
     assert result.mismatches == (stray_row, stray_row)
+
+
+def test_an_iterator_of_records_gives_the_report_of_the_list(records):
+    # the records are read once: a label with no reference row still gets
+    # its Mismatch from an iterator, and the strays keep their record order
+    u, v = (records[0]._replace(label=label) for label in ("X^8_{0,1}", "X^9"))
+    given = [u, *records[:5], v, *records[5:], u]
+    report = verify_all(given)
+    assert verify_all(iter(given)) == report
+    assert (report.pass_count, report.fail_count) == (28, 2)
+    assert [m.family for m in report.mismatches] == ["X^8_{0,1}", "X^9",
+                                                     "X^8_{0,1}"]
