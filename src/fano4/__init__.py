@@ -28,7 +28,7 @@ _EXPORTS = {
                 "validate_params", "enumerate_families"),
     "hodge": ("HodgePolynomial", "FourfoldHodge", "projective_space",
               "bundle_formula", "blowup_formula", "surface_h02",
-              "surface_h11", "hodge_of_threefold", "hodge_of_fourfold"),
+              "hodge_of_threefold", "hodge_of_fourfold"),
     "intersect": ("BundleInput", "BlowupCentreData", "CanonicalDegrees",
                   "FourfoldInvariants", "projective_bundle_invariants",
                   "surface_blowup_invariants", "riemann_roch_chi",

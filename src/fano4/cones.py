@@ -69,12 +69,6 @@ __all__ = [
     "ConeData",
     "FibreLike",
     "divisor",
-    "phi_star_H",
-    "G",
-    "G_hat",
-    "E",
-    "E_hat",
-    "curve",
     "curve_combo",
     "pairing_matrix",
     "pairing",
@@ -158,12 +152,15 @@ class DivisorClass(checked_tuple("DivisorClass", [
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combined(other, sub)
 
+    # a class is a tuple: class * int would repeat it, tuple + class join,
+    # so both raise, in Python's own wording, left operand first
     def __mul__(self, other: object) -> NoReturn:
-        # a class is a tuple: class * int would repeat it, tuple + class join
-        raise TypeError(f"unsupported operand type(s): "
+        raise TypeError(f"unsupported operand type(s) for *: "
                         f"'{type(self).__name__}' and '{type(other).__name__}'")
 
-    __radd__ = __mul__
+    def __radd__(self, other: object) -> NoReturn:
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"'{type(other).__name__}' and '{type(self).__name__}'")
 
     def __rmul__(self, scalar: Rational) -> "DivisorClass":
         s = _exact(scalar)
@@ -190,30 +187,6 @@ def divisor(params: FamilyParams, alpha: Rational, beta: Rational,
 def _divisor_coords(a: int, d: int) -> tuple[tuple[int, int, int], ...]:
     """Coordinates of phi*H, Ghat, E, G and Ehat over (phi*H, Ghat, E)."""
     return ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-a, 1, 1), (d, 0, -1))
-
-
-def _named(params: FamilyParams, k: int) -> DivisorClass:
-    return DivisorClass(_divisor_coords(params.a, params.d)[k], params)
-
-
-def phi_star_H(params: FamilyParams) -> DivisorClass:
-    return _named(params, 0)
-
-
-def G_hat(params: FamilyParams) -> DivisorClass:
-    return _named(params, 1)
-
-
-def E(params: FamilyParams) -> DivisorClass:
-    return _named(params, 2)
-
-
-def G(params: FamilyParams) -> DivisorClass:
-    return _named(params, 3)
-
-
-def E_hat(params: FamilyParams) -> DivisorClass:
-    return _named(params, 4)
 
 
 class CurveGen(ValueEnum):
@@ -273,15 +246,11 @@ class CurveClass(checked_tuple("CurveClass", [
         _same_context(self.context, other.context)
         return CurveClass(self.combo + other.combo, self.context)
 
-    __mul__ = __radd__ = DivisorClass.__mul__
+    __mul__, __radd__ = DivisorClass.__mul__, DivisorClass.__radd__
 
     def __rmul__(self, scalar: Rational) -> "CurveClass":
         s = _exact(scalar)
         return CurveClass(tuple((g, s * c) for g, c in self.combo), self.context)
-
-
-def curve(params: FamilyParams, gen: CurveGen) -> CurveClass:
-    return CurveClass(((gen, 1),), params)
 
 
 def curve_combo(params: FamilyParams,

@@ -29,7 +29,7 @@ builds sums and products.
 
 from functools import lru_cache
 from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .catalog import FamilyParams, FanoThreefold, _h0_twist
 from .errors import agree, at_least
@@ -41,7 +41,6 @@ __all__ = [
     "bundle_formula",
     "blowup_formula",
     "surface_h02",
-    "surface_h11",
     "hodge_of_threefold",
     "hodge_of_surface",
     "hodge_of_fourfold",
@@ -60,11 +59,13 @@ class HodgePolynomial:
     ``coeff`` scans it rather than building a dict.  The constructor is the
     one term check: a key must be a plain ``tuple`` of two non-negative
     ``int`` exponents and a coefficient exactly an ``int`` (a float, Fraction
-    or bool raises TypeError); zero entries are dropped.  +, - (one merge)
-    and * (the product), all the structure formulas need, take only another
-    ``HodgePolynomial``; ``_built``, the one builder that checks nothing,
-    builds their results.  A product by one term, such as the blow-up factor
-    e(P^1) - e(P^0) = uv, shifts the left factor's terms instead of sorting.
+    or bool raises TypeError); zero entries are dropped.  ``coeff`` and
+    ``betti`` take ``int`` exponents only, as the constructor does.  +, -
+    (one merge) and * (the product), all the structure formulas need, take
+    only another ``HodgePolynomial``; ``_built``, the one builder that checks
+    nothing, builds their results.  A product by one term, such as the
+    blow-up factor e(P^1) - e(P^0) = uv, shifts the left factor's terms
+    instead of sorting.
     """
 
     __slots__ = ("_terms",)
@@ -88,20 +89,21 @@ class HodgePolynomial:
         self._terms = tuple(terms)
 
     def coeff(self, p: int, q: int) -> int:
+        if not p.__class__ is q.__class__ is int:
+            raise TypeError(f"coeff({p!r}, {q!r}) needs int exponents")
         key = (p, q)
         for pq, c in self._terms:
             if pq == key:
                 return c
         return 0
 
-    def items(self) -> Iterable[tuple[tuple[int, int], int]]:
-        return iter(self._terms)
-
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self._terms)
 
     def betti(self, k: int) -> int:
         """Sum of coefficients on the antidiagonal p + q = k."""
+        if k.__class__ is not int:
+            raise TypeError(f"betti({k!r}) needs an int degree")
         return sum(c for (p, q), c in self._terms if p + q == k)
 
     def _merged(self, other: "HodgePolynomial",
@@ -207,12 +209,6 @@ def surface_h02(params: FamilyParams) -> int:
     Riemann-Roch count of ``catalog._h0_twist``, for every d >= 1.
     """
     return _h0_twist(params, params.d - params.threefold.index)
-
-
-def surface_h11(params: FamilyParams) -> int:
-    """h^{1,1} of a smooth surface A in |O_Z(d)|, via Noether's formula:
-    h^{1,1} = 10 + 10*h^{0,2} - d*(d - i_Z)^2*delta."""
-    return _noether_h11(params, surface_h02(params))
 
 
 def _noether_h11(params: FamilyParams, h02: int) -> int:

@@ -18,7 +18,7 @@ from fano4.classify import h0_line_bundle
 from fano4.cones import (
     CurveGen,
     anticanonical,
-    curve,
+    curve_combo,
     ne_generators,
     nef_rays,
     pairing,
@@ -138,7 +138,8 @@ def test_c6_cone_duality_suite():
     for p in enumerate_families():
         antiK = anticanonical(p)
         generators = ne_generators(p)
-        assert pairing(antiK, curve(p, CurveGen.F)) == 1   # index-1 witness
+        F = curve_combo(p, {CurveGen.F: 1})
+        assert pairing(antiK, F) == 1   # index-1 witness
         for C in generators:
             assert pairing(antiK, C) >= 1
         for ray in nef_rays(p):

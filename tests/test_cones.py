@@ -18,16 +18,11 @@ from fano4.cones import (
     CurveClass,
     CurveGen,
     DivisorClass,
-    E,
-    E_hat,
     FibreLike,
-    G,
-    G_hat,
     NefRay,
     RayLabel,
     anticanonical,
     cone_data,
-    curve,
     curve_combo,
     divisor,
     from_alternate_basis,
@@ -37,7 +32,6 @@ from fano4.cones import (
     nef_rays,
     pairing,
     pairing_matrix,
-    phi_star_H,
     to_alternate_basis,
 )
 from fano4.errors import ConsistencyError, ContextMismatchError, IntegrityError
@@ -82,7 +76,7 @@ def test_alternate_basis_of_anticanonical():
 
 def test_alternate_basis_fixes_the_pullback():
     p = FamilyParams(6, 1, 2)
-    assert to_alternate_basis(phi_star_H(p)) == (1, 0, 0)
+    assert to_alternate_basis(divisor(p, 1, 0, 0)) == (1, 0, 0)
 
 
 def test_alternate_basis_of_ghat_plus_e():
@@ -103,7 +97,8 @@ def test_alternate_basis_preserves_pairings(p, x, y, z):
     D = divisor(p, x, y, z)
     back = from_alternate_basis(p, to_alternate_basis(D))
     for gen in CurveGen:
-        assert pairing(D, curve(p, gen)) == pairing(back, curve(p, gen))
+        C = curve_combo(p, {gen: 1})
+        assert pairing(D, C) == pairing(back, C)
 
 
 # coprime denominators 7, 11 and 13 on both sides; then non-integral
@@ -158,53 +153,63 @@ def test_anticanonical_rejects_inadmissible():
 def test_anticanonical_degree_one_on_blowup_fibres():
     for p in enumerate_families():
         antiK = anticanonical(p)
-        assert pairing(antiK, curve(p, CurveGen.F)) == 1
-        assert pairing(antiK, curve(p, CurveGen.F_HAT)) == 1
+        assert pairing(antiK, curve_combo(p, {CurveGen.F: 1})) == 1
+        assert pairing(antiK, curve_combo(p, {CurveGen.F_HAT: 1})) == 1
 
 
 def test_pairing_exceptional_on_its_fibre():
     p = FamilyParams(7, 1, 2)
-    assert pairing(E(p), curve(p, CurveGen.F)) == -1
-    assert pairing(E_hat(p), curve(p, CurveGen.F_HAT)) == -1
+    # Ehat = d*phi*H - E
+    E, Ehat = divisor(p, 0, 0, 1), divisor(p, p.d, 0, -1)
+    assert pairing(E, curve_combo(p, {CurveGen.F: 1})) == -1
+    assert pairing(Ehat, curve_combo(p, {CurveGen.F_HAT: 1})) == -1
 
 
 def test_pairing_ghat_against_its_curve():
     for p in enumerate_families():
-        assert pairing(G_hat(p), curve(p, CurveGen.C_G_HAT)) == p.a - p.d
-        assert pairing(G(p), curve(p, CurveGen.C_G)) == -p.a
+        # G = Ghat + E - a*phi*H
+        Ghat, G = divisor(p, 0, 1, 0), divisor(p, -p.a, 1, 1)
+        C_Ghat = curve_combo(p, {CurveGen.C_G_HAT: 1})
+        assert pairing(Ghat, C_Ghat) == p.a - p.d
+        assert pairing(G, curve_combo(p, {CurveGen.C_G: 1})) == -p.a
 
 
 def test_pairing_disjoint_divisors():
     for p in enumerate_families():
-        assert pairing(G(p), curve(p, CurveGen.C_G_HAT)) == 0
-        assert pairing(G_hat(p), curve(p, CurveGen.C_G)) == 0
-        assert pairing(G(p), curve(p, CurveGen.F)) == 0
-        assert pairing(G_hat(p), curve(p, CurveGen.F_HAT)) == 0
+        # G = Ghat + E - a*phi*H
+        Ghat, G = divisor(p, 0, 1, 0), divisor(p, -p.a, 1, 1)
+        assert pairing(G, curve_combo(p, {CurveGen.C_G_HAT: 1})) == 0
+        assert pairing(Ghat, curve_combo(p, {CurveGen.C_G: 1})) == 0
+        assert pairing(G, curve_combo(p, {CurveGen.F: 1})) == 0
+        assert pairing(Ghat, curve_combo(p, {CurveGen.F_HAT: 1})) == 0
 
 
 def test_anticanonical_degrees_on_section_curves():
     for p in enumerate_families():
         i = p.threefold.index
         antiK = anticanonical(p)
-        assert pairing(antiK, curve(p, CurveGen.C_G)) == i - p.a >= 1
-        assert pairing(antiK, curve(p, CurveGen.C_G_HAT)) == i + p.a - p.d >= 1
+        C_G = curve_combo(p, {CurveGen.C_G: 1})
+        C_Ghat = curve_combo(p, {CurveGen.C_G_HAT: 1})
+        assert pairing(antiK, C_G) == i - p.a >= 1
+        assert pairing(antiK, C_Ghat) == i + p.a - p.d >= 1
 
 
 def test_pairing_is_bilinear():
     p = FamilyParams(6, 2, 4)
     C = curve_combo(p, {CurveGen.F: Fraction(1, 2), CurveGen.C_G: 3})
     D = divisor(p, 1, 1, 0)
-    expected = (Fraction(1, 2) * pairing(D, curve(p, CurveGen.F))
-                + 3 * pairing(D, curve(p, CurveGen.C_G)))
+    expected = (Fraction(1, 2) * pairing(D, curve_combo(p, {CurveGen.F: 1}))
+                + 3 * pairing(D, curve_combo(p, {CurveGen.C_G: 1})))
     assert pairing(D, C) == expected
 
 
 def test_pairing_context_mismatch():
     with pytest.raises(ContextMismatchError):
-        pairing(phi_star_H(FamilyParams(7, 0, 1)),
-                curve(FamilyParams(7, 0, 2), CurveGen.F))
+        pairing(divisor(FamilyParams(7, 0, 1), 1, 0, 0),
+                curve_combo(FamilyParams(7, 0, 2), {CurveGen.F: 1}))
     with pytest.raises(ContextMismatchError):
-        phi_star_H(FamilyParams(7, 0, 1)) + E(FamilyParams(6, 0, 1))
+        (divisor(FamilyParams(7, 0, 1), 1, 0, 0)
+         + divisor(FamilyParams(6, 0, 1), 0, 0, 1))
 
 
 curve_combos = st.dictionaries(
@@ -225,8 +230,8 @@ def test_curve_class_sum_adds_the_coefficients(p, x, y):
 
 def test_curve_class_sum_refuses_mixed_contexts():
     with pytest.raises(ContextMismatchError):
-        (curve(FamilyParams(7, 0, 1), CurveGen.F)
-         + curve(FamilyParams(7, 0, 2), CurveGen.F))
+        (curve_combo(FamilyParams(7, 0, 1), {CurveGen.F: 1})
+         + curve_combo(FamilyParams(7, 0, 2), {CurveGen.F: 1}))
 
 
 def test_curve_class_kind_is_none_off_a_single_generator():
@@ -241,14 +246,14 @@ def test_curve_combo_rejects_negative_coefficients():
     with pytest.raises(ValueError):
         curve_combo(p, {CurveGen.F: -1})
     with pytest.raises(ValueError):
-        Fraction(-1, 2) * curve(p, CurveGen.F)
+        Fraction(-1, 2) * curve_combo(p, {CurveGen.F: 1})
     # a key that is no generator would otherwise be dropped without a word
     with pytest.raises(TypeError, match="'bogus'"):
         curve_combo(p, {"bogus": 5})
     with pytest.raises(TypeError, match="generator: 3$"):
         curve_combo(p, {CurveGen.F: 1, 3: 2})
     # a generator's value is the generator, as the enum is a str enum
-    assert curve_combo(p, {"F": 1}) == curve(p, CurveGen.F)
+    assert curve_combo(p, {"F": 1}) == curve_combo(p, {CurveGen.F: 1})
 
 
 def test_float_and_bool_scalars_are_rejected():
@@ -262,17 +267,17 @@ def test_float_and_bool_scalars_are_rejected():
     with pytest.raises(TypeError):
         curve_combo(p, {CurveGen.F: True})
     with pytest.raises(TypeError):
-        2.0 * phi_star_H(p)
+        2.0 * divisor(p, 1, 0, 0)
     with pytest.raises(TypeError):
-        True * phi_star_H(p)
+        True * divisor(p, 1, 0, 0)
     with pytest.raises(TypeError):
-        2.0 * curve(p, CurveGen.F)
+        2.0 * curve_combo(p, {CurveGen.F: 1})
     with pytest.raises(TypeError):
         from_alternate_basis(p, (0.5, 0, 0))
     # the constructors themselves, and _make and _replace through them,
     # refuse what divisor() and curve_combo() refuse
     D = divisor(p, Fraction(1, 2), 0, 0)
-    C = curve(p, CurveGen.F)
+    C = curve_combo(p, {CurveGen.F: 1})
     for build in (lambda: cones.DivisorClass((0.5, Fraction(1, 2), 0), p),
                   lambda: cones.DivisorClass._make(((0, 0, 0.5), p)),
                   lambda: D._replace(coords=(0, 0.5, 0)),
@@ -306,7 +311,7 @@ def test_class_constructors_check_and_normalise():
         cones.CurveClass((("bogus", 1),), p)
     # a repeated generator adds up, as in the sum of two classes
     F = cones.CurveClass(((CurveGen.F, half), (CurveGen.F, half)), p)
-    assert F == curve(p, CurveGen.F) and type(F.combo[0][1]) is int
+    assert F == curve_combo(p, {CurveGen.F: 1}) and type(F.combo[0][1]) is int
     with pytest.raises(ValueError, match="negative"):
         cones.CurveClass(((CurveGen.F, -half),), p)
 
@@ -318,7 +323,7 @@ def test_divisor_class_refuses_a_context_that_is_no_family():
                                         "got tuple"):
         cones.DivisorClass((1, 0, 0), (7, 0, 1))
     with pytest.raises(TypeError, match="FamilyParams"):
-        phi_star_H(FamilyParams(7, 0, 1))._replace(context=(7, 0, 1))
+        divisor(FamilyParams(7, 0, 1), 1, 0, 0)._replace(context=(7, 0, 1))
 
 
 def test_curve_class_refuses_a_context_that_is_no_family():
@@ -333,7 +338,7 @@ def test_classes_are_scaled_by_a_scalar_on_the_left_only():
     # a class is a tuple underneath: class * int must not repeat it, and
     # tuple + class must not join them
     p = FamilyParams(7, 1, 2)
-    D, C = phi_star_H(p), curve(p, CurveGen.F)
+    D, C = divisor(p, 1, 0, 0), curve_combo(p, {CurveGen.F: 1})
     for cls in (D, C):
         for other in (2, Fraction(1, 2), cls):
             with pytest.raises(TypeError, match="unsupported operand"):
@@ -351,9 +356,32 @@ def test_classes_are_scaled_by_a_scalar_on_the_left_only():
     assert 2 * C == curve_combo(p, {CurveGen.F: 2})
 
 
+#: each refused operation, with the operator and operand types it must name
+_REFUSED = {
+    "5 + D": "+: 'int' and 'DivisorClass'",
+    "(1, 2, 3) + D": "+: 'tuple' and 'DivisorClass'",
+    "D + C": "+: 'DivisorClass' and 'CurveClass'",
+    "C + D": "+: 'CurveClass' and 'DivisorClass'",
+    "D * 2": "*: 'DivisorClass' and 'int'",
+    "C * 2": "*: 'CurveClass' and 'int'",
+    "D - C": "-: 'DivisorClass' and 'CurveClass'",
+}
+
+
+@pytest.mark.parametrize("expression", _REFUSED)
+def test_a_refused_operation_names_its_operands_left_first(expression):
+    # Python's own wording, which D - C gets from Python itself
+    p = FamilyParams(7, 1, 2)
+    names = {"D": divisor(p, 1, 0, 0), "C": curve_combo(p, {CurveGen.F: 1})}
+    with pytest.raises(TypeError) as exc:
+        eval(expression, names)
+    assert str(exc.value) == \
+        f"unsupported operand type(s) for {_REFUSED[expression]}"
+
+
 @pytest.mark.parametrize("name", ["coords", "context", "other"])
 def test_divisor_classes_are_immutable(name):
-    D = phi_star_H(FamilyParams(7, 1, 2))
+    D = divisor(FamilyParams(7, 1, 2), 1, 0, 0)
     with pytest.raises(AttributeError):
         setattr(D, name, (0, 0, 0))
     assert D.coords == (1, 0, 0)
@@ -376,7 +404,7 @@ def test_cone_data_of_every_family_is_plain_int():
 def test_rational_input_keeps_exact_fractions():
     p = FamilyParams(6, 2, 4)
     half = curve_combo(p, {CurveGen.F: Fraction(1, 2)})
-    value = pairing(phi_star_H(p) + G_hat(p), half)
+    value = pairing(divisor(p, 1, 0, 0) + divisor(p, 0, 1, 0), half)
     assert type(value) is Fraction and value == Fraction(1, 2)
     assert divisor(p, Fraction(1, 3), 0, 0).coords[0] == Fraction(1, 3)
     # integral Fractions are stored as int, at input and after arithmetic
@@ -394,42 +422,50 @@ def test_pairing_matrix_returns_a_fresh_copy():
     matrix = pairing_matrix(p)
     matrix[CurveGen.F] = (9, 9, 9)
     assert pairing_matrix(p)[CurveGen.F] == (0, 1, -1)
-    assert pairing(G_hat(p), curve(p, CurveGen.F)) == 1
+    assert pairing(divisor(p, 0, 1, 0), curve_combo(p, {CurveGen.F: 1})) == 1
 
 
 def test_relation_class_is_numerically_trivial():
-    # d*phi*H - E - Ehat is the zero class, so it pairs to 0 with everything
+    # d*phi*H - E - Ehat is the zero class, so it pairs to 0 with everything;
+    # Ehat is the row that anticanonical and nef_rays read
     for p in enumerate_families():
-        D = p.d * phi_star_H(p) - E(p) - E_hat(p)
+        Ehat = divisor(p, *cones._divisor_coords(p.a, p.d)[4])
+        D = p.d * divisor(p, 1, 0, 0) - divisor(p, 0, 0, 1) - Ehat
         assert D.coords == (0, 0, 0)
         for gen in CurveGen:
-            assert pairing(D, curve(p, gen)) == 0
+            assert pairing(D, curve_combo(p, {gen: 1})) == 0
 
 
 def test_named_divisor_relations():
+    # the coordinate table that anticanonical and nef_rays read holds the
+    # basis, then G and Ehat with G + a*phi*H = Ghat + E and
+    # d*phi*H = E + Ehat
     for p in enumerate_families():
-        assert G(p) + p.a * phi_star_H(p) == G_hat(p) + E(p)
-        assert G_hat(p) + (p.d - p.a) * phi_star_H(p) == G(p) + E_hat(p)
-        assert p.d * phi_star_H(p) == E(p) + E_hat(p)
-
-
-#: each divisor a printed ray name may hold, by its printed name
-_PRINTED_DIVISORS = {"phi*H": phi_star_H, "G": G, "Ghat": G_hat, "E": E,
-                     "Ehat": E_hat}
+        H, Ghat, E, G, Ehat = (divisor(p, *coords)
+                               for coords in cones._divisor_coords(p.a, p.d))
+        assert (H.coords, Ghat.coords, E.coords) == ((1, 0, 0), (0, 1, 0),
+                                                     (0, 0, 1))
+        assert G + p.a * H == Ghat + E
+        assert Ghat + (p.d - p.a) * H == G + Ehat
+        assert p.d * H == E + Ehat
 
 
 def test_each_printed_ray_name_evaluates_to_its_ray():
     # each term of a name is an optional "k*" and one named divisor, so the
     # name is checked against the generator it is printed beside
     for p in enumerate_families():
+        H, Ghat, E = (divisor(p, *coords)
+                      for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        printed = {"phi*H": H, "Ghat": Ghat, "E": E,
+                   "G": Ghat + E - p.a * H, "Ehat": p.d * H - E}
         for ray in nef_rays(p):
             total = divisor(p, 0, 0, 0)
             for term in ray.name.split(" + "):
                 k, star, rest = term.partition("*")
                 if star and k.isdigit():
-                    total = total + int(k) * _PRINTED_DIVISORS[rest](p)
+                    total = total + int(k) * printed[rest]
                 else:
-                    total = total + _PRINTED_DIVISORS[term](p)
+                    total = total + printed[term]
             assert total == ray.generator, (p.label, ray.label, ray.name)
 
 
@@ -471,7 +507,7 @@ def test_nef_rays_square_case_includes_dG_plus_aEhat():
     rays = {r.label: r for r in nef_rays(p)}
     assert set(rays) == {RayLabel.R1, RayLabel.R2, RayLabel.R3, RayLabel.R4}
     assert rays[RayLabel.R4].generator == \
-        5 * G(p) + 2 * E_hat(p)
+        5 * divisor(p, -2, 1, 1) + 2 * divisor(p, 5, 0, -1)   # 5*G + 2*Ehat
     assert rays[RayLabel.R4].generator.coords == (0, 5, 3)
 
 
@@ -554,17 +590,19 @@ def test_ray_and_antiK_coordinates_match_divisor_arithmetic():
     # DivisorClass arithmetic on the named divisors
     for p in enumerate_families():
         i, a, d = p.threefold.index, p.a, p.d
-        expected = {RayLabel.R1: phi_star_H(p),
-                    RayLabel.R2: a * phi_star_H(p) + G(p)}
+        H, Ghat, E = (divisor(p, *coords)
+                      for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        G, Ehat = Ghat + E - a * H, d * H - E
+        expected = {RayLabel.R1: H, RayLabel.R2: a * H + G}
         if a >= d:
-            expected[RayLabel.R3] = G_hat(p)
+            expected[RayLabel.R3] = Ghat
         else:
-            expected[RayLabel.R3] = G(p) + E_hat(p)
+            expected[RayLabel.R3] = G + Ehat
             if a > 0:
-                expected[RayLabel.R4] = d * G(p) + a * E_hat(p)
+                expected[RayLabel.R4] = d * G + a * Ehat
         rays = nef_rays(p)
         assert {ray.label: ray.generator for ray in rays} == expected
-        assert anticanonical(p) == i * phi_star_H(p) + G(p) + G_hat(p)
+        assert anticanonical(p) == i * H + G + Ghat
 
 
 def test_cone_data_bundles_the_public_results():

@@ -18,7 +18,6 @@ from fano4.hodge import (
     hodge_of_threefold,
     projective_space,
     surface_h02,
-    surface_h11,
 )
 
 POINT = projective_space(0)
@@ -56,7 +55,8 @@ def test_insertion_order_does_not_show():
     assert forward == backward and hash(forward) == hash(backward)
     assert repr(forward) == repr(backward) == \
         "HodgePolynomial({(0,0): 1, (1,2): 3, (2,1): 3})"
-    assert list(backward.items()) == [((0, 0), 1), ((1, 2), 3), ((2, 1), 3)]
+    assert list(backward.as_dict().items()) == [((0, 0), 1), ((1, 2), 3),
+                                                ((2, 1), 3)]
     assert hash(backward) == hash((((0, 0), 1), ((1, 2), 3), ((2, 1), 3)))
 
 
@@ -135,7 +135,7 @@ def test_a_p_n_argument_is_type_checked_before_its_range(name, value):
 def test_product_is_commutative_and_symmetric(f, g):
     assert f * g == g * f
     product = (f * g).as_dict()
-    assert all(product.get((q, p), 0) == c for (p, q), c in (f * g).items())
+    assert all(product.get((q, p), 0) == c for (p, q), c in product.items())
 
 
 def _signed_polynomials(coefficients=st.integers(-9, 9), max_size=6):
@@ -210,7 +210,7 @@ def test_arithmetic_takes_only_hodge_polynomials():
 
 
 def coefficient_total(f):
-    return sum(c for _, c in f.items())
+    return sum(f.as_dict().values())
 
 
 @given(small_polynomials())
@@ -250,13 +250,13 @@ def test_surface_h02_domain():
     (1, 1, 9),    # 10 - 1*1*1
 ])
 def test_surface_h11_values(z_id, d, expected):
-    assert surface_h11(FamilyParams(z_id, 0, d)) == expected
+    assert hodge_of_surface(FamilyParams(z_id, 0, d)).coeff(1, 1) == expected
 
 
 def test_surface_h11_positive_on_admissible_degrees():
     for z in (threefold(i) for i in range(1, 8)):
         for d in range(1, 2 * z.index - 1):
-            assert surface_h11(FamilyParams(z.id, 0, d)) > 0
+            assert hodge_of_surface(FamilyParams(z.id, 0, d)).coeff(1, 1) > 0
 
 
 @pytest.mark.parametrize("z_id", range(1, 8))
@@ -267,7 +267,8 @@ def test_surface_euler_number_by_chern_classes(z_id):
     i, delta = Z.index, Z.degree
     for d in range(1, 4 * i + 1):
         eA = hodge_of_surface(FamilyParams(z_id, 0, d))
-        alternating = sum((-1) ** (p + q) * c for (p, q), c in eA.items())
+        alternating = sum((-1) ** (p + q) * c
+                          for (p, q), c in eA.as_dict().items())
         assert alternating == 24 * d // i + d * d * delta * (d - i), d
 
 
@@ -307,10 +308,10 @@ def test_fourfold_polynomial_invariants():
         eX = blowup_formula(bundle_formula(hodge_of_threefold(Z), 1),
                             hodge_of_surface(p), 2)
         coeffs = eX.as_dict()
-        assert all(coeffs.get((q, p), 0) == c for (p, q), c in eX.items())
+        assert all(coeffs.get((q, p), 0) == c for (p, q), c in coeffs.items())
         assert eX.betti(2) == 3          # = rho_X
-        assert all(p <= 4 for (p, _), _ in eX.items())   # dimension bound
-        assert all(c >= 0 for _, c in eX.items())
+        assert all(p <= 4 for p, _ in coeffs)   # dimension bound
+        assert all(c >= 0 for c in coeffs.values())
 
 
 def test_hodge_of_fourfold_agrees_with_polynomial_route():
@@ -333,7 +334,7 @@ def test_integrity_error_for_impossible_surface(monkeypatch):
                         (*catalog_module._CATALOG[:6], fake))
     # d = 1 < i: h^{0,2} = 0, so 10 + 0 - 1*(1-4)^2*60 = -530
     # reached directly, and through e(A) on the way to the 4-fold
-    for fn in (surface_h11, hodge_of_fourfold):
+    for fn in (hodge_of_surface, hodge_of_fourfold):
         with pytest.raises(IntegrityError) as exc:
             fn(FamilyParams(7, 0, 1))
         assert str(exc.value) == "X^7_{0,1}: h^{1,1}(A) = -530 < 1"
@@ -365,3 +366,15 @@ def test_a_key_that_unpacks_into_a_pair_is_refused():
     with pytest.raises(TypeError) as exc:
         HodgePolynomial({frozenset({2, 1}): 1, (1, 2): 5})
     assert str(exc.value).startswith("term frozenset({1, 2}): 1")
+
+
+@pytest.mark.parametrize("query", ["coeff(True, 1)", "coeff(1.0, 1.0)",
+                                   "coeff(1, 1.0)", "coeff(0, False)",
+                                   "betti(2.0)", "betti(True)"])
+def test_a_query_with_a_non_int_exponent_is_refused(query):
+    # True == 1 == 1.0, so a comparison alone would read h^{1,1} = 7: the
+    # queries take int exponents only, as the constructor does
+    f = HodgePolynomial({(1, 1): 7, (0, 0): 1})
+    assert (f.coeff(1, 1), f.betti(2), f.coeff(0, 0)) == (7, 7, 1)
+    with pytest.raises(TypeError, match=r"needs (int exponents|an int degree)"):
+        eval(f"f.{query}", {"f": f})

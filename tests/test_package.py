@@ -215,7 +215,7 @@ assert "fractions" not in sys.modules
 from fractions import Fraction
 p = FamilyParams(7, 1, 2)
 D = cones.divisor(p, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5))
-value = cones.pairing(D, cones.curve(p, cones.CurveGen.F))
+value = cones.pairing(D, cones.curve_combo(p, {cones.CurveGen.F: 1}))
 assert type(value) is Fraction and value == Fraction(11, 15)
 assert cones.from_alternate_basis(p, cones.to_alternate_basis(D)) == D
 print("ok")
@@ -318,7 +318,7 @@ NON_INT_ENTRIES = {
     # chi(O_A) = 1 + h^{0,2}(A)
     "surface_h02": lambda bad: _blowup(bad, centre_entry="chi_OV"),
     # K_A^2, which Noether's formula turns into h^{1,1}(A)
-    "surface_h11": lambda bad: _blowup(bad, centre_entry="KV_sq"),
+    "hodge_of_surface": lambda bad: _blowup(bad, centre_entry="KV_sq"),
     # chi(O_X), the alternating sum of the h^{0,q}(X)
     "hodge_of_fourfold": lambda bad: fano4.riemann_roch_chi(100, 4, bad),
     "projective_space": lambda bad: fano4.projective_space(bad),
@@ -356,7 +356,7 @@ FAMILY_FUNCTIONS = [
         "k4_closed_terms", "closed_k4", "closed_k2c2", "closed_chi_antiK",
         "fano4_invariants")),
     *(f"hodge.{name}" for name in (
-        "surface_h02", "surface_h11", "hodge_of_surface",
+        "surface_h02", "hodge_of_surface",
         "hodge_of_fourfold")),
     "classify.h0_line_bundle",
 ]
