@@ -45,16 +45,11 @@ class BaseLocusKind(ValueEnum):
     ONE_POINT = "one_point"
     TWO_POINTS = "two_points"
 
-    def display(self) -> str:
-        return _BASE_LOCUS_TEXT[self]
-
 
 # the members as module globals: reading one off its Enum class costs a
 # descriptor call on Python 3.11, and the record path reads them per family
 _EMPTY, _ONE_POINT, _TWO_POINTS = BaseLocusKind
 _H_EMPTY = HBaseLocus.EMPTY
-
-_BASE_LOCUS_TEXT = {_EMPTY: "empty", _ONE_POINT: "{Q0}", _TWO_POINTS: "{Q1, Q2}"}
 
 
 def base_locus(params: FamilyParams) -> BaseLocusKind:

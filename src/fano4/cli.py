@@ -118,8 +118,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
           f"h^0(-K) = {record.h0_antiK}")
     print(f"  h^{{1,2}} = {record.h12}, h^{{1,3}} = {record.h13}, "
           f"h^{{2,2}} = {record.h22}")
-    print(f"  base locus of |-K|: {record.base_locus.display()} "
-          f"(general member smooth)")
+    locus = report._BASE_LOCUS_TEXT[record.base_locus]
+    print(f"  base locus of |-K|: {locus} (general member smooth)")
     rat = record.rationality.replace("_", " ")
     if record.toric_label is not None:
         rat += f" ({record.toric_label})"

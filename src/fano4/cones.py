@@ -335,21 +335,16 @@ def from_alternate_basis(params: FamilyParams,
 
 
 def anticanonical(params: FamilyParams) -> DivisorClass:
-    """-K_X = (i-a)*phi*H + 2*Ghat + E.
+    """-K_X = (i-a)*phi*H + 2*Ghat + E, the tuple (i - a, 2, 1).
 
-    Also expressible as i*phi*H + G + Ghat and, over the second basis, as
-    (i+a-d, 2, 1); all three expressions are checked against each other.
+    Checked against i*phi*H + G + Ghat, which reads G's row of the divisor
+    table, and, over the second basis, against (i+a-d, 2, 1).
     """
     require_admissible(params)
     i, a, d = params.threefold.index, params.a, params.d
-    (h0, h1, h2), (b0, b1, b2), (e0, e1, e2), (g0, g1, g2), _ = \
-        _divisor_coords(a, d)
-    s = i - a
+    g0, g1, g2 = _divisor_coords(a, d)[3]
     antiK = agree(params, "-K expressions", "(i-a)*phi*H+2*Ghat+E",
-                  (s * h0 + 2 * b0 + e0, s * h1 + 2 * b1 + e1,
-                   s * h2 + 2 * b2 + e2),
-                  "i*phi*H+G+Ghat",
-                  (i * h0 + g0 + b0, i * h1 + g1 + b1, i * h2 + g2 + b2))
+                  (i - a, 2, 1), "i*phi*H+G+Ghat", (i + g0, g1 + 1, g2))
     agree(params, "-K coordinates over (phi*H, G, Ehat)", "converted",
           _alternate(a, d, antiK), "closed form", (i + a - d, 2, 1))
     return _built(DivisorClass, (antiK, params))
@@ -389,9 +384,9 @@ class NefRay(NamedTuple):
 
     ``vanishing_face`` lists the NE generators the ray generator annihilates,
     in :func:`ne_generators` order, so its repr is the same in every run.
-    ``contraction`` is a hard-coded label: "fibre type" for R1 (the conic
-    bundle onto Z), "divisorial" otherwise.  It is wrong for R2 = G when
-    a = 0 (10 families), where G moves in a free pencil and maps X onto P^1.
+    ``contraction`` is one rule: "fibre type" for R1 (the conic bundle onto
+    Z), "divisorial" otherwise.  It is wrong for R2 = G when a = 0 (10
+    families), where G moves in a free pencil and maps X onto P^1.
     """
 
     label: RayLabel
@@ -404,36 +399,29 @@ class NefRay(NamedTuple):
 def nef_rays(params: FamilyParams) -> list[NefRay]:
     """Extremal rays of the nef cone: three rays, or four when 0 < a < d.
 
-    Generators: R1 = phi*H and R2 = a*phi*H + G always; then R3 = G + Ehat
-    (plus R4 = d*G + a*Ehat when 0 < a < d), except that for a >= d the third
-    ray is Ghat instead.  Faces are computed from the pairing of each ray with
+    Over (phi*H, Ghat, E): R1 = phi*H = (1, 0, 0) and R2 = a*phi*H + G =
+    (0, 1, 1) always; then R3 = Ghat = (0, 1, 0) when a >= d, else
+    R3 = G + Ehat = (d - a, 1, 0), and R4 = d*G + a*Ehat = (0, d, d - a)
+    when 0 < a < d.  Faces are computed from the pairing of each ray with
     the NE generators of :func:`ne_generators`, read as their kinds without
     building the curve classes.  A ray that pairs negatively with a generator
     raises ``IntegrityError``.
     """
     require_admissible(params)
     a, d = params.a, params.d
-    h, ghat, _, (g0, g1, g2), (f0, f1, f2) = _divisor_coords(a, d)
-    h0, h1, h2 = h
-    rays = [
-        (_R1, "phi*H", h, "fibre type"),
-        (_R2, "G" if a == 0 else f"{a}*phi*H + G",
-         (a * h0 + g0, a * h1 + g1, a * h2 + g2), "divisorial"),
-    ]
+    rays = [(_R1, "phi*H", (1, 0, 0)),
+            (_R2, "G" if a == 0 else f"{a}*phi*H + G", (0, 1, 1))]
     if a >= d:
-        rays.append((_R3, "Ghat", ghat, "divisorial"))
+        rays.append((_R3, "Ghat", (0, 1, 0)))
     else:
-        rays.append((_R3, "G + Ehat", (g0 + f0, g1 + f1, g2 + f2),
-                     "divisorial"))
+        rays.append((_R3, "G + Ehat", (d - a, 1, 0)))
         if a > 0:
-            rays.append((_R4, f"{d}*G + {a}*Ehat",
-                         (d * g0 + a * f0, d * g1 + a * f1, d * g2 + a * f2),
-                         "divisorial"))
+            rays.append((_R4, f"{d}*G + {a}*Ehat", (0, d, d - a)))
     columns = _pairing_columns(a, d)
     # each generator's column, looked up once per call rather than per ray
     kind_columns = [(kind, columns[kind]) for kind in _ne_kinds(a, d)]
     out = []
-    for label, name, coords, contraction in rays:
+    for label, name, coords in rays:
         x, y, z = coords
         face = []
         for kind, (p, q, r) in kind_columns:
@@ -443,6 +431,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
             elif value < 0:   # the quantity's name is built on failure only
                 at_least(params, f"{name} . {kind.value}", value, 0)
         generator = _built(DivisorClass, (coords, params))
+        contraction = "fibre type" if label is _R1 else "divisorial"
         out.append(_built(NefRay, (label, name, generator, tuple(face),
                                    contraction)))
     return out

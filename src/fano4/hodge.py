@@ -240,12 +240,9 @@ def _bundle_over_threefold(h12: int) -> HodgePolynomial:
 def hodge_of_surface(params: FamilyParams) -> HodgePolynomial:
     """e(A) for a smooth surface A in |O_Z(d)|; h^{0,1}(A) = 0 (Lefschetz)."""
     h02 = surface_h02(params)
-    return _surface_hodge(h02, _noether_h11(params, h02))
-
-
-def _surface_hodge(h02: int, h11: int) -> HodgePolynomial:
     return HodgePolynomial({
-        (0, 0): 1, (2, 2): 1, (0, 2): h02, (2, 0): h02, (1, 1): h11,
+        (0, 0): 1, (2, 2): 1, (0, 2): h02, (2, 0): h02,
+        (1, 1): _noether_h11(params, h02),
     })
 
 
@@ -264,21 +261,20 @@ def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
     |O_Z(d)| whichever bundle twist a is used, so ``a`` is never read.
 
     Computed twice -- closed forms and the polynomial calculus
-    e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked, on one e(A).
-    That e(A) is checked first through its Euler number: Noether's route
-    gives 2 + 2h^{0,2} + h^{1,1}, and Chern classes give
-    e(A) = 24d/i + d^2*delta*(d - i), from c(T_A) = c(T_Z)|_A / (1 + dH) and
-    c2(Z).H = 24/i, with no h^{0,2}(A) in it (the catalogue checks that i
-    divides 24).  A wrong h^{0,2}(A) moves both routes of the Hodge numbers
-    alike, so only this check sees it.
+    e(X) = e(Z)*e(P^1) + e(A)*(e(P^1) - 1) -- and cross-checked, on the one
+    e(A) of :func:`hodge_of_surface`.  That e(A) is checked first through
+    its Euler number: Noether's route gives 2 + 2h^{0,2} + h^{1,1}, and
+    Chern classes give e(A) = 24d/i + d^2*delta*(d - i), from
+    c(T_A) = c(T_Z)|_A / (1 + dH) and c2(Z).H = 24/i, with no h^{0,2}(A) in
+    it (the catalogue checks that i divides 24).  A wrong h^{0,2}(A) moves
+    both routes of the Hodge numbers alike, so only this check sees it.
     """
     Z, d = params.threefold, params.d
-    h02 = surface_h02(params)
-    h11 = _noether_h11(params, h02)
+    eA = hodge_of_surface(params)
+    h02, h11 = eA.coeff(0, 2), eA.coeff(1, 1)
     agree(params, "e(A)", "Noether", 2 + 2 * h02 + h11, "Chern classes",
           24 // Z.index * d + d * d * Z.degree * (d - Z.index))
-    eX = blowup_formula(_bundle_over_threefold(Z.h12),
-                        _surface_hodge(h02, h11), 2)
+    eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
     return FourfoldHodge(*agree(
         params, "Hodge numbers (h12, h13, h22)", "closed",
         (Z.h12, h02, 2 + h11),

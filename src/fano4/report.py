@@ -212,6 +212,13 @@ _JSON_ROW = ("  {\n" + ",\n".join(f'    "{f}": %s' for f in EXPORT_FIELDS)
              + "\n  }")
 
 
+# the printed text of each label, found by its member or its plain value
+_BASE_LOCUS_TEXT = {
+    classify.BaseLocusKind.EMPTY: "empty",
+    classify.BaseLocusKind.ONE_POINT: "{Q0}",
+    classify.BaseLocusKind.TWO_POINTS: "{Q1, Q2}",
+}
+
 _RATIONALITY_TEXT = {
     classify.Rationality.RATIONAL: "rational",
     classify.Rationality.VERY_GENERAL_NOT_RATIONAL:
@@ -261,7 +268,7 @@ def export(records: list[FamilyRecord], format: str) -> bytes:
         for r in records:
             lines.append(
                 f"| {r.label} | {r.K4} | {r.K2c2} | {r.h0_antiK} | {r.h12} "
-                f"| {r.h13} | {r.h22} | {r.base_locus.display()} "
+                f"| {r.h13} | {r.h22} | {_BASE_LOCUS_TEXT[r.base_locus]} "
                 f"| {_RATIONALITY_TEXT[r.rationality]} |")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported format {format!r}")

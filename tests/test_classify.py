@@ -216,6 +216,45 @@ def test_chi_tangent_agrees_with_hirzebruch_riemann_roch():
     assert computed["X^7_{0,1}"] == (11, 62, 92, 14)
 
 
+def test_chi_tangent_agrees_with_the_deformation_count():
+    """chi(T_X) by counting deformations, from the catalogue columns and
+    h^0(O_Z(k)) alone, against the records and table 3.
+
+    X blows up Y = P(O + O(a)) over Z along S = A, a surface in |O_Z(d)|
+    with N_{S/Y} = O_A(d) + O_A(a).  Three sequences give the count:
+
+    * 0 -> T_X -> pi^*T_Y -> j_*Q -> 0 on the blow-up pi, where Q is
+      pi^*N_{S/Y} / O_E(-1) on the exceptional divisor E, and O_E(-1) has
+      no cohomology, so chi(T_X) = chi(T_Y) - chi(N_{S/Y});
+    * 0 -> T_{Y/Z} -> T_Y -> phi^*T_Z -> 0, where phi_*T_{Y/Z} is the
+      traceless End(O + O(a)) = O + O_Z(a) + O_Z(-a), so
+      chi(T_Y) = chi(T_Z) + 1 + h^0(O_Z(a)) + chi(O_Z(-a));
+    * 0 -> O_Z(k - d) -> O_Z(k) -> O_A(k) -> 0 at k = d and at k = a, so
+      chi(N_{S/Y}) = (h^0(O_Z(d)) - 1) + h^0(O_Z(a)) - chi(O_Z(a - d)).
+
+    For k > -i_Z, chi(O_Z(k)) is h^0(O_Z(k)), which is 0 when k < 0: Kodaira
+    vanishing holds for O_Z(k) = K_Z + O_Z(k + i_Z).  The Fano bounds
+    a <= i_Z - 1 and d - a <= i_Z - 1 keep -a and a - d in that range.
+    h^0(O_Z(a)) cancels, and so
+    chi(T_X) = chi(T_Z) + b - (h^0(O_Z(d)) - 1) with b = 1 + chi(O_Z(-a))
+    + h^0(O_Z(a - d)): b = 2 when a = 0, else 1 + h^0(O_Z(a - d)).  b is the
+    dimension of the automorphisms of Y over Z that keep S (C^* and the
+    translations H^0(O_Z(a - d)); for a = 0 the stabiliser of a point in
+    PGL_2), and h^0(O_Z(d)) - 1 that of the moves of A.  chi(T_Z) is
+    h^0(T_Z) - h^1(T_Z), as H^2 and H^3 of T_Z vanish on a Fano 3-fold.
+    """
+    from fano4.golden import golden_tables
+    from fano4.report import build_all_records
+    table3 = {row.label: row.chi_T for row in golden_tables().table3}
+    records = build_all_records()
+    for p, r in zip(enumerate_families(), records, strict=True):
+        Z = p.threefold
+        b = 2 if p.a == 0 else 1 + _h0_twist(p, p.a - p.d)
+        chi = (Z.h0_tangent - Z.h1_tangent) + b - (_h0_twist(p, p.d) - 1)
+        assert chi == r.chi_T == table3[p.label], p.label
+    assert len(records) == len(table3) == 28
+
+
 def test_tangent_bounds_weighted_sextic_first_family():
     t = tangent_bounds(FamilyParams(1, 0, 1), chi=-34)
     assert (t.chi, t.h1, t.h0) == (-34, 36, 2)

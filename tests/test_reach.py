@@ -61,7 +61,6 @@ UNREACHED = {
     "hodge.HodgePolynomial.__hash__": PROTOCOL,
     "hodge.HodgePolynomial.__repr__": PROTOCOL,
     "hodge.hodge_of_threefold": DEMO,
-    "hodge.hodge_of_surface": DEMO,
     "intersect._check_ints": ALGEBRA,
     "intersect.projective_bundle_invariants": ALGEBRA,
     "intersect.surface_blowup_invariants": ALGEBRA,

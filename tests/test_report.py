@@ -634,6 +634,16 @@ def test_export_is_deterministic(records):
         assert export(records, fmt) == export(records, fmt)
 
 
+def test_export_writes_a_label_held_as_its_plain_value(records):
+    # reading the csv export back gives plain values, not enum members; each
+    # format writes such a record as it writes the record it came from
+    plain = [r._replace(base_locus=r.base_locus.value,
+                        rationality=r.rationality.value) for r in records]
+    assert type(plain[0].base_locus) is type(plain[0].rationality) is str
+    for fmt in ("json", "csv", "markdown"):
+        assert export(plain, fmt) == export(records, fmt), fmt
+
+
 def test_export_rejects_unknown_format(records):
     with pytest.raises(ValueError):
         export(records, "xml")
