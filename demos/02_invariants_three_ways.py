@@ -16,7 +16,7 @@ from fano4.hodge import (
     hodge_of_threefold,
 )
 from fano4.intersect import (
-    fano4_invariants,
+    closed_degrees,
     p1_bundle_invariants,
     riemann_roch_chi,
     surface_blowup_invariants,
@@ -29,8 +29,8 @@ print(f"family over Z_{Z.id} ({Z.description}) with a={a}, d={d}")
 
 print()
 print("route 1, closed forms (checked internally against route 2):")
-inv = fano4_invariants(params)
-print(f"  K^4 = {inv.K4}, K^2.c2 = {inv.K2c2}, h^0(-K) = {inv.h0_antiK}")
+inv = closed_degrees(params)
+print(f"  K^4 = {inv.K4}, K^2.c2 = {inv.K2c2}, h^0(-K) = {inv.chi_antiK}")
 
 print()
 print("route 2, generic bundle then blow-up:")

@@ -30,9 +30,9 @@ _EXPORTS = {
               "bundle_formula", "blowup_formula", "surface_h02",
               "hodge_of_threefold", "hodge_of_fourfold"),
     "intersect": ("BundleInput", "BlowupCentreData", "CanonicalDegrees",
-                  "FourfoldInvariants", "projective_bundle_invariants",
-                  "surface_blowup_invariants", "riemann_roch_chi",
-                  "p1_bundle_invariants", "fano4_invariants"),
+                  "projective_bundle_invariants", "surface_blowup_invariants",
+                  "riemann_roch_chi", "p1_bundle_invariants",
+                  "fano4_invariants"),
     "cones": ("DivisorClass", "CurveClass", "CurveGen", "NefRay", "RayLabel",
               "FibreLike", "anticanonical", "pairing", "pairing_matrix",
               "to_alternate_basis", "ne_generators", "nef_rays", "ConeData",

@@ -9,14 +9,16 @@ rather than variety objects:
   a smooth surface V, from (K_Y|V)^2, K_V.K_Y|V, K_V^2, c2(N_{V/Y}), chi(O_V).
 
 Specialised to a family (Z, a, d), which every family-level function here
-takes as one ``FamilyParams``, these reproduce the closed forms
+takes as one ``FamilyParams``, these reproduce the closed forms of
+:func:`closed_degrees`, such as
 
     K_X^4 = 8*delta*i*(a^2+i^2) - 3*d*delta*(a+i)^2
-            + 2*d*delta*(a+i)*(d-i) + a*d^2*delta - d*delta*(d-i)^2
+            + 2*d*delta*(a+i)*(d-i) + a*d^2*delta - d*delta*(d-i)^2,
 
-(and the analogous ones for K^2.c2 and chi(O(-K))), which are evaluated
-independently and must agree.  A third route recovers chi(O(-K)) from K^4 and
-K^2.c2 by Riemann-Roch.  Everything is exact and no floats enter this module:
+which are evaluated independently and must agree.  A third route recovers
+chi(O(-K)) from K^4 and K^2.c2 by Riemann-Roch.  The first two routes, and
+:func:`fano4_invariants`, each give a :class:`CanonicalDegrees`.  Everything
+is exact and no floats enter this module:
 each chi(O(-K)) formula is one integer numerator over a fixed denominator
 (6, 2 or 12) that must divide it, and ``fractions`` loads only for a p/q.  A
 float or bool input raises TypeError: ``FamilyParams`` refuses one in a
@@ -41,7 +43,6 @@ __all__ = [
     "BundleInput",
     "BlowupCentreData",
     "CanonicalDegrees",
-    "FourfoldInvariants",
     "projective_bundle_invariants",
     "surface_blowup_invariants",
     "riemann_roch_chi",
@@ -50,9 +51,7 @@ __all__ = [
     "p1_bundle_invariants",
     "fano4_invariants",
     "k4_closed_terms",
-    "closed_k4",
-    "closed_k2c2",
-    "closed_chi_antiK",
+    "closed_degrees",
 ]
 
 
@@ -82,15 +81,6 @@ class CanonicalDegrees(NamedTuple):
     K4: int
     K2c2: int
     chi_antiK: int
-
-
-class FourfoldInvariants(NamedTuple):
-    """Final invariant bundle for a Fano 4-fold: on a Fano variety Kodaira
-    vanishing turns chi(O(-K)) into h^0(O(-K))."""
-
-    K4: int
-    K2c2: int
-    h0_antiK: int
 
 
 def _check_ints(what: str, values: Iterable[int]) -> None:
@@ -227,28 +217,31 @@ def k4_closed_terms(params: FamilyParams) -> dict[str, int]:
     }
 
 
-def closed_k4(params: FamilyParams) -> int:
-    return sum(k4_closed_terms(params).values())
+def closed_degrees(params: FamilyParams) -> CanonicalDegrees:
+    """The closed route of :func:`fano4_invariants`: K_X^4 is the sum of
+    :func:`k4_closed_terms`, and with core = delta*i*(a^2+i^2) and
+    h02 = h^{0,2}(A),
 
-
-def closed_k2c2(params: FamilyParams) -> int:
+        K_X^2.c2(X) = 84 + 2*core - 12*h02
+                      + 2*d*delta*(d-i)*(a+d) - 2*a*d^2*delta,
+        chi(O_X(-K_X)) = 8 + (3/2)*core - h02 - d*delta*(a+i)*(a-d+2i)/2.
+    """
     Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
-    return (84 + 2 * delta * i * (a * a + i * i) - 12 * surface_h02(params)
+    core = delta * i * (a * a + i * i)
+    h02 = surface_h02(params)
+    K2c2 = (84 + 2 * core - 12 * h02
             + 2 * d * delta * (d - i) * (a + d) - 2 * a * d * d * delta)
-
-
-def closed_chi_antiK(params: FamilyParams) -> int:
-    Z, a, d = params.threefold, params.a, params.d
-    i, delta = Z.index, Z.degree
-    chi2 = (16 + 3 * delta * i * (a * a + i * i) - 2 * surface_h02(params)
+    chi2 = (16 + 3 * core - 2 * h02
             - d * delta * (a + i) * (a - d + 2 * i))
-    return integral(params, "chi(O_X(-K_X))", chi2, 2)
+    return CanonicalDegrees(sum(k4_closed_terms(params).values()), K2c2,
+                            integral(params, "chi(O_X(-K_X))", chi2, 2))
 
 
-def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
-    """K_X^4, K_X^2.c2(X) and h^0(O_X(-K_X)) for the family (Z, a, d); an
-    inadmissible one raises ValueError.
+def fano4_invariants(params: FamilyParams) -> CanonicalDegrees:
+    """K_X^4, K_X^2.c2(X) and chi(O_X(-K_X)) for the family (Z, a, d); on a
+    Fano 4-fold Kodaira vanishing makes chi(O_X(-K_X)) = h^0(O_X(-K_X)).  An
+    inadmissible family raises ValueError.
 
     Evaluates the closed forms and the bundle-then-blow-up pipeline and
     insists they agree; then reconstructs chi(O(-K)) from K^4 and K^2.c2 by
@@ -256,13 +249,12 @@ def fano4_invariants(params: FamilyParams) -> FourfoldInvariants:
     """
     require_admissible(params)
     closed = agree(
-        params, "canonical degrees", "closed",
-        CanonicalDegrees(closed_k4(params), closed_k2c2(params),
-                         closed_chi_antiK(params)),
+        params, "canonical degrees", "closed", closed_degrees(params),
         "pipeline", _blowup_degrees(p1_bundle_invariants(params),
                                     surface_centre(params)))
     K4, K2c2, chi = closed
     agree(params, "chi(O(-K))", "closed", chi, "Riemann-Roch",
           _riemann_roch(K4, K2c2, 1))
-    return FourfoldInvariants(at_least(params, "K^4", K4, 1), K2c2,
-                              at_least(params, "h^0(-K)", chi, 1))
+    at_least(params, "K^4", K4, 1)
+    at_least(params, "h^0(-K)", chi, 1)
+    return closed

@@ -19,7 +19,7 @@ no record has raise IntegrityError.
 """
 
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import classify, cones, hodge, intersect
 from .catalog import FamilyParams, catalog, enumerate_families
@@ -64,7 +64,7 @@ class FamilyRecord(NamedTuple):
 
 
 def build_record(params: FamilyParams,
-                 invariants: intersect.FourfoldInvariants,
+                 invariants: intersect.CanonicalDegrees,
                  hodge_numbers: hodge.FourfoldHodge) -> FamilyRecord:
     """The row of one admissible family, from its two layer results: the
     tangent bounds and labels of ``classify`` are computed here, and no
@@ -83,15 +83,18 @@ def build_record(params: FamilyParams,
         tangent.h1_is_exact, tangent.h1_is_exact)
 
 
-def build_records(families: list[FamilyParams]) -> list[FamilyRecord]:
+def build_records(families: Iterable[FamilyParams]) -> list[FamilyRecord]:
     """The rows of ``families``, in order: one loop of
     ``intersect.fano4_invariants``, one of ``hodge.hodge_of_fourfold``, each
     with its module's cross-checks, then :func:`build_record` per family.
+    An iterable that is not a list is read once, into one.
 
     Layer loops run faster than the layers interleaved per family.  Each
     family's two layer results are popped as its row is built, so none
     outlives its row.  New per-family work joins here as a loop of its own.
     """
+    if not isinstance(families, list):   # the pass's own list is not copied
+        families = list(families)
     invariants = [intersect.fano4_invariants(p) for p in families]
     hodge_numbers = [hodge.hodge_of_fourfold(p) for p in families]
     invariants.reverse()   # pop() hands the results on in family order
@@ -228,13 +231,14 @@ _RATIONALITY_TEXT = {
 }
 
 
-def export(records: list[FamilyRecord], format: str) -> bytes:
+def export(records: Iterable[FamilyRecord], format: str) -> bytes:
     """Serialise records as UTF-8 bytes; format is json, csv or markdown.
 
     The json and csv exports carry the full field set; the markdown export
     mirrors the layout of the main invariant table.  Output is byte-for-byte
-    deterministic for a given record list.
+    deterministic for a given record list; an iterable is read once.
     """
+    records = list(records)
     if not records:
         raise ValueError("no records to export")
     if format == "json":

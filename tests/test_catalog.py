@@ -113,7 +113,7 @@ def test_threefold_rejects_non_int_id(z_id):
     ("rational", 1.0),
 ])
 def test_catalogue_rows_reject_mistyped_columns(column, value):
-    # unchecked, a float degree makes closed_k4 give 431.0, a bool index 5
+    # unchecked, a float degree makes the closed K^4 431.0, a bool index 5
     row = threefold(7)
     with pytest.raises(TypeError, match="mistyped catalogue row"):
         FanoThreefold(**{**row._asdict(), column: value})

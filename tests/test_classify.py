@@ -169,7 +169,7 @@ def test_chi_tangent_examples(label, expected):
     from fano4.intersect import fano4_invariants
     p = {p.label: p for p in enumerate_families()}[label]
     inv, hdg = fano4_invariants(p), hodge_of_fourfold(p)
-    assert chi_tangent(inv.K4, inv.h0_antiK, hdg.h12, hdg.h13,
+    assert chi_tangent(inv.K4, inv.chi_antiK, hdg.h12, hdg.h13,
                        hdg.h22) == expected
 
 

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from fano4.catalog import (FamilyParams, catalog, enumerate_families,
                            validate_params)
 from fano4.errors import ConsistencyError, IntegrityError
+from fano4.golden import golden_tables
 from fano4.intersect import (
     BlowupCentreData,
     BundleInput,
     CanonicalDegrees,
-    closed_chi_antiK,
-    closed_k2c2,
-    closed_k4,
+    closed_degrees,
     fano4_invariants,
     k4_closed_terms,
     p1_bundle_invariants,
@@ -121,7 +120,8 @@ def test_surface_centre_numbers():
 ])
 def test_fano4_invariants_examples(z_id, a, d, expected):
     inv = fano4_invariants(FamilyParams(z_id, a, d))
-    assert (inv.K4, inv.K2c2, inv.h0_antiK) == expected
+    assert type(inv) is CanonicalDegrees
+    assert inv == expected
 
 
 def test_fano4_invariants_rejects_inadmissible():
@@ -162,9 +162,7 @@ def test_invariants_are_exact_ints_on_all_families():
     for p in enumerate_families():
         inv = fano4_invariants(p)
         bundle = p1_bundle_invariants(p)
-        values = [inv.K4, inv.K2c2, inv.h0_antiK,
-                  bundle.K4, bundle.K2c2, bundle.chi_antiK,
-                  closed_chi_antiK(p),
+        values = [*inv, *bundle, *closed_degrees(p),
                   riemann_roch_chi(inv.K4, inv.K2c2, 1)]
         assert all(type(v) is int for v in values), (p.label, values)
 
@@ -232,14 +230,12 @@ def test_triple_path_agreement_on_all_families():
         inv = fano4_invariants(p)   # closed forms vs pipeline inside
         pipeline = surface_blowup_invariants(p1_bundle_invariants(p),
                                              surface_centre(p))
-        assert (inv.K4, inv.K2c2, inv.h0_antiK) == \
-            (pipeline.K4, pipeline.K2c2, pipeline.chi_antiK)
-        assert riemann_roch_chi(inv.K4, inv.K2c2, 1) == inv.h0_antiK
+        assert inv == closed_degrees(p) == pipeline
+        assert riemann_roch_chi(inv.K4, inv.K2c2, 1) == inv.chi_antiK
 
 
 def _degrees_both_ways(params):
-    closed = CanonicalDegrees(closed_k4(params), closed_k2c2(params),
-                              closed_chi_antiK(params))
+    closed = closed_degrees(params)
     pipeline = surface_blowup_invariants(p1_bundle_invariants(params),
                                          surface_centre(params))
     return closed, pipeline
@@ -262,7 +258,7 @@ def test_positivity_on_all_families():
     for p in enumerate_families():
         inv = fano4_invariants(p)
         assert inv.K4 > 0
-        assert inv.h0_antiK > 0
+        assert inv.chi_antiK > 0
 
 
 def test_K4_decreases_in_d_for_untwisted_bundles():
@@ -274,16 +270,20 @@ def test_K4_decreases_in_d_for_untwisted_bundles():
 
 
 def test_K4_term_split_sums_to_the_closed_form():
+    # the terms against the two routes that do not read them: the pipeline
+    # and the reference table
+    table2 = {row.label: row.K4 for row in golden_tables().table2}
     for p in enumerate_families():
         terms = k4_closed_terms(p)
         assert len(terms) == 5
-        assert sum(terms.values()) == closed_k4(p)
-        assert closed_k4(p) == fano4_invariants(p).K4
+        pipeline = surface_blowup_invariants(p1_bundle_invariants(p),
+                                             surface_centre(p))
+        assert sum(terms.values()) == pipeline.K4 == table2[p.label], p.label
 
 
 def test_path_disagreement_is_loud(monkeypatch):
     import fano4.intersect as intersect
-    monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
+    monkeypatch.setattr(intersect, "k4_closed_terms", lambda params: {})
     with pytest.raises(ConsistencyError):
         intersect.fano4_invariants(FamilyParams(7, 0, 1))
 
@@ -294,9 +294,8 @@ def test_positivity_guard_fires_when_every_route_agrees(monkeypatch):
     assert fano4_invariants(p).K4 > 0   # sound before the fault
     # K^4 = 0, K^2.c2 = -12 and chi = 0 on the closed forms and the pipeline,
     # which Riemann-Roch also gives: 1 + (2*0 - 12)/12 = 0
-    monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
-    monkeypatch.setattr(intersect, "closed_k2c2", lambda params: -12)
-    monkeypatch.setattr(intersect, "closed_chi_antiK", lambda params: 0)
+    monkeypatch.setattr(intersect, "closed_degrees",
+                        lambda params: CanonicalDegrees(0, -12, 0))
     monkeypatch.setattr(intersect, "_blowup_degrees",
                         lambda base, centre: CanonicalDegrees(0, -12, 0))
     assert riemann_roch_chi(0, -12, 1) == 0
@@ -356,5 +355,5 @@ def test_closed_forms_reject_non_int_twist(bad):
             lambda: riemann_roch_chi(0, bad, 1)):
         with pytest.raises(TypeError):
             call()
-    assert closed_k4(FamilyParams(7, 1, 1)) == \
-        closed_k4(FamilyParams(7, int(True), 1))
+    assert closed_degrees(FamilyParams(7, 1, 1)) == \
+        closed_degrees(FamilyParams(7, int(True), 1))

@@ -353,8 +353,7 @@ def test_entry_points_reject_floats_and_bools(entry, bad):
 FAMILY_FUNCTIONS = [
     *(f"intersect.{name}" for name in (
         "split_bundle_base", "p1_bundle_invariants", "surface_centre",
-        "k4_closed_terms", "closed_k4", "closed_k2c2", "closed_chi_antiK",
-        "fano4_invariants")),
+        "k4_closed_terms", "closed_degrees", "fano4_invariants")),
     *(f"hodge.{name}" for name in (
         "surface_h02", "hodge_of_surface",
         "hodge_of_fourfold")),

@@ -24,6 +24,7 @@ from fano4.report import (
     Mismatch,
     build_all_records,
     build_record,
+    build_records,
     export,
     verify_all,
 )
@@ -70,7 +71,7 @@ def test_the_invariant_layer_attaches_the_label_on_internal_errors(monkeypatch):
     import fano4.intersect as intersect
     from fano4.errors import ConsistencyError
 
-    monkeypatch.setattr(intersect, "closed_k4", lambda params: 0)
+    monkeypatch.setattr(intersect, "k4_closed_terms", lambda params: {})
     with pytest.raises(ConsistencyError, match=r"X\^6_\{2,4\}"):
         intersect.fano4_invariants(FamilyParams(6, 2, 4))
 
@@ -148,6 +149,11 @@ def test_the_row_layers_are_sequenced_in_build_records_alone():
                                  for name in ROW_LAYERS}
 
 
+def test_an_iterator_of_families_gives_the_records_of_the_list(records):
+    # every layer loop sees each family, though an iterator is read once
+    assert build_records(iter(enumerate_families())) == records
+
+
 def test_build_all_records_builds_the_ne_generators_once_per_family(monkeypatch):
     import fano4.cones as cones
 
@@ -220,7 +226,7 @@ def test_the_euler_number_of_the_surface_catches_a_wrong_h02(monkeypatch):
     # the invariant routes shift alike, and so do both Hodge routes: h13 is
     # 6 against table 2's 5, and only e(A) by Chern classes tells
     assert fano4_invariants(target) == sound._replace(
-        K2c2=sound.K2c2 - 12, h0_antiK=sound.h0_antiK - 1)
+        K2c2=sound.K2c2 - 12, chi_antiK=sound.chi_antiK - 1)
     with pytest.raises(ConsistencyError) as exc:
         build_all_records()
     assert str(exc.value) == ("X^6_{2,4}: e(A) disagree: Noether 76, "
@@ -286,9 +292,11 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     from collections import Counter
 
     import fano4.catalog
+    import fano4.hodge
     import fano4.intersect
 
-    calls = {"validate_params": Counter(), "_check_ints": Counter()}
+    calls = {"validate_params": Counter(), "_check_ints": Counter(),
+             "surface_h02": Counter()}
 
     def counted(name, original):
         def wrapper(*args):
@@ -297,11 +305,11 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
         return wrapper
 
     build_all_records()   # every cache is warm
-    # rebind every name a fano4 module holds for either function, so that a
+    # rebind every name a fano4 module holds for each function, so that a
     # by-name import cannot hide a call
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "fano4"]
     for original in (fano4.catalog.validate_params,
-                     fano4.intersect._check_ints):
+                     fano4.intersect._check_ints, fano4.hodge.surface_h02):
         wrapper = counted(original.__name__, original)
         for module in modules:
             for attr in [a for a, v in vars(module).items() if v is original]:
@@ -315,6 +323,12 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     # _check_ints guards raw numbers from callers; the pass runs the formula
     # cores on ints it computed from checked FamilyParams
     assert sum(calls["_check_ints"].values()) == 0
+    # h^{0,2}(A) is counted three times per family: by the closed route and
+    # the pipeline's centre in intersect, and by hodge_of_surface
+    counted_h02 = calls["surface_h02"]
+    assert len(counted_h02) == 28
+    assert sum(counted_h02.values()) == 84
+    assert set(counted_h02.values()) == {3}
 
 
 def test_a_cold_pass_builds_the_bundle_term_once_per_h12(monkeypatch):
@@ -649,6 +663,13 @@ def test_export_rejects_unknown_format(records):
         export(records, "xml")
     with pytest.raises(ValueError):
         export([], "json")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_export_reads_an_iterator_of_records_once(records, fmt):
+    assert export(iter(records), fmt) == export(records, fmt)
+    with pytest.raises(ValueError, match="^no records to export$"):
+        export(iter([]), fmt)
 
 
 def test_chi_equals_h0_minus_h1_for_exact_rows(records):
