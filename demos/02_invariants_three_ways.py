@@ -28,7 +28,8 @@ Z, a, d = params.threefold, params.a, params.d
 print(f"family over Z_{Z.id} ({Z.description}) with a={a}, d={d}")
 
 print()
-print("route 1, closed forms (checked internally against route 2):")
+print("route 1, closed forms (fano4_invariants checks them against routes 2 "
+      "and 3):")
 inv = closed_degrees(params)
 print(f"  K^4 = {inv.K4}, K^2.c2 = {inv.K2c2}, h^0(-K) = {inv.chi_antiK}")
 

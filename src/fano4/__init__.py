@@ -10,44 +10,56 @@ anticanonical degrees and tangent-sheaf cohomology from first principles
 models the curve and nef cones, and verifies everything against embedded
 reference tables.
 
-Importing the package loads no submodule.  A public name such as
-``fano4.verify_all`` imports its home module on first access (PEP 562), so a
-program pays only for the modules it uses; the ``fano4`` command line loads
-``catalog`` and ``errors`` for ``list``, adds ``cones`` for ``cones``, and
-loads the rest only for ``info``, ``verify`` and ``export``, none of which
-loads ``fractions``, and loads ``argparse`` only for help, the version and
-usage errors (see :mod:`fano4.cli`).  ``fano4.catalog`` is always the
-module; the catalogue itself is ``fano4.catalog.catalog()``.
+Every public name of a library module is also a package name:
+``fano4.verify_all`` is ``fano4.report.verify_all``.  Each module's
+``__all__`` is its entry of ``_EXPORTS`` below, the one list of these names.
+The one exception is ``catalog``: ``fano4.catalog`` is always the module, and
+the catalogue itself is ``fano4.catalog.catalog()``.  Importing the package
+loads no submodule; a package name imports only its home module, on first
+access (PEP 562), so a program pays only for the modules it uses.
+
+The ``fano4`` command line, :mod:`fano4.cli`, keeps its own ``__all__`` and
+is not re-exported.  It loads ``catalog`` and ``errors`` for ``list``, adds
+``cones`` for ``cones``, and loads the rest only for ``info``, ``verify``
+and ``export``, none of which loads ``fractions``, and loads ``argparse``
+only for help, the version and usage errors.
 """
 
 __version__ = "0.1.0"
 
-#: home module -> the public names the package re-exports from it
+#: home module -> its public names, which are its ``__all__``; the package
+#: re-exports each name that is not also a module name
 _EXPORTS = {
-    "catalog": ("FanoThreefold", "FamilyParams", "HBaseLocus", "threefold",
-                "validate_params", "enumerate_families"),
+    "catalog": ("HBaseLocus", "FanoThreefold", "FamilyParams", "catalog",
+                "threefold", "validate_params", "require_admissible",
+                "enumerate_families"),
     "hodge": ("HodgePolynomial", "FourfoldHodge", "projective_space",
               "bundle_formula", "blowup_formula", "surface_h02",
-              "hodge_of_threefold", "hodge_of_fourfold"),
+              "hodge_of_threefold", "hodge_of_surface", "hodge_of_fourfold"),
     "intersect": ("BundleInput", "BlowupCentreData", "CanonicalDegrees",
                   "projective_bundle_invariants", "surface_blowup_invariants",
-                  "riemann_roch_chi", "p1_bundle_invariants",
-                  "fano4_invariants"),
-    "cones": ("DivisorClass", "CurveClass", "CurveGen", "NefRay", "RayLabel",
-              "FibreLike", "anticanonical", "pairing", "pairing_matrix",
-              "to_alternate_basis", "ne_generators", "nef_rays", "ConeData",
-              "cone_data", "is_fano", "is_fibre_like"),
+                  "riemann_roch_chi", "split_bundle_base", "surface_centre",
+                  "p1_bundle_invariants", "fano4_invariants",
+                  "k4_closed_terms", "closed_degrees"),
+    "cones": ("DivisorClass", "CurveGen", "CurveClass", "RayLabel", "NefRay",
+              "ConeData", "FibreLike", "divisor", "curve_combo",
+              "pairing_matrix", "pairing", "to_alternate_basis",
+              "from_alternate_basis", "anticanonical", "ne_generators",
+              "nef_rays", "cone_data", "is_fano", "is_fibre_like"),
     "classify": ("BaseLocusKind", "Rationality", "ToricLabel",
                  "TangentBounds", "base_locus", "rationality", "toric_label",
                  "h0_line_bundle", "chi_tangent", "tangent_bounds"),
     "report": ("FamilyRecord", "Mismatch", "VerificationReport",
                "build_record", "build_records", "build_all_records",
-               "verify_all", "export"),
-    "golden": ("GoldenTables", "golden_tables"),
-    "errors": ("ConsistencyError", "IntegrityError", "ContextMismatchError"),
+               "verify_all", "export", "EXPORT_FIELDS"),
+    "golden": ("GoldenThreefold", "GoldenFamilyRow", "GoldenTangentRow",
+               "GoldenTables", "golden_tables"),
+    "errors": ("ConsistencyError", "IntegrityError", "ContextMismatchError",
+               "agree", "integral", "at_least"),
 }
 
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names if name not in _EXPORTS}
 
 __all__ = ["__version__", *_HOME]
 

@@ -19,28 +19,20 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import agree, integral
 
-__all__ = [
-    "HBaseLocus",
-    "FanoThreefold",
-    "FamilyParams",
-    "catalog",
-    "threefold",
-    "validate_params",
-    "require_admissible",
-    "enumerate_families",
-]
+__all__ = _EXPORTS["catalog"]
 
 
-class ValueEnum(str, Enum):
+class _ValueEnum(str, Enum):
     """An enum whose members equal their string values, which ``str``,
     ``format``, json and csv all write (``enum.StrEnum`` needs 3.11)."""
 
     __str__ = str.__str__
 
 
-def checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
+def _checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
     """A ``NamedTuple`` base for a class that checks its fields in
     ``__new__``: its ``_make``, and so ``_replace``, runs that constructor."""
     base = NamedTuple(name, fields)
@@ -48,14 +40,14 @@ def checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
     return base
 
 
-class HBaseLocus(ValueEnum):
+class HBaseLocus(_ValueEnum):
     """Base locus of |O_Z(1)| on a catalogued 3-fold."""
 
     EMPTY = "empty"
     ONE_SIMPLE_POINT = "one_simple_point"
 
 
-class FanoThreefold(checked_tuple("FanoThreefold", [
+class FanoThreefold(_checked_tuple("FanoThreefold", [
         ("id", int), ("index", int), ("degree", int), ("h12", int),
         ("h0_tangent", int), ("h1_tangent", int), ("base_locus_H", HBaseLocus),
         ("rational", bool), ("description", str)])):
@@ -138,7 +130,7 @@ def threefold(z_id: int) -> FanoThreefold:
     return _CATALOG[z_id - 1]
 
 
-class FamilyParams(checked_tuple("FamilyParams",
+class FamilyParams(_checked_tuple("FamilyParams",
                                   [("z_id", int), ("a", int), ("d", int)])):
     """A triple (z_id, a, d) naming the family X^{z_id}_{a,d}.
 

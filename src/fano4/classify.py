@@ -19,25 +19,15 @@ the record says so explicitly; no exact value is ever invented.
 
 from typing import NamedTuple
 
-from .catalog import (FamilyParams, HBaseLocus, ValueEnum, _h0_twist,
+from . import _EXPORTS
+from .catalog import (FamilyParams, HBaseLocus, _ValueEnum, _h0_twist,
                       require_admissible)
 from .errors import at_least
 
-__all__ = [
-    "BaseLocusKind",
-    "Rationality",
-    "ToricLabel",
-    "TangentBounds",
-    "base_locus",
-    "rationality",
-    "toric_label",
-    "h0_line_bundle",
-    "chi_tangent",
-    "tangent_bounds",
-]
+__all__ = _EXPORTS["classify"]
 
 
-class BaseLocusKind(ValueEnum):
+class BaseLocusKind(_ValueEnum):
     """Base locus of |-K_X|, as a point count; a general member of |-K_X| is
     smooth in every family."""
 
@@ -61,7 +51,7 @@ def base_locus(params: FamilyParams) -> BaseLocusKind:
     return _ONE_POINT if (params.a, params.d) == (0, 1) else _TWO_POINTS
 
 
-class Rationality(ValueEnum):
+class Rationality(_ValueEnum):
     RATIONAL = "rational"
     VERY_GENERAL_NOT_RATIONAL = "very_general_not_rational"
     UNKNOWN = "unknown"
@@ -71,7 +61,7 @@ class Rationality(ValueEnum):
 _RATIONAL, _VERY_GENERAL_NOT_RATIONAL, _UNKNOWN, _TORIC_RATIONALITY = Rationality
 
 
-class ToricLabel(ValueEnum):
+class ToricLabel(_ValueEnum):
     """Names of the three toric families in the standard classification of
     toric Fano 4-folds."""
 

@@ -53,34 +53,16 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Collection, Mapping, NamedTuple, NoReturn
 
-from .catalog import FamilyParams, ValueEnum, checked_tuple, require_admissible
+from . import _EXPORTS
+from .catalog import (FamilyParams, _ValueEnum, _checked_tuple,
+                      require_admissible)
 from .errors import ContextMismatchError, agree, at_least
 
 if TYPE_CHECKING:
     from fractions import Fraction
     Rational = int | Fraction
 
-__all__ = [
-    "DivisorClass",
-    "CurveGen",
-    "CurveClass",
-    "RayLabel",
-    "NefRay",
-    "ConeData",
-    "FibreLike",
-    "divisor",
-    "curve_combo",
-    "pairing_matrix",
-    "pairing",
-    "to_alternate_basis",
-    "from_alternate_basis",
-    "anticanonical",
-    "ne_generators",
-    "nef_rays",
-    "cone_data",
-    "is_fano",
-    "is_fibre_like",
-]
+__all__ = _EXPORTS["cones"]
 
 # Builds a class, ray or cone data that this module computed itself, without
 # its constructor's checks: each coordinate and coefficient is an int computed
@@ -121,7 +103,7 @@ def _reduced(num: int, den: int) -> Rational:
     return num if den == 1 else _exact((_Fraction or _load_fraction())(num, den))
 
 
-class DivisorClass(checked_tuple("DivisorClass", [
+class DivisorClass(_checked_tuple("DivisorClass", [
         ("coords", tuple), ("context", FamilyParams)])):
     """A divisor class, as exact coordinates over the basis (phi*H, Ghat, E).
 
@@ -189,7 +171,7 @@ def _divisor_coords(a: int, d: int) -> tuple[tuple[int, int, int], ...]:
     return ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-a, 1, 1), (d, 0, -1))
 
 
-class CurveGen(ValueEnum):
+class CurveGen(_ValueEnum):
     F = "F"
     F_HAT = "Fhat"
     C_G = "C_G"
@@ -201,7 +183,7 @@ class CurveGen(ValueEnum):
 _CURVE_GENS = _F, _F_HAT, _C_G, _C_G_HAT = tuple(CurveGen)
 
 
-class CurveClass(checked_tuple("CurveClass", [
+class CurveClass(_checked_tuple("CurveClass", [
         ("combo", tuple), ("context", FamilyParams)])):
     """A formal non-negative combination of the four curve generators.
 
@@ -369,7 +351,7 @@ def ne_generators(params: FamilyParams) -> list[CurveClass]:
             for g in _ne_kinds(params.a, params.d)]
 
 
-class RayLabel(ValueEnum):
+class RayLabel(_ValueEnum):
     R1 = "R1"
     R2 = "R2"
     R3 = "R3"
@@ -438,7 +420,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
 
 
 #: the Fano index shared by all 28 families
-FANO_INDEX = 1
+_FANO_INDEX = 1
 
 
 class ConeData(NamedTuple):
@@ -464,7 +446,7 @@ def cone_data(params: FamilyParams) -> ConeData:
     rays = nef_rays(params)
     degrees = [pairing(antiK, C) for C in generators]
     agree(params, "-K degree gcd", "pairing", gcd(*degrees),
-          "Fano index", FANO_INDEX)
+          "Fano index", _FANO_INDEX)
     at_least(params, "least -K degree", min(degrees), 1)
     agree(params, "-K . F", "pairing", degrees[0], "blow-up fibre", 1)
     size = 4 if 0 < params.a < params.d else 3
@@ -495,7 +477,7 @@ def is_fano(params: FamilyParams) -> bool:
                  "index bounds", a <= i - 1 and d - a <= i - 1)
 
 
-class FibreLike(ValueEnum):
+class FibreLike(_ValueEnum):
     """Can the 4-fold appear as the fibre of an elementary fibre-type
     contraction of a higher-dimensional variety?  The cone geometry rules it
     out whenever a != d/2; no positive criterion is available."""

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, TypeVar
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     from .catalog import FamilyParams, FanoThreefold
     Labelled = FamilyParams | FanoThreefold
 
-__all__ = ["ConsistencyError", "IntegrityError", "ContextMismatchError",
-           "agree", "integral", "at_least"]
+__all__ = _EXPORTS["errors"]
 
-T = TypeVar("T")
+_T = TypeVar("_T")
 
 
 class ConsistencyError(RuntimeError):
@@ -44,8 +45,8 @@ class ContextMismatchError(ValueError):
     """Divisor/curve classes from different families were combined."""
 
 
-def agree(family: Labelled, quantity: str, route: str, value: T,
-          other_route: str, other: object) -> T:
+def agree(family: Labelled, quantity: str, route: str, value: _T,
+          other_route: str, other: object) -> _T:
     """``value`` when the two routes to ``quantity`` give equal values, else
     ConsistencyError naming both routes with their values."""
     if value != other:

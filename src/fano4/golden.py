@@ -2,22 +2,19 @@
 
 These are static transcriptions, deliberately independent of every code path
 they are used to check: nothing here is derived, imported from, or shared
-with the computing modules.  Table 1 lists the seven base 3-folds, table 2
-the 28 families with their invariants, table 3 their tangent-sheaf
-cohomology (exact values where established, upper bounds otherwise), in the
-order and under the names of the catalogue rows and records that
-``report.verify_all`` checks them against key by key.
+with the computing modules; the package's name index is all it imports.
+Table 1 lists the seven base 3-folds, table 2 the 28 families with their
+invariants, table 3 their tangent-sheaf cohomology (exact values where
+established, upper bounds otherwise), in the order and under the names of
+the catalogue rows and records that ``report.verify_all`` checks them
+against key by key.
 """
 
 from typing import NamedTuple
 
-__all__ = [
-    "GoldenThreefold",
-    "GoldenFamilyRow",
-    "GoldenTangentRow",
-    "GoldenTables",
-    "golden_tables",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["golden"]
 
 
 class GoldenThreefold(NamedTuple):

@@ -31,20 +31,11 @@ from functools import lru_cache
 from operator import add, itemgetter, sub
 from typing import Callable, Mapping, NamedTuple
 
+from . import _EXPORTS
 from .catalog import FamilyParams, FanoThreefold, _h0_twist
 from .errors import agree, at_least
 
-__all__ = [
-    "HodgePolynomial",
-    "FourfoldHodge",
-    "projective_space",
-    "bundle_formula",
-    "blowup_formula",
-    "surface_h02",
-    "hodge_of_threefold",
-    "hodge_of_surface",
-    "hodge_of_fourfold",
-]
+__all__ = _EXPORTS["hodge"]
 
 
 # the sort key of a term: its exponent pair, which no two terms share, so

@@ -32,6 +32,7 @@ runs.
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import _EXPORTS
 from .catalog import FamilyParams, require_admissible
 from .errors import agree, at_least, integral
 from .hodge import surface_h02
@@ -39,20 +40,7 @@ from .hodge import surface_h02
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "BundleInput",
-    "BlowupCentreData",
-    "CanonicalDegrees",
-    "projective_bundle_invariants",
-    "surface_blowup_invariants",
-    "riemann_roch_chi",
-    "split_bundle_base",
-    "surface_centre",
-    "p1_bundle_invariants",
-    "fano4_invariants",
-    "k4_closed_terms",
-    "closed_degrees",
-]
+__all__ = _EXPORTS["intersect"]
 
 
 class BundleInput(NamedTuple):

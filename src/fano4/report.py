@@ -21,21 +21,11 @@ no record has raise IntegrityError.
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from . import classify, cones, hodge, intersect
+from . import _EXPORTS, classify, cones, hodge, intersect
 from .catalog import FamilyParams, catalog, enumerate_families
 from .errors import IntegrityError
 
-__all__ = [
-    "FamilyRecord",
-    "Mismatch",
-    "VerificationReport",
-    "build_record",
-    "build_records",
-    "build_all_records",
-    "verify_all",
-    "export",
-    "EXPORT_FIELDS",
-]
+__all__ = _EXPORTS["report"]
 
 
 class FamilyRecord(NamedTuple):

@@ -21,7 +21,7 @@ DEMO_SHA256 = {
     "01_enumerate_families.py":
         "9b20df5687d003047538db5e67a246d5393cb7dd422f3710c25164ac9522d82f",
     "02_invariants_three_ways.py":
-        "7528013e4c3f747f560cf18ce94a9778c5ece0e97d91485e8ae838c715c9da2f",
+        "41a8874b52516fab17cafa4d83e402b5ea1df38d823d67ebf7e9acda14632c52",
     "03_cone_geometry.py":
         "74bf847ba48e6e2f70476e09d05f2b62da1bdb620a44fbea3d2701c56765464c",
     "04_verify_and_export.py":

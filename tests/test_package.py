@@ -11,6 +11,7 @@ bool.
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import json
@@ -294,6 +295,83 @@ def test_star_import_binds_every_public_name():
     exec("from fano4 import *", namespace)
     assert set(fano4.__all__) <= set(namespace)
     assert namespace["verify_all"] is fano4.report.verify_all
+
+
+#: the library modules: every one but ``cli``, whose ``run`` ends the process
+LIBRARY = ["catalog", "hodge", "intersect", "cones", "classify", "report",
+           "golden", "errors"]
+
+
+def test_the_index_holds_every_module_but_the_command_line():
+    assert sorted(fano4._EXPORTS) == sorted(LIBRARY)
+    assert sorted(f"fano4.{name}" for name in LIBRARY) == \
+        sorted(set(MODULES) - {"fano4", "fano4.cli"})
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_module_all_is_its_index_entry(name):
+    module = importlib.import_module(f"fano4.{name}")
+    assert module.__all__ is fano4._EXPORTS[name]
+
+
+def test_package_all_is_every_indexed_name_but_the_catalog_module():
+    indexed = [name for names in fano4._EXPORTS.values() for name in names]
+    assert indexed.count("catalog") == 1
+    assert fano4.__all__ == ["__version__",
+                             *(name for name in indexed if name != "catalog")]
+
+
+def _bound_names(statements: list[ast.stmt]):
+    """The names that module-level ``def``, ``class`` and assignment
+    statements bind, outside the ``if TYPE_CHECKING:`` bodies."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                yield from _bound_names(node.body + node.orelse)
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_every_public_module_level_name_is_in_the_index(name):
+    source = (ROOT / "src" / "fano4" / f"{name}.py").read_text(encoding="utf-8")
+    public = {bound for bound in _bound_names(ast.parse(source).body)
+              if not bound.startswith("_")}
+    assert public
+    assert sorted(public - set(fano4._EXPORTS[name])) == []
+
+
+#: run by a fresh interpreter with ``{access}`` filled in: the ``fano4``
+#: modules loaded after each access
+LOADED_BY = """
+import json, sys
+import fano4
+steps = []
+for access in {access!r}:
+    exec(access)
+    steps.append(sorted(m for m in sys.modules if m.startswith("fano4")))
+print(json.dumps(steps))
+"""
+
+
+@pytest.mark.parametrize("home", LIBRARY)
+def test_each_package_name_loads_what_its_home_module_loads(home):
+    # one interpreter imports the home module; another reads each of its
+    # package names in turn, and each must leave that same set loaded
+    names = [name for name in fano4._EXPORTS[home] if name != "catalog"]
+    (imported,) = json.loads(run_fresh(
+        LOADED_BY.format(access=[f"import fano4.{home}"])))
+    assert f"fano4.{home}" in imported
+    accesses = [f"fano4.{name}" for name in names]
+    assert json.loads(run_fresh(LOADED_BY.format(access=accesses))) == \
+        [imported] * len(names)
 
 
 def _blowup(bad, base_entry=None, centre_entry=None):
