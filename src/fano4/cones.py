@@ -347,8 +347,10 @@ def ne_generators(params: FamilyParams) -> list[CurveClass]:
     out when a >= d.
     """
     require_admissible(params)
-    return [_built(CurveClass, (((g, 1),), params))
-            for g in _ne_kinds(params.a, params.d)]
+    out = []
+    for g in _ne_kinds(params.a, params.d):   # a loop: see cone_data
+        out.append(_built(CurveClass, (((g, 1),), params)))
+    return out
 
 
 class RayLabel(_ValueEnum):
@@ -400,8 +402,11 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
         if a > 0:
             rays.append((_R4, f"{d}*G + {a}*Ehat", (0, d, d - a)))
     columns = _pairing_columns(a, d)
-    # each generator's column, looked up once per call rather than per ray
-    kind_columns = [(kind, columns[kind]) for kind in _ne_kinds(a, d)]
+    # each generator's column, looked up once per call rather than per ray;
+    # a loop, as in cone_data
+    kind_columns = []
+    for kind in _ne_kinds(a, d):
+        kind_columns.append((kind, columns[kind]))
     out = []
     for label, name, coords in rays:
         x, y, z = coords
@@ -444,7 +449,11 @@ def cone_data(params: FamilyParams) -> ConeData:
     antiK = anticanonical(params)
     generators = ne_generators(params)
     rays = nef_rays(params)
-    degrees = [pairing(antiK, C) for C in generators]
+    # a loop, not a comprehension: before Python 3.12 one reading a local
+    # (here antiK) makes that local a cell, built on every call
+    degrees = []
+    for C in generators:
+        degrees.append(pairing(antiK, C))
     agree(params, "-K degree gcd", "pairing", gcd(*degrees),
           "Fano index", _FANO_INDEX)
     at_least(params, "least -K degree", min(degrees), 1)

@@ -24,12 +24,13 @@ Raw input is checked where it enters: the ``HodgePolynomial`` constructor is
 the one term check, ``projective_space``, ``bundle_formula`` and
 ``blowup_formula`` check their n or c, and the family-level functions trust
 their ``FamilyParams``.  ``_built``, the one builder that checks nothing,
-builds sums and products.
+builds sums, products and e(A) from the family's own checked ints; every
+other polynomial, and every caller's terms, goes through the constructor.
 """
 
 from functools import lru_cache
 from operator import add, itemgetter, sub
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .catalog import FamilyParams, FanoThreefold, _h0_twist
@@ -53,8 +54,10 @@ class HodgePolynomial:
     or bool raises TypeError); zero entries are dropped.  ``coeff`` and
     ``betti`` take ``int`` exponents only, as the constructor does.  +, -
     (one merge) and * (the product), all the structure formulas need, take
-    only another ``HodgePolynomial``; ``_built``, the one builder that checks
-    nothing, builds their results.  A product by one term, such as the
+    only another ``HodgePolynomial``.  ``_built``, the one builder that
+    checks nothing, builds their results and e(A) (:func:`hodge_of_surface`)
+    from the family's own checked ints; the constructor stays the one check
+    of a caller's terms.  A product by one term, such as the
     blow-up factor e(P^1) - e(P^0) = uv, shifts the left factor's terms
     instead of sorting.
     """
@@ -145,7 +148,7 @@ class HodgePolynomial:
         return f"HodgePolynomial({{{inner}}})"
 
 
-def _built(terms: list[tuple[tuple[int, int], int]]) -> HodgePolynomial:
+def _built(terms: Sequence[tuple[tuple[int, int], int]]) -> HodgePolynomial:
     """The polynomial on ``terms``, sorted, non-zero and checked already."""
     poly = object.__new__(HodgePolynomial)
     poly._terms = tuple(terms)
@@ -229,12 +232,18 @@ def _bundle_over_threefold(h12: int) -> HodgePolynomial:
 
 
 def hodge_of_surface(params: FamilyParams) -> HodgePolynomial:
-    """e(A) for a smooth surface A in |O_Z(d)|; h^{0,1}(A) = 0 (Lefschetz)."""
+    """e(A) for a smooth surface A in |O_Z(d)|; h^{0,1}(A) = 0 (Lefschetz).
+
+    Built by ``_built`` from two checked ints, in (p, q) order: the count
+    h^{0,2}(A) >= 0, whose two terms are left out when it is 0, and
+    h^{1,1}(A) >= 1, which ``_noether_h11`` checks.
+    """
     h02 = surface_h02(params)
-    return HodgePolynomial({
-        (0, 0): 1, (2, 2): 1, (0, 2): h02, (2, 0): h02,
-        (1, 1): _noether_h11(params, h02),
-    })
+    h11 = _noether_h11(params, h02)
+    if h02:
+        return _built((((0, 0), 1), ((0, 2), h02), ((1, 1), h11),
+                       ((2, 0), h02), ((2, 2), 1)))
+    return _built((((0, 0), 1), ((1, 1), h11), ((2, 2), 1)))
 
 
 class FourfoldHodge(NamedTuple):

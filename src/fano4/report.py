@@ -191,8 +191,13 @@ def _diff(family: str, row: object, expected: tuple) -> list[Mismatch]:
     computed = attrgetter(*fields)(row)
     if computed == expected:   # a matching row costs one tuple comparison
         return []
-    return [Mismatch(family, key, want, got)
-            for key, want, got in zip(fields, expected, computed) if got != want]
+    # a loop, not a comprehension, which would make ``family`` a cell
+    # built on every call before Python 3.12
+    out = []
+    for key, want, got in zip(fields, expected, computed):
+        if got != want:
+            out.append(Mismatch(family, key, want, got))
+    return out
 
 
 _RECORD_FIELDS = frozenset(FamilyRecord._fields)

@@ -11,6 +11,7 @@ from fano4.catalog import (FamilyParams, enumerate_families, threefold,
 from fano4.errors import IntegrityError
 from fano4.hodge import (
     HodgePolynomial,
+    _noether_h11,
     blowup_formula,
     bundle_formula,
     hodge_of_fourfold,
@@ -270,6 +271,24 @@ def test_surface_euler_number_by_chern_classes(z_id):
         alternating = sum((-1) ** (p + q) * c
                           for (p, q), c in eA.as_dict().items())
         assert alternating == 24 * d // i + d * d * delta * (d - i), d
+
+
+@pytest.mark.parametrize("z_id", range(1, 8))
+def test_surface_terms_are_those_of_the_checked_constructor(z_id):
+    # hodge_of_surface builds e(A) unchecked; its terms must be the sorted,
+    # non-zero terms the constructor makes of the same two numbers, with
+    # h^{0,2}(A) = 0 (terms left out) and h^{0,2}(A) > 0 both reached
+    Z = threefold(z_id)
+    seen_h02 = set()
+    for d in range(1, 2 * Z.index + 3):
+        params = FamilyParams(z_id, 0, d)
+        h02 = surface_h02(params)
+        h11 = _noether_h11(params, h02)
+        checked = HodgePolynomial({(0, 0): 1, (2, 2): 1, (0, 2): h02,
+                                   (2, 0): h02, (1, 1): h11})
+        assert hodge_of_surface(params)._terms == checked._terms, d
+        seen_h02.add(h02 > 0)
+    assert seen_h02 == {False, True}
 
 
 def test_surface_hodge_irregularity_vanishes():

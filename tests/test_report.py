@@ -292,11 +292,13 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     from collections import Counter
 
     import fano4.catalog
+    import fano4.errors
     import fano4.hodge
     import fano4.intersect
 
     calls = {"validate_params": Counter(), "_check_ints": Counter(),
-             "surface_h02": Counter()}
+             "surface_h02": Counter(), "agree": Counter(),
+             "at_least": Counter(), "integral": Counter()}
 
     def counted(name, original):
         def wrapper(*args):
@@ -309,7 +311,9 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     # by-name import cannot hide a call
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "fano4"]
     for original in (fano4.catalog.validate_params,
-                     fano4.intersect._check_ints, fano4.hodge.surface_h02):
+                     fano4.intersect._check_ints, fano4.hodge.surface_h02,
+                     fano4.errors.agree, fano4.errors.at_least,
+                     fano4.errors.integral):
         wrapper = counted(original.__name__, original)
         for module in modules:
             for attr in [a for a, v in vars(module).items() if v is original]:
@@ -329,6 +333,28 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     assert len(counted_h02) == 28
     assert sum(counted_h02.values()) == 84
     assert set(counted_h02.values()) == {3}
+    # every check of the pass runs: a speedup that drops one fails here, and
+    # a change that adds a route moves these counts and says so
+    assert {name: sum(calls[name].values())
+            for name in ("agree", "at_least", "integral")} == \
+        {"agree": 280, "at_least": 196, "integral": 173}
+
+
+@pytest.mark.parametrize("function", [
+    "cones.ne_generators", "cones.nef_rays", "cones.cone_data", "report._diff",
+])
+def test_the_per_family_functions_of_the_pass_build_no_cell(function):
+    """The comprehension cells perf fact of PR 29: before Python 3.12 a
+    comprehension that reads a local of its function makes that local a
+    cell, built on every call.  These functions run 84 + 63 times per pass,
+    so they use loops and hold no cell; from 3.12 on (PEP 709, inlined
+    comprehensions) this holds whichever is written."""
+    import fano4.cones
+    import fano4.report
+
+    module, name = function.split(".")
+    code = getattr(getattr(fano4, module), name).__code__
+    assert code.co_cellvars == ()
 
 
 def test_a_cold_pass_builds_the_bundle_term_once_per_h12(monkeypatch):
