@@ -140,14 +140,16 @@ class FamilyParams(_checked_tuple("FamilyParams",
     It stores the verdict of :func:`validate_params` as ``is_admissible``
     and the catalogue row of Z as ``threefold``, both outside the tuple, so
     equality, hashing, ordering and repr see only the triple.  Nothing can
-    be assigned or deleted afterwards.
+    be assigned or deleted afterwards.  The constructor builds its tuple
+    with ``tuple.__new__``, which saves the frame of the generated
+    ``__new__``; :func:`validate_params` checks the triple.
     """
 
     is_admissible: bool
     threefold: FanoThreefold
 
     def __new__(cls, z_id: int, a: int, d: int) -> FamilyParams:
-        self = super().__new__(cls, z_id, a, d)
+        self = tuple.__new__(cls, (z_id, a, d))
         object.__setattr__(self, "is_admissible", validate_params(z_id, a, d))
         object.__setattr__(self, "threefold", _CATALOG[z_id - 1])
         return self

@@ -15,6 +15,10 @@ holds exactly for z_id <= 4) and with h^1(T_X) = 0 for the rigid families
 over P^3 with d <= 2 (hyperplanes and quadrics in P^3 are projectively
 equivalent).  Where only the bound is known
 the record says so explicitly; no exact value is ever invented.
+
+The pass builds its ``TangentBounds`` unchecked: only the raw numbers that
+:func:`chi_tangent` and :func:`tangent_bounds` take are type-checked, and
+only the class constructor checks a caller's field count.
 """
 
 from typing import NamedTuple
@@ -25,6 +29,11 @@ from .catalog import (FamilyParams, HBaseLocus, _ValueEnum, _h0_twist,
 from .errors import at_least
 
 __all__ = _EXPORTS["classify"]
+
+# Builds a row that this module computed itself, without the constructor
+# frame that typing.NamedTuple generates: each field is an int or bool
+# computed from a checked FamilyParams and a checked chi, in field order.
+_built = tuple.__new__
 
 
 class BaseLocusKind(_ValueEnum):
@@ -150,7 +159,7 @@ def tangent_bounds(params: FamilyParams, chi: int) -> TangentBounds:
     rigid = params.z_id == 7 and params.d <= 2
     if rigid:
         h1 = 0
-    bounds = TangentBounds(chi, at_least(params, "h1", h1, 0),
-                           Z.h0_tangent == 0 or rigid)
+    bounds = _built(TangentBounds, (chi, at_least(params, "h1", h1, 0),
+                                    Z.h0_tangent == 0 or rigid))
     at_least(params, "h0", bounds.h0, 0)
     return bounds

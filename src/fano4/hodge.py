@@ -23,9 +23,10 @@ e(P^{c-1}) - e(P^0); no check is cached.
 Raw input is checked where it enters: the ``HodgePolynomial`` constructor is
 the one term check, ``projective_space``, ``bundle_formula`` and
 ``blowup_formula`` check their n or c, and the family-level functions trust
-their ``FamilyParams``.  ``_built``, the one builder that checks nothing,
-builds sums, products and e(A) from the family's own checked ints; every
-other polynomial, and every caller's terms, goes through the constructor.
+their ``FamilyParams``.  ``_built``, the one polynomial builder that checks
+nothing, builds sums, products and e(A) from the family's own checked ints;
+every other polynomial, and every caller's terms, goes through the
+constructor.  The ``FourfoldHodge`` row is built unchecked too.
 """
 
 from functools import lru_cache
@@ -42,6 +43,7 @@ __all__ = _EXPORTS["hodge"]
 # the sort key of a term: its exponent pair, which no two terms share, so
 # the order is that of the whole terms, with cheaper comparisons
 _exponents = itemgetter(0)
+_coefficient = itemgetter(1)
 
 
 class HodgePolynomial:
@@ -157,7 +159,8 @@ def _built(terms: Sequence[tuple[tuple[int, int], int]]) -> HodgePolynomial:
 
 def _from_sums(coeffs: dict[tuple[int, int], int]) -> HodgePolynomial:
     """The polynomial on the non-zero entries of ``coeffs``, sorted."""
-    return _built(sorted([t for t in coeffs.items() if t[1]], key=_exponents))
+    # filter, not a comprehension: no frame of its own per call
+    return _built(sorted(filter(_coefficient, coeffs.items()), key=_exponents))
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -275,7 +278,9 @@ def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
     agree(params, "e(A)", "Noether", 2 + 2 * h02 + h11, "Chern classes",
           24 // Z.index * d + d * d * Z.degree * (d - Z.index))
     eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
-    return FourfoldHodge(*agree(
+    # unchecked, without the constructor frame that typing.NamedTuple
+    # generates: three ints that the two routes agree on, in field order
+    return tuple.__new__(FourfoldHodge, agree(
         params, "Hodge numbers (h12, h13, h22)", "closed",
         (Z.h12, h02, 2 + h11),
         "polynomial", (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))))

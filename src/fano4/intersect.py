@@ -27,7 +27,9 @@ triple, and the three raw-number operations (the two above and
 formula core.  The family-level functions trust the ``FamilyParams`` they
 take, so :func:`p1_bundle_invariants` and :func:`fano4_invariants` call those
 cores directly with the ints they compute from it; every cross-check still
-runs.
+runs.  The rows they compute are built unchecked by ``_built``: only a
+caller's rows are checked, by the raw-number operations (types) and the
+class constructors (field count).
 """
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -41,6 +43,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = _EXPORTS["intersect"]
+
+# Builds a row that this module computed itself, without the constructor
+# frame that typing.NamedTuple generates: each field is an int computed from
+# a checked FamilyParams or from a row built so, in field order.
+_built = tuple.__new__
 
 
 class BundleInput(NamedTuple):
@@ -95,8 +102,8 @@ def _bundle_degrees(data: BundleInput) -> CanonicalDegrees:
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
             - 9 * (data.KW3 + data.KW_c1sq) - 2 * data.KW_c2W)
-    return CanonicalDegrees(K4, K2c2,
-                            integral(None, "chi(O(-K)) of the bundle", chi6, 6))
+    return _built(CanonicalDegrees, (
+        K4, K2c2, integral(None, "chi(O(-K)) of the bundle", chi6, 6)))
 
 
 def surface_blowup_invariants(base: CanonicalDegrees,
@@ -119,8 +126,8 @@ def _blowup_degrees(base: CanonicalDegrees,
             - 2 * centre.KV_KYV - 2 * centre.c2N)
     chi2 = (2 * (base.chi_antiK - centre.chi_OV)
             - centre.KYV_sq - centre.KV_KYV)
-    return CanonicalDegrees(K4, K2c2,
-                            integral(None, "chi(O(-K)) of the blow-up", chi2, 2))
+    return _built(CanonicalDegrees, (
+        K4, K2c2, integral(None, "chi(O(-K)) of the blow-up", chi2, 2)))
 
 
 def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> "int | Fraction":
@@ -147,7 +154,8 @@ def split_bundle_base(params: FamilyParams) -> BundleInput:
     K_Z = -i*H, and K_Z.c2(Z) = -24 on any Fano 3-fold."""
     Z, a = params.threefold, params.a
     # positional: KW3, KW_c1sq, KW_c2E, KW_c2W, chi_O
-    return BundleInput(-Z.minus_K3, -Z.index * a * a * Z.degree, 0, -24, 1)
+    return _built(BundleInput,
+                  (-Z.minus_K3, -Z.index * a * a * Z.degree, 0, -24, 1))
 
 
 def surface_centre(params: FamilyParams) -> BlowupCentreData:
@@ -160,13 +168,13 @@ def surface_centre(params: FamilyParams) -> BlowupCentreData:
     Z, a, d = params.threefold, params.a, params.d
     i, delta = Z.index, Z.degree
     # positional: KYV_sq, KV_KYV, KV_sq, c2N, chi_OV
-    return BlowupCentreData(
+    return _built(BlowupCentreData, (
         d * delta * (a + i) ** 2,
         -d * delta * (a + i) * (d - i),
         d * delta * (d - i) ** 2,
         a * d * d * delta,
         1 + surface_h02(params),
-    )
+    ))
 
 
 def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
@@ -183,7 +191,7 @@ def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
     Z, a = params.threefold, params.a
     core = Z.degree * Z.index * (a * a + Z.index**2)
     chi = integral(params, "chi(O_Y(-K_Y))", 18 + 3 * core, 2)
-    closed = CanonicalDegrees(8 * core, 2 * core + 96, chi)
+    closed = _built(CanonicalDegrees, (8 * core, 2 * core + 96, chi))
     return agree(params, "bundle degrees", "closed", closed, "generic",
                  _bundle_degrees(split_bundle_base(params)))
 
@@ -222,8 +230,9 @@ def closed_degrees(params: FamilyParams) -> CanonicalDegrees:
             + 2 * d * delta * (d - i) * (a + d) - 2 * a * d * d * delta)
     chi2 = (16 + 3 * core - 2 * h02
             - d * delta * (a + i) * (a - d + 2 * i))
-    return CanonicalDegrees(sum(k4_closed_terms(params).values()), K2c2,
-                            integral(params, "chi(O_X(-K_X))", chi2, 2))
+    return _built(CanonicalDegrees, (
+        sum(k4_closed_terms(params).values()), K2c2,
+        integral(params, "chi(O_X(-K_X))", chi2, 2)))
 
 
 def fano4_invariants(params: FamilyParams) -> CanonicalDegrees:

@@ -7,7 +7,9 @@ family before it, as ``fano4 info`` does for its one family.  Each failure
 names the family once (see :mod:`fano4.errors`).  The layers take each
 family as a ``FamilyParams``, which checked its triple when it was built,
 and check no type of it again; the pass calls the formula cores of the
-raw-number functions of ``intersect``, not their type checks.
+raw-number functions of ``intersect``, not their type checks, and builds
+every row it computes unchecked, a :class:`FamilyRecord` included; only
+those entry points and the class constructors check a caller's input.
 A :class:`FamilyRecord` is the row: the json and csv exports write its
 fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
 the catalogue rows, with the reference rows, which use the same names.
@@ -26,6 +28,10 @@ from .catalog import FamilyParams, catalog, enumerate_families
 from .errors import IntegrityError
 
 __all__ = _EXPORTS["report"]
+
+# Builds a record from the layer results of one checked FamilyParams, without
+# the constructor frame that typing.NamedTuple generates, in field order.
+_built = tuple.__new__
 
 
 class FamilyRecord(NamedTuple):
@@ -64,13 +70,12 @@ def build_record(params: FamilyParams,
     tangent = classify.tangent_bounds(params, classify.chi_tangent(
         K4, h0_antiK, h12, h13, h22))
     z_id, a, d = params
-    # positional, in FamilyRecord field order
-    return FamilyRecord(
+    return _built(FamilyRecord, (
         z_id, a, d, params.label, K4, K2c2, h0_antiK, h12, h13, h22,
         classify.base_locus(params), classify.rationality(params),
         classify.toric_label(params), cones.is_fibre_like(params),
         tangent.chi, tangent.h0, tangent.h1,
-        tangent.h1_is_exact, tangent.h1_is_exact)
+        tangent.h1_is_exact, tangent.h1_is_exact))
 
 
 def build_records(families: Iterable[FamilyParams]) -> list[FamilyRecord]:
@@ -153,8 +158,10 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     for r in records:
         by_label.setdefault(r.label, []).append(r)
 
-    mismatches = [m for z, row in zip(threefolds, tables.table1)
-                  for m in _diff(z.label, z, row)]
+    getters: dict[type, attrgetter] = {}   # this call's, for _diff
+    mismatches = []
+    for z, row in zip(threefolds, tables.table1):
+        mismatches += _diff(z.label, z, row, getters)
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
@@ -171,8 +178,8 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
                       [Mismatch(label, "label", "1 record", f"{len(found)} records")])
             # both rows hold the label, which the tables' alignment check
             # has matched already; the record found by it equals it too
-            family += _diff(label, found[0], family_row)
-            family += _diff(label, found[0], tangent_row)
+            family += _diff(label, found[0], family_row, getters)
+            family += _diff(label, found[0], tangent_row, getters)
         if family:
             failed += 1
             mismatches.extend(family)
@@ -184,13 +191,19 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
 
 
-def _diff(family: str, row: object, expected: tuple) -> list[Mismatch]:
+def _diff(family: str, row: object, expected: tuple,
+          getters: dict[type, attrgetter]) -> list[Mismatch]:
     """A Mismatch for each field of the reference row ``expected`` that
-    ``row`` differs on."""
-    fields = expected._fields
-    computed = attrgetter(*fields)(row)
+    ``row`` differs on.  ``getters`` maps each reference-row class to the
+    getter of its ``_fields``, built on its first row and kept by the caller
+    for one verification only."""
+    get = getters.get(expected.__class__)
+    if get is None:
+        get = getters[expected.__class__] = attrgetter(*expected._fields)
+    computed = get(row)
     if computed == expected:   # a matching row costs one tuple comparison
         return []
+    fields = expected._fields
     # a loop, not a comprehension, which would make ``family`` a cell
     # built on every call before Python 3.12
     out = []

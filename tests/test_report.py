@@ -357,6 +357,108 @@ def test_the_per_family_functions_of_the_pass_build_no_cell(function):
     assert code.co_cellvars == ()
 
 
+def _generated_constructors():
+    """The code of every ``__new__`` that ``typing.NamedTuple`` generated for
+    a class of fano4, a checked class's base included, with its class name."""
+    import sys
+
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "fano4":
+            continue
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, tuple):
+                for cls in value.__mro__:
+                    if "_fields" in vars(cls):   # the generated class
+                        found[cls.__new__.__code__] = cls.__name__
+    return found
+
+
+def test_a_warm_library_op_enters_no_row_constructor():
+    """The pass builds each row it computes unchecked (``tuple.__new__``):
+    no frame of a warm op (the pass, verify_all and the three exports)
+    enters the generated ``__new__`` of a per-family row type or of the
+    ``FamilyParams`` base, and only the two rows built once per op remain.
+    ``_from_sums`` runs 28 times per pass and enters no comprehension."""
+    import sys
+    from collections import Counter
+    from types import CodeType
+
+    import fano4.classify
+    import fano4.hodge
+    import fano4.intersect
+
+    def op():
+        records = build_all_records()
+        verify_all(records)
+        for fmt in ("json", "csv", "markdown"):
+            export(records, fmt)
+
+    op()   # every cache is warm
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    generated = _generated_constructors()
+    per_family = {
+        fano4.intersect.CanonicalDegrees, fano4.intersect.BundleInput,
+        fano4.intersect.BlowupCentreData, fano4.hodge.FourfoldHodge,
+        fano4.classify.TangentBounds, FamilyRecord, FamilyParams.__mro__[1]}
+    assert {cls.__new__.__code__ for cls in per_family} <= generated.keys()
+    assert {generated[code]: n for code, n in entered.items()
+            if code in generated} == {"GoldenTables": 1,
+                                      "VerificationReport": 1}
+    nested = [c for c in fano4.hodge._from_sums.__code__.co_consts
+              if isinstance(c, CodeType)]
+    assert entered[fano4.hodge._from_sums.__code__] >= 28
+    assert not [c for c in nested if entered[c]]
+
+
+def test_rows_built_unchecked_have_the_arity_of_their_class():
+    """``tuple.__new__`` checks no field count: every row that the pass and
+    the raw-number operations build must still have its class's fields,
+    and equal the row its class constructor builds from the same values."""
+    from fano4.classify import TangentBounds, chi_tangent, tangent_bounds
+    from fano4.hodge import FourfoldHodge
+    from fano4.intersect import (
+        BlowupCentreData, BundleInput, CanonicalDegrees, closed_degrees,
+        p1_bundle_invariants, projective_bundle_invariants, split_bundle_base,
+        surface_blowup_invariants, surface_centre)
+
+    def assert_arity(value, cls):
+        assert type(value) is cls
+        assert len(value) == len(cls._fields)
+        assert cls(*value) == value
+
+    for p in enumerate_families():
+        again = FamilyParams(*p)
+        assert (p.is_admissible, p.threefold) == \
+            (again.is_admissible, again.threefold)
+        invariants, hodge_numbers = fano4_invariants(p), hodge_of_fourfold(p)
+        base, centre = p1_bundle_invariants(p), surface_centre(p)
+        for value in (invariants, closed_degrees(p), base,
+                      surface_blowup_invariants(base, centre)):
+            assert_arity(value, CanonicalDegrees)
+        assert_arity(split_bundle_base(p), BundleInput)
+        assert_arity(centre, BlowupCentreData)
+        assert_arity(hodge_numbers, FourfoldHodge)
+        chi = chi_tangent(invariants.K4, invariants.chi_antiK, *hodge_numbers)
+        assert_arity(tangent_bounds(p, chi), TangentBounds)
+        assert_arity(build_record(p, invariants, hodge_numbers), FamilyRecord)
+    # caller ints, through the type checks of the raw-number operations
+    bundle = projective_bundle_invariants(BundleInput(-64, -36, 0, -24, 1))
+    assert_arity(bundle, CanonicalDegrees)
+    assert_arity(surface_blowup_invariants(
+        bundle, BlowupCentreData(25, -5, 1, 3, 1)), CanonicalDegrees)
+
+
 def test_a_cold_pass_builds_the_bundle_term_once_per_h12(monkeypatch):
     import fano4.hodge as hodge
 
@@ -499,6 +601,36 @@ def test_verify_all_names_each_tampered_table1_field(records, monkeypatch, field
         assert not result.ok
         assert result.mismatches == (
             Mismatch(f"Z_{row.id}", field, getattr(bad, field), getattr(row, field)),)
+
+
+def test_verify_all_diffs_each_row_by_its_own_fields(records, monkeypatch):
+    """A table 2 that mixes two row classes is diffed by each row's own
+    fields, and the field getters do not outlive the call."""
+    import gc
+    from operator import attrgetter
+    from typing import NamedTuple
+
+    class ChiRow(NamedTuple):
+        label: str
+        chi_T: int
+
+    tables = golden_tables()
+    row = tables.table2[5]
+    chi_T = tables.table3[5].chi_T
+    mixed = tables._replace(table2=tables.table2[:5]
+                            + (ChiRow(row.label, chi_T + 1),)
+                            + tables.table2[6:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: mixed)
+
+    def getters():
+        return sum(type(o) is attrgetter for o in gc.get_objects())
+
+    before = getters()
+    result = verify_all(records)
+    assert getters() == before
+    assert (result.pass_count, result.fail_count) == (27, 1)
+    assert result.mismatches == (
+        Mismatch(row.label, "chi_T", chi_T + 1, chi_T),)
 
 
 def test_verify_all_names_a_mistyped_catalogue_degree(records, monkeypatch):
