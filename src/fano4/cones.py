@@ -29,8 +29,9 @@ names the family, and :mod:`fano4.errors` picks its class.
 The class constructors check and normalise caller input, on one path each;
 :func:`anticanonical`, :func:`ne_generators`, :func:`nef_rays` and
 :func:`cone_data` build what they compute through ``_built``, unchecked.
-``+`` and ``-`` take only a class of the same kind, and ``*`` only a scalar
-on the left: any other operand raises an "unsupported operand" TypeError.
+The classes take no arithmetic: a caller builds them by :func:`divisor`,
+:func:`curve_combo` or their constructors, and every operator raises
+Python's own "unsupported operand" TypeError.
 
 All of this data is integral, so coordinates and pairing values are Python
 ``int``; ``fractions`` is imported with the first scalar that is not.  Only
@@ -50,8 +51,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Collection, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, NoReturn
 
 from . import _EXPORTS
 from .catalog import (FamilyParams, _ValueEnum, _checked_tuple,
@@ -60,6 +60,7 @@ from .errors import ContextMismatchError, agree, at_least
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from types import NotImplementedType
     Rational = int | Fraction
 
 __all__ = _EXPORTS["cones"]
@@ -110,7 +111,8 @@ class DivisorClass(_checked_tuple("DivisorClass", [
     Each coordinate is an ``int``, or a ``Fraction`` only when it is not
     integral: the constructor, for caller input, normalises them on one path
     and refuses any other scalar, and any context but a ``FamilyParams``;
-    what this module computes is built by ``_built``.
+    what this module computes is built by ``_built``.  A class takes no
+    arithmetic: :func:`divisor` or the constructor builds each one.
     """
 
     __slots__ = ()
@@ -121,33 +123,18 @@ class DivisorClass(_checked_tuple("DivisorClass", [
         x, y, z = coords
         return tuple.__new__(cls, ((_exact(x), _exact(y), _exact(z)), context))
 
-    def _combined(self, other: "DivisorClass", op: Callable) -> "DivisorClass":
-        if other.__class__ is not DivisorClass:
-            return NotImplemented
-        _same_context(self.context, other.context)
-        (x, y, z), (u, v, w) = self.coords, other.coords
-        return divisor(self.context, op(x, u), op(y, v), op(z, w))
+    # a class is a tuple, whose + and * would join or repeat it: returning
+    # NotImplemented makes Python raise its own "unsupported operand"
+    # TypeError, left operand first, as it does for class - x
+    def _no_arithmetic(self, other: object) -> NotImplementedType:
+        return NotImplemented
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combined(other, add)
+    __add__ = __mul__ = __rmul__ = _no_arithmetic
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combined(other, sub)
-
-    # a class is a tuple: class * int would repeat it, tuple + class join,
-    # so both raise, in Python's own wording, left operand first
-    def __mul__(self, other: object) -> NoReturn:
-        raise TypeError(f"unsupported operand type(s) for *: "
-                        f"'{type(self).__name__}' and '{type(other).__name__}'")
-
+    # tuple + class would still join them if this returned NotImplemented
     def __radd__(self, other: object) -> NoReturn:
         raise TypeError(f"unsupported operand type(s) for +: "
                         f"'{type(other).__name__}' and '{type(self).__name__}'")
-
-    def __rmul__(self, scalar: Rational) -> "DivisorClass":
-        s = _exact(scalar)
-        x, y, z = self.coords
-        return divisor(self.context, s * x, s * y, s * z)
 
 
 def _not_a_family(context: object) -> NoReturn:
@@ -192,7 +179,8 @@ class CurveClass(_checked_tuple("CurveClass", [
     built by ``_built``.  It refuses a key that is no generator and a negative
     or inexact coefficient, and keeps each generator's non-zero sum, in
     generator order, as an ``int`` unless it is not integral.  The context
-    must be a ``FamilyParams``.
+    must be a ``FamilyParams``.  A class takes no arithmetic:
+    :func:`curve_combo` or the constructor builds each one.
     """
 
     __slots__ = ()
@@ -222,17 +210,8 @@ class CurveClass(_checked_tuple("CurveClass", [
             return self.combo[0][0]
         return None
 
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        if other.__class__ is not CurveClass:
-            return NotImplemented
-        _same_context(self.context, other.context)
-        return CurveClass(self.combo + other.combo, self.context)
-
-    __mul__, __radd__ = DivisorClass.__mul__, DivisorClass.__radd__
-
-    def __rmul__(self, scalar: Rational) -> "CurveClass":
-        s = _exact(scalar)
-        return CurveClass(tuple((g, s * c) for g, c in self.combo), self.context)
+    __add__ = __mul__ = __rmul__ = DivisorClass._no_arithmetic
+    __radd__ = DivisorClass.__radd__
 
 
 def curve_combo(params: FamilyParams,

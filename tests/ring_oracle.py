@@ -1,0 +1,83 @@
+"""The intersection ring of N^1(X) by Segre classes: a test oracle.
+
+X is the blow-up of Y = P(O_Z + O_Z(a)) along a surface S over a smooth
+member A of |O_Z(d)|, where Z is a Fano 3-fold of index i whose ample
+generator H has degree delta = H^3.  N^1(X) is spanned by h = phi*H, the
+tautological class xi of Y and the exceptional divisor E, with
+
+    Ghat = xi - E,   G = xi - a*h,   Ehat = d*h - E.
+
+The ring is the table of the 15 quartic monomials h^i xi^j E^k (Fulton,
+*Intersection Theory*, Section 3.1 and Prop. 6.7):
+
+- k = 0: h^i xi^j = a^(j-1) delta for j >= 1, as xi^2 = a h xi and
+  h^3 xi = delta; h^4 = 0;
+- k = 1: 0, since E meets a pulled-back curve class in nothing;
+- k >= 2: E^k beta = (-1)^(k-1) int_S s_(k-2)(N) beta|_S, with the normal
+  bundle N = O_A(dH) + O_A(aH), h|_S = H, xi|_S = a*H and int_A H^2 = d delta.
+  The Segre classes s(N) = 1/c(N) are 1, -(a+d)H and (a^2 + ad + d^2)H^2.
+
+The module reads only the ints (i, delta, a, d), computes in ints, and
+imports nothing from ``fano4``, so a test may compare it with any of it.
+"""
+
+from __future__ import annotations
+
+from itertools import product as _choices
+
+
+def segre_table(delta: int, a: int, d: int) -> dict[tuple[int, int, int], int]:
+    """h^i xi^j E^k for each (i, j, k) with i + j + k = 4."""
+    segre = (1, -(a + d), a * a + a * d + d * d)
+    table = {}
+    for k in range(5):
+        for j in range(5 - k):
+            if k == 0:
+                value = a ** (j - 1) * delta if j else 0
+            elif k == 1:
+                value = 0
+            else:   # beta = h^i xi^j restricts to a^j H^(4-k) on S
+                value = (-1) ** (k - 1) * segre[k - 2] * a ** j * d * delta
+            table[(4 - j - k, j, k)] = value
+    return table
+
+
+def intersect(table: dict[tuple[int, int, int], int], *divisors) -> int:
+    """D1 D2 D3 D4 for four divisors over (h, xi, E), 4-linear in each."""
+    total = 0
+    for picks in _choices(range(3), repeat=4):
+        coefficient = 1
+        for D, n in zip(divisors, picks):
+            coefficient *= D[n]
+        if coefficient:
+            total += coefficient * table[(picks.count(0), picks.count(1),
+                                          picks.count(2))]
+    return total
+
+
+def over_ring_basis(coords: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x phi*H + y Ghat + z E, the basis of ``fano4.cones``, over (h, xi, E):
+    x h + y xi + (z - y) E, since Ghat = xi - E."""
+    x, y, z = coords
+    return (x, y, z - y)
+
+
+def anticanonical(i: int, a: int) -> tuple[int, int, int]:
+    """-K_X over (h, xi, E): K_Y = -2 xi - (i - a) h on the P^1-bundle, and a
+    blow-up along a codimension-2 centre adds E, K_X = K_Y + E."""
+    return (i - a, 2, -1)
+
+
+def named_divisors(a: int, d: int) -> dict[str, tuple[int, int, int]]:
+    """E, Ehat, G and Ghat over (h, xi, E), from the relations above."""
+    return {"E": (0, 0, 1), "Ehat": (d, 0, -1), "G": (-a, 1, 0),
+            "Ghat": (0, 1, -1)}
+
+
+def image_dimension(table: dict[tuple[int, int, int], int],
+                    D: tuple[int, int, int],
+                    antiK: tuple[int, int, int]) -> int:
+    """The dimension of the image of the map of a nef class D, over
+    (h, xi, E): the largest k with D^k (-K)^(4-k) != 0."""
+    return max(k for k in range(5)
+               if intersect(table, *[D] * k, *[antiK] * (4 - k)))

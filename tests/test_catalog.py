@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import import_module
+
 import pytest
 
 import fano4.catalog as catalog_module
@@ -286,3 +288,23 @@ def test_enumerate_degree_bound():
 def test_enumerate_normalization():
     for p in enumerate_families():
         assert p.a > p.d or 2 * p.a <= p.d
+
+
+#: every public function defined only on the 28 families, as (module,
+#: name, the arguments after its FamilyParams)
+GUARDED = [("cones", "anticanonical", ()), ("cones", "ne_generators", ()),
+           ("cones", "nef_rays", ()), ("cones", "is_fibre_like", ()),
+           ("classify", "base_locus", ()), ("classify", "toric_label", ()),
+           ("classify", "rationality", ()), ("classify", "tangent_bounds", (0,)),
+           ("intersect", "fano4_invariants", ())]
+
+
+@pytest.mark.parametrize("module, name, args", GUARDED,
+                         ids=[f"{m}.{n}" for m, n, _ in GUARDED])
+def test_each_guarded_function_refuses_an_inadmissible_triple(module, name,
+                                                               args):
+    # without its require_admissible call each one answers for a non-family:
+    # is_fibre_like with not_fibre_like, a plausible label
+    function = getattr(import_module(f"fano4.{module}"), name)
+    with pytest.raises(ValueError, match=r"^X\^7_\{4,1\} is not admissible$"):
+        function(FamilyParams(7, 4, 1), *args)

@@ -67,6 +67,13 @@ def _canonical(value, want):
         int if want.denominator == 1 else Fraction)
 
 
+def _combination(*terms):
+    """The coordinates of the sum of k*D over the (k, D) ``terms``, each D a
+    coordinate tuple over (phi*H, Ghat, E): the classes take no arithmetic,
+    so the oracles below add int tuples."""
+    return tuple(sum(k * D[n] for k, D in terms) for n in range(3))
+
+
 def test_alternate_basis_of_anticanonical():
     for p in enumerate_families():
         i = p.threefold.index
@@ -207,31 +214,10 @@ def test_pairing_context_mismatch():
     with pytest.raises(ContextMismatchError):
         pairing(divisor(FamilyParams(7, 0, 1), 1, 0, 0),
                 curve_combo(FamilyParams(7, 0, 2), {CurveGen.F: 1}))
+    # the same (a, d) over another base: the whole context must match
     with pytest.raises(ContextMismatchError):
-        (divisor(FamilyParams(7, 0, 1), 1, 0, 0)
-         + divisor(FamilyParams(6, 0, 1), 0, 0, 1))
-
-
-curve_combos = st.dictionaries(
-    st.sampled_from(list(CurveGen)),
-    st.fractions(min_value=0, max_value=20, max_denominator=12), max_size=4)
-
-
-@given(family_params, curve_combos, curve_combos)
-@example(FamilyParams(6, 2, 4), {CurveGen.F: 1},
-         {CurveGen.F: Fraction(1, 2), CurveGen.C_G: 2})
-def test_curve_class_sum_adds_the_coefficients(p, x, y):
-    # the example holds F in both operands, whose coefficients must sum
-    total = curve_combo(p, x) + curve_combo(p, y)
-    assert type(total) is CurveClass and total.context == p
-    expected = {g: x.get(g, 0) + y.get(g, 0) for g in CurveGen}
-    assert dict(total.combo) == {g: c for g, c in expected.items() if c}
-
-
-def test_curve_class_sum_refuses_mixed_contexts():
-    with pytest.raises(ContextMismatchError):
-        (curve_combo(FamilyParams(7, 0, 1), {CurveGen.F: 1})
-         + curve_combo(FamilyParams(7, 0, 2), {CurveGen.F: 1}))
+        pairing(divisor(FamilyParams(7, 0, 1), 1, 0, 0),
+                curve_combo(FamilyParams(6, 0, 1), {CurveGen.F: 1}))
 
 
 def test_curve_class_kind_is_none_off_a_single_generator():
@@ -245,8 +231,6 @@ def test_curve_combo_rejects_negative_coefficients():
     p = FamilyParams(7, 0, 1)
     with pytest.raises(ValueError):
         curve_combo(p, {CurveGen.F: -1})
-    with pytest.raises(ValueError):
-        Fraction(-1, 2) * curve_combo(p, {CurveGen.F: 1})
     # a key that is no generator would otherwise be dropped without a word
     with pytest.raises(TypeError, match="'bogus'"):
         curve_combo(p, {"bogus": 5})
@@ -309,7 +293,7 @@ def test_class_constructors_check_and_normalise():
     assert C._replace(context=FamilyParams(7, 1, 2)).combo == C.combo
     with pytest.raises(TypeError, match="generator: 'bogus'"):
         cones.CurveClass((("bogus", 1),), p)
-    # a repeated generator adds up, as in the sum of two classes
+    # a repeated generator adds up
     F = cones.CurveClass(((CurveGen.F, half), (CurveGen.F, half)), p)
     assert F == curve_combo(p, {CurveGen.F: 1}) and type(F.combo[0][1]) is int
     with pytest.raises(ValueError, match="negative"):
@@ -318,7 +302,7 @@ def test_class_constructors_check_and_normalise():
 
 def test_divisor_class_refuses_a_context_that_is_no_family():
     # a plain triple equals the FamilyParams it copies, so it would pass the
-    # context comparison of a sum and fail only inside pairing
+    # context comparison of pairing and fail only inside it
     with pytest.raises(TypeError, match="context must be a FamilyParams, "
                                         "got tuple"):
         cones.DivisorClass((1, 0, 0), (7, 0, 1))
@@ -334,26 +318,20 @@ def test_curve_class_refuses_a_context_that_is_no_family():
             cones.CurveClass(combo, (7, 0, 1))
 
 
-def test_classes_are_scaled_by_a_scalar_on_the_left_only():
+def test_classes_take_no_arithmetic():
     # a class is a tuple underneath: class * int must not repeat it, and
-    # tuple + class must not join them
+    # tuple + class or class + class must not join them; tuple * class is
+    # tuple's own repeat, which refuses a count that is no int
     p = FamilyParams(7, 1, 2)
     D, C = divisor(p, 1, 0, 0), curve_combo(p, {CurveGen.F: 1})
     for cls in (D, C):
-        for other in (2, Fraction(1, 2), cls):
-            with pytest.raises(TypeError, match="unsupported operand"):
-                cls * other
-        for other in ((), (1, 0, 0)):
-            with pytest.raises(TypeError, match="unsupported operand"):
-                other + cls
-        # + and - take only a class of the same kind
-        for other in (5, (1, 0, 0), C if cls is D else D):
-            with pytest.raises(TypeError, match="unsupported operand"):
-                cls + other
-            with pytest.raises(TypeError, match="unsupported operand"):
-                cls - other
-    assert 2 * D == divisor(p, 2, 0, 0)
-    assert 2 * C == curve_combo(p, {CurveGen.F: 2})
+        for other in (2, Fraction(1, 2), (), (1, 0, 0), D, C):
+            for operation in (lambda: cls + other, lambda: other + cls,
+                              lambda: cls - other, lambda: other - cls,
+                              lambda: cls * other, lambda: other * cls):
+                with pytest.raises(TypeError, match="^unsupported operand|"
+                                   "^can't multiply sequence by non-int"):
+                    operation()
 
 
 #: each refused operation, with the operator and operand types it must name
@@ -365,6 +343,12 @@ _REFUSED = {
     "D * 2": "*: 'DivisorClass' and 'int'",
     "C * 2": "*: 'CurveClass' and 'int'",
     "D - C": "-: 'DivisorClass' and 'CurveClass'",
+    "D + D": "+: 'DivisorClass' and 'DivisorClass'",
+    "D - D": "-: 'DivisorClass' and 'DivisorClass'",
+    "2 * D": "*: 'int' and 'DivisorClass'",
+    "Fraction(1, 2) * C": "*: 'Fraction' and 'CurveClass'",
+    "C + C": "+: 'CurveClass' and 'CurveClass'",
+    "(1, 2, 3) + C": "+: 'tuple' and 'CurveClass'",
 }
 
 
@@ -372,7 +356,8 @@ _REFUSED = {
 def test_a_refused_operation_names_its_operands_left_first(expression):
     # Python's own wording, which D - C gets from Python itself
     p = FamilyParams(7, 1, 2)
-    names = {"D": divisor(p, 1, 0, 0), "C": curve_combo(p, {CurveGen.F: 1})}
+    names = {"D": divisor(p, 1, 0, 0), "C": curve_combo(p, {CurveGen.F: 1}),
+             "Fraction": Fraction}
     with pytest.raises(TypeError) as exc:
         eval(expression, names)
     assert str(exc.value) == \
@@ -404,17 +389,21 @@ def test_cone_data_of_every_family_is_plain_int():
 def test_rational_input_keeps_exact_fractions():
     p = FamilyParams(6, 2, 4)
     half = curve_combo(p, {CurveGen.F: Fraction(1, 2)})
-    value = pairing(divisor(p, 1, 0, 0) + divisor(p, 0, 1, 0), half)
+    # phi*H + Ghat
+    value = pairing(divisor(p, *_combination((1, (1, 0, 0)), (1, (0, 1, 0)))),
+                    half)
     assert type(value) is Fraction and value == Fraction(1, 2)
     assert divisor(p, Fraction(1, 3), 0, 0).coords[0] == Fraction(1, 3)
-    # integral Fractions are stored as int, at input and after arithmetic
+    # integral Fractions are stored as int, given or computed by the caller
     D = divisor(p, Fraction(4, 2), Fraction(1, 2), 0)
     assert type(D.coords[0]) is int and D.coords[0] == 2
-    assert [type(x) for x in (2 * D).coords] == [int, int, int]
+    twice = divisor(p, *_combination((2, D.coords)))
+    assert [type(x) for x in twice.coords] == [int, int, int]
     twice_F = curve_combo(p, {CurveGen.F: 2})
     assert pairing(D, twice_F) == 1 and type(pairing(D, twice_F)) is int
-    assert dict((2 * half).combo) == {CurveGen.F: 1}
-    assert (2 * half).kind is CurveGen.F
+    twice_half = curve_combo(p, {g: 2 * c for g, c in half.combo})
+    assert dict(twice_half.combo) == {CurveGen.F: 1}
+    assert twice_half.kind is CurveGen.F
 
 
 def test_pairing_matrix_returns_a_fresh_copy():
@@ -430,8 +419,9 @@ def test_relation_class_is_numerically_trivial():
     # Ehat is the last row of the divisor table, whose G row anticanonical
     # reads
     for p in enumerate_families():
-        Ehat = divisor(p, *cones._divisor_coords(p.a, p.d)[4])
-        D = p.d * divisor(p, 1, 0, 0) - divisor(p, 0, 0, 1) - Ehat
+        Ehat = cones._divisor_coords(p.a, p.d)[4]
+        D = divisor(p, *_combination((p.d, (1, 0, 0)), (-1, (0, 0, 1)),
+                                     (-1, Ehat)))
         assert D.coords == (0, 0, 0)
         for gen in CurveGen:
             assert pairing(D, curve_combo(p, {gen: 1})) == 0
@@ -441,32 +431,32 @@ def test_named_divisor_relations():
     # the divisor table, whose G row anticanonical reads, holds the basis,
     # then G and Ehat with G + a*phi*H = Ghat + E and d*phi*H = E + Ehat
     for p in enumerate_families():
-        H, Ghat, E, G, Ehat = (divisor(p, *coords)
-                               for coords in cones._divisor_coords(p.a, p.d))
-        assert (H.coords, Ghat.coords, E.coords) == ((1, 0, 0), (0, 1, 0),
-                                                     (0, 0, 1))
-        assert G + p.a * H == Ghat + E
-        assert Ghat + (p.d - p.a) * H == G + Ehat
-        assert p.d * H == E + Ehat
+        H, Ghat, E, G, Ehat = cones._divisor_coords(p.a, p.d)
+        assert (H, Ghat, E) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert _combination((1, G), (p.a, H)) == _combination((1, Ghat), (1, E))
+        assert _combination((1, Ghat), (p.d - p.a, H)) == \
+            _combination((1, G), (1, Ehat))
+        assert _combination((p.d, H)) == _combination((1, E), (1, Ehat))
 
 
 def test_each_printed_ray_name_evaluates_to_its_ray():
     # each term of a name is an optional "k*" and one named divisor, so the
     # name is checked against the generator it is printed beside
     for p in enumerate_families():
-        H, Ghat, E = (divisor(p, *coords)
-                      for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        H, Ghat, E = (1, 0, 0), (0, 1, 0), (0, 0, 1)
         printed = {"phi*H": H, "Ghat": Ghat, "E": E,
-                   "G": Ghat + E - p.a * H, "Ehat": p.d * H - E}
+                   "G": _combination((1, Ghat), (1, E), (-p.a, H)),
+                   "Ehat": _combination((p.d, H), (-1, E))}
         for ray in nef_rays(p):
-            total = divisor(p, 0, 0, 0)
+            terms = []
             for term in ray.name.split(" + "):
                 k, star, rest = term.partition("*")
                 if star and k.isdigit():
-                    total = total + int(k) * printed[rest]
+                    terms.append((int(k), printed[rest]))
                 else:
-                    total = total + printed[term]
-            assert total == ray.generator, (p.label, ray.label, ray.name)
+                    terms.append((1, printed[term]))
+            assert divisor(p, *_combination(*terms)) == ray.generator, \
+                (p.label, ray.label, ray.name)
 
 
 def test_pairing_matrix_has_rank_three_with_known_kernel():
@@ -506,8 +496,8 @@ def test_nef_rays_square_case_includes_dG_plus_aEhat():
     p = FamilyParams(7, 2, 5)
     rays = {r.label: r for r in nef_rays(p)}
     assert set(rays) == {RayLabel.R1, RayLabel.R2, RayLabel.R3, RayLabel.R4}
-    assert rays[RayLabel.R4].generator == \
-        5 * divisor(p, -2, 1, 1) + 2 * divisor(p, 5, 0, -1)   # 5*G + 2*Ehat
+    assert rays[RayLabel.R4].generator == divisor(
+        p, *_combination((5, (-2, 1, 1)), (2, (5, 0, -1))))   # 5*G + 2*Ehat
     assert rays[RayLabel.R4].generator.coords == (0, 5, 3)
 
 
@@ -587,22 +577,24 @@ def test_is_fibre_like():
 
 def test_ray_and_antiK_coordinates_match_divisor_arithmetic():
     # the closed-form int tuples of nef_rays and anticanonical, against the
-    # DivisorClass arithmetic on the named divisors
+    # coordinate arithmetic on the named divisors
     for p in enumerate_families():
         i, a, d = p.threefold.index, p.a, p.d
-        H, Ghat, E = (divisor(p, *coords)
-                      for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        G, Ehat = Ghat + E - a * H, d * H - E
-        expected = {RayLabel.R1: H, RayLabel.R2: a * H + G}
+        H, Ghat, E = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        G = _combination((1, Ghat), (1, E), (-a, H))
+        Ehat = _combination((d, H), (-1, E))
+        expected = {RayLabel.R1: H, RayLabel.R2: _combination((a, H), (1, G))}
         if a >= d:
             expected[RayLabel.R3] = Ghat
         else:
-            expected[RayLabel.R3] = G + Ehat
+            expected[RayLabel.R3] = _combination((1, G), (1, Ehat))
             if a > 0:
-                expected[RayLabel.R4] = d * G + a * Ehat
+                expected[RayLabel.R4] = _combination((d, G), (a, Ehat))
         rays = nef_rays(p)
-        assert {ray.label: ray.generator for ray in rays} == expected
-        assert anticanonical(p) == i * H + G + Ghat
+        assert {ray.label: ray.generator for ray in rays} == \
+            {label: divisor(p, *D) for label, D in expected.items()}
+        assert anticanonical(p) == divisor(
+            p, *_combination((i, H), (1, G), (1, Ghat)))
 
 
 def test_cone_data_bundles_the_public_results():

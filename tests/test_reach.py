@@ -39,18 +39,12 @@ UNREACHED = {
     "cones._over_lcm": ALGEBRA,
     "cones._reduced": ALGEBRA,
     "cones.DivisorClass.__new__": ALGEBRA,
-    "cones.DivisorClass._combined": PROTOCOL,
-    "cones.DivisorClass.__add__": PROTOCOL,
-    "cones.DivisorClass.__sub__": PROTOCOL,
-    "cones.DivisorClass.__mul__": INPUT,
+    "cones.DivisorClass._no_arithmetic": INPUT,
     "cones.DivisorClass.__radd__": INPUT,
-    "cones.DivisorClass.__rmul__": PROTOCOL,
     "cones._not_a_family": INPUT,
     "cones._same_context": INPUT,
     "cones.divisor": ALGEBRA,
     "cones.CurveClass.__new__": ALGEBRA,
-    "cones.CurveClass.__add__": PROTOCOL,
-    "cones.CurveClass.__rmul__": PROTOCOL,
     "cones.curve_combo": ALGEBRA,
     "cones.to_alternate_basis": ALGEBRA,
     "cones.from_alternate_basis": ALGEBRA,

@@ -1,0 +1,112 @@
+"""The Segre ring of ``ring_oracle`` against the records, table 2, the closed
+quartic form of D^4, the pairing table of ``fano4.cones`` and the nef rays.
+
+Each test runs on all 28 families.  The oracle reads only (i, delta, a, d).
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from math import comb
+
+import fano4.cones as cones
+from fano4.catalog import enumerate_families
+from fano4.cones import CurveGen, RayLabel, nef_rays
+from fano4.golden import golden_tables
+from fano4.report import build_all_records
+from ring_oracle import (anticanonical, image_dimension, intersect,
+                         named_divisors, over_ring_basis, segre_table)
+
+FAMILIES = enumerate_families()
+
+
+def _ring(p):
+    """The oracle's table and -K of one family, from (i, delta, a, d)."""
+    Z = p.threefold
+    return (segre_table(Z.degree, p.a, p.d),
+            anticanonical(Z.index, p.a))
+
+
+def test_segre_table_holds_the_15_quartic_monomials():
+    for p in FAMILIES:
+        table, _ = _ring(p)
+        assert len(table) == 15 and all(type(v) is int for v in table.values())
+        delta, a, d = p.threefold.degree, p.a, p.d
+        # the values that ROADMAP item 13 writes out
+        assert (table[(4, 0, 0)], table[(3, 1, 0)]) == (0, delta)
+        assert (table[(2, 0, 2)], table[(1, 0, 3)], table[(0, 0, 4)]) == \
+            (-d * delta, -(a + d) * d * delta, -((a + d) ** 2 - a * d) * d * delta)
+
+
+def test_anticanonical_degree_equals_the_record_and_table_2():
+    records = {r.label: r for r in build_all_records()}
+    table2 = {row.label: row for row in golden_tables().table2}
+    assert len(records) == len(table2) == len(FAMILIES) == 28
+    for p in FAMILIES:
+        table, antiK = _ring(p)
+        K4 = intersect(table, antiK, antiK, antiK, antiK)
+        assert K4 == records[p.label].K4 == table2[p.label].K4, p.label
+
+
+def _closed_d4(delta, a, d, x, y, z):
+    """ROADMAP item 1's closed D^4 of x phi*H + y Ghat + z E."""
+    w, s = z - y, x + a * y
+    return (sum(comb(4, q) * x ** (4 - q) * y ** q * a ** (q - 1) * delta
+                for q in range(1, 5))
+            - 6 * w ** 2 * d * delta * s ** 2
+            - 4 * w ** 3 * (a + d) * d * delta * s
+            + w ** 4 * (a * d ** 2 * delta - (a + d) ** 2 * d * delta))
+
+
+def test_closed_quartic_form_holds_on_the_box():
+    box = range(-2, 3)
+    for p in FAMILIES:
+        table, _ = _ring(p)
+        delta = p.threefold.degree
+        for x, y, z in product(box, box, box):
+            D = over_ring_basis((x, y, z))
+            assert intersect(table, D, D, D, D) == \
+                _closed_d4(delta, p.a, p.d, x, y, z), (p.label, x, y, z)
+
+
+def test_four_pairing_routes_reproduce_the_pairing_columns():
+    # D.F = D.E.h^2/(d delta), D.Fhat = D.Ehat.h^2/(d delta),
+    # D.C_G = D.G.h^2/delta and D.C_Ghat = D.Ghat.h^2/delta
+    h = (1, 0, 0)
+    for p in FAMILIES:
+        table, _ = _ring(p)
+        delta, a, d = p.threefold.degree, p.a, p.d
+        named = named_divisors(a, d)
+        routes = {CurveGen.F: ("E", d * delta), CurveGen.F_HAT: ("Ehat", d * delta),
+                  CurveGen.C_G: ("G", delta), CurveGen.C_G_HAT: ("Ghat", delta)}
+        columns = {}
+        for gen, (divisor, scale) in routes.items():
+            column = []
+            for basis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                value, rest = divmod(intersect(table, over_ring_basis(basis),
+                                               named[divisor], h, h), scale)
+                assert rest == 0, (p.label, gen, basis)
+                column.append(value)
+            columns[gen] = tuple(column)
+        assert columns == cones._pairing_columns(a, d), p.label
+
+
+def test_image_dimension_of_every_nef_ray():
+    # R1 is the conic bundle onto Z; R2 = G moves in a free pencil, onto P^1,
+    # exactly when a = 0; every other ray is birational
+    counts = {}
+    for p in FAMILIES:
+        table, antiK = _ring(p)
+        for ray in nef_rays(p):
+            D = over_ring_basis(ray.generator.coords)
+            dimension = image_dimension(table, D, antiK)
+            if ray.label is RayLabel.R1:
+                want = 3
+            elif ray.label is RayLabel.R2 and p.a == 0:
+                want = 1
+            else:
+                want = 4
+            assert dimension == want, (p.label, ray.label)
+            counts[dimension] = counts.get(dimension, 0) + 1
+    assert counts == {3: 28, 1: 10, 4: 60}
+
