@@ -140,19 +140,18 @@ class FamilyParams(_checked_tuple("FamilyParams",
     It stores the verdict of :func:`validate_params` as ``is_admissible``
     and the catalogue row of Z as ``threefold``, both outside the tuple, so
     equality, hashing, ordering and repr see only the triple.  Nothing can
-    be assigned or deleted afterwards.  The constructor builds its tuple
-    with ``tuple.__new__``, which saves the frame of the generated
-    ``__new__``; :func:`validate_params` checks the triple.
+    be assigned or deleted afterwards.  The constructor, and
+    :func:`enumerate_families` for each admissible triple it found, build
+    through ``_built``, which saves the frame of the generated ``__new__``;
+    :func:`validate_params` checks the triple.
     """
 
     is_admissible: bool
     threefold: FanoThreefold
 
     def __new__(cls, z_id: int, a: int, d: int) -> FamilyParams:
-        self = tuple.__new__(cls, (z_id, a, d))
-        object.__setattr__(self, "is_admissible", validate_params(z_id, a, d))
-        object.__setattr__(self, "threefold", _CATALOG[z_id - 1])
-        return self
+        return _built(cls, (z_id, a, d), validate_params(z_id, a, d),
+                      _CATALOG[z_id - 1])
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"FamilyParams is immutable: cannot set {name!r}")
@@ -171,11 +170,12 @@ def validate_params(z_id: int, a: int, d: int) -> bool:
     Out-of-domain input (z_id outside 1..7, a < 0, d < 1) raises ValueError,
     and a component that is not an ``int`` (a ``bool`` or ``float``, say)
     raises TypeError, rather than returning False: those triples are
-    malformed, not just non-admissible.
+    malformed, not just non-admissible.  The types are checked once, here:
+    :func:`threefold` runs only for an id outside 1..7, for its message.
     """
     if type(z_id) is not int or type(a) is not int or type(d) is not int:
         raise TypeError(f"(z_id, a, d) must be three ints, got {(z_id, a, d)!r}")
-    i = threefold(z_id).index
+    i = (_CATALOG[z_id - 1] if 1 <= z_id <= 7 else threefold(z_id)).index
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if d < 1:
@@ -205,13 +205,24 @@ def _h0_twist(params: FamilyParams, k: int) -> int:
     return integral(params, "h^0(O_Z(k))", numerator, 12 * i)
 
 
+def _built(cls: type, triple: tuple[int, int, int], is_admissible: bool,
+           z: FanoThreefold) -> FamilyParams:
+    """The ``FamilyParams`` on ``triple``, with its verdict and catalogue
+    row, checked already; the one builder of the class."""
+    self = tuple.__new__(cls, triple)
+    object.__setattr__(self, "is_admissible", is_admissible)
+    object.__setattr__(self, "threefold", z)
+    return self
+
+
 def enumerate_families() -> list[FamilyParams]:
     """All 28 admissible triples, ordered by (z_id, a, d).
 
     The Fano bounds of the admissibility constraints bound the search grid
     outright, a <= i_Z - 1 and d <= a + i_Z - 1; :func:`validate_params`
-    decides each triple of it.
+    decides each of its 42 triples once, and only the 28 admissible ones
+    are built, through ``_built``, each with the verdict and the row of Z.
     """
-    return [p for z in _CATALOG for a in range(z.index)
-            for d in range(1, a + z.index)
-            if (p := FamilyParams(z.id, a, d)).is_admissible]
+    return [_built(FamilyParams, (z.id, a, d), True, z)
+            for z in _CATALOG for a in range(z.index)
+            for d in range(1, a + z.index) if validate_params(z.id, a, d)]

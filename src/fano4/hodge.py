@@ -278,9 +278,20 @@ def hodge_of_fourfold(params: FamilyParams) -> FourfoldHodge:
     agree(params, "e(A)", "Noether", 2 + 2 * h02 + h11, "Chern classes",
           24 // Z.index * d + d * d * Z.degree * (d - Z.index))
     eX = blowup_formula(_bundle_over_threefold(Z.h12), eA, 2)
+    # the three numbers of e(X) in one scan of its sorted terms, which ends
+    # at (2, 2): (1, 2) < (1, 3) < (2, 2)
+    h12 = h13 = h22 = 0
+    for (p, q), c in eX._terms:
+        if p == 1:
+            if q == 2:
+                h12 = c
+            elif q == 3:
+                h13 = c
+        elif p == 2 and q == 2:
+            h22 = c
+            break
     # unchecked, without the constructor frame that typing.NamedTuple
     # generates: three ints that the two routes agree on, in field order
     return tuple.__new__(FourfoldHodge, agree(
         params, "Hodge numbers (h12, h13, h22)", "closed",
-        (Z.h12, h02, 2 + h11),
-        "polynomial", (eX.coeff(1, 2), eX.coeff(1, 3), eX.coeff(2, 2))))
+        (Z.h12, h02, 2 + h11), "polynomial", (h12, h13, h22)))

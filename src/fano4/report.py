@@ -20,7 +20,7 @@ result, not a crash; only reference tables that are misaligned or name a field
 no record has raise IntegrityError.
 """
 
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS, classify, cones, hodge, intersect
@@ -142,6 +142,10 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     the table-1 ones come first and count no family.  A family passes when
     it has exactly one record and no mismatch; the records whose label has
     no reference row fail as one family.
+
+    Records in table order are compared with each one-class table whole
+    (:func:`_matches`), and only a table that differs is diffed row by row;
+    any other input is joined to the tables by label, to the same report.
     """
     from .golden import golden_tables
 
@@ -154,14 +158,23 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     labels = [row.label for row in tables.table2]
     if labels != [row.label for row in tables.table3]:
         raise IntegrityError("reference tables 2 and 3 list different families")
-    by_label: dict[str, list[FamilyRecord]] = {}
-    for r in records:
-        by_label.setdefault(r.label, []).append(r)
 
     getters: dict[type, attrgetter] = {}   # this call's, for _diff
     mismatches = []
     for z, row in zip(threefolds, tables.table1):
         mismatches += _diff(z.label, z, row, getters)
+    # one record per family, in table order; the labels' dict is a third
+    # of the size of their set
+    in_order = (len(records) == len(labels) == len(dict.fromkeys(labels))
+                and all(map(eq, map(attrgetter("label"), records), labels)))
+    diff_families = not (in_order and _matches(records, tables.table2))
+    diff_tangents = not (in_order and _matches(records, tables.table3))
+    if not (diff_families or diff_tangents):
+        return VerificationReport(len(labels), 0, tuple(mismatches))
+
+    by_label: dict[str, list[FamilyRecord]] = {}
+    for r in records:
+        by_label.setdefault(r.label, []).append(r)
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
@@ -178,8 +191,10 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
                       [Mismatch(label, "label", "1 record", f"{len(found)} records")])
             # both rows hold the label, which the tables' alignment check
             # has matched already; the record found by it equals it too
-            family += _diff(label, found[0], family_row, getters)
-            family += _diff(label, found[0], tangent_row, getters)
+            if diff_families:
+                family += _diff(label, found[0], family_row, getters)
+            if diff_tangents:
+                family += _diff(label, found[0], tangent_row, getters)
         if family:
             failed += 1
             mismatches.extend(family)
@@ -189,6 +204,18 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     mismatches += [Mismatch(r.label, "label", None, r.label)
                    for r in records if r.label in by_label]
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
+
+
+def _matches(records: list[FamilyRecord], table: tuple) -> bool:
+    """Whether ``table``, of one row class that names only record fields,
+    equals ``records`` row by row on the fields of that class.  A lazy
+    ``map`` over one getter compares them, so no computed row outlives its
+    comparison; any other table is False, to be diffed row by row."""
+    if len(set(map(type, table))) != 1:
+        return False
+    fields = table[0]._fields
+    return (_RECORD_FIELDS.issuperset(fields)
+            and all(map(eq, map(attrgetter(*fields), records), table)))
 
 
 def _diff(family: str, row: object, expected: tuple,

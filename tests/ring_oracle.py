@@ -17,12 +17,25 @@ The ring is the table of the 15 quartic monomials h^i xi^j E^k (Fulton,
   bundle N = O_A(dH) + O_A(aH), h|_S = H, xi|_S = a*H and int_A H^2 = d delta.
   The Segre classes s(N) = 1/c(N) are 1, -(a+d)H and (a^2 + ad + d^2)H^2.
 
-The module reads only the ints (i, delta, a, d), computes in ints, and
-imports nothing from ``fano4``, so a test may compare it with any of it.
+The total Chern class of X is Aluffi's formula for a blow-up along the
+complete intersection of xi and d*h (*Chern classes of blow-ups*, Math.
+Proc. Cambridge Philos. Soc. 148, 2010), over c(Y) = c(Z)(1 + xi)(1 + xi - a h):
+
+    c(X) = c(Z)(1 + E)(1 + xi - E)(1 + xi - a h)(1 + d h - E)/(1 + d h),
+
+with c(Z) = 1 + i H + (24/(i delta)) H^2 + (e(Z)/delta) H^3, since
+c2(Z).H = 24/i, and e(Z) = 4 - 2 h^{1,2}(Z).  A class is a dict from the
+exponents (i, j, k) of h^i xi^j E^k to its coefficient, truncated above
+degree 4.
+
+The module reads only the ints (i, delta, a, d), and h^{1,2}(Z) for c(X),
+computes in ints and ``Fraction``s, never floats, and imports nothing from
+``fano4``, so a test may compare it with any of it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as _choices
 
 
@@ -81,3 +94,49 @@ def image_dimension(table: dict[tuple[int, int, int], int],
     (h, xi, E): the largest k with D^k (-K)^(4-k) != 0."""
     return max(k for k in range(5)
                if intersect(table, *[D] * k, *[antiK] * (4 - k)))
+
+
+Class = dict[tuple[int, int, int], int | Fraction]
+
+
+def linear(D: tuple[int, int, int]) -> Class:
+    """The class of the divisor D over (h, xi, E)."""
+    return {(1, 0, 0): D[0], (0, 1, 0): D[1], (0, 0, 1): D[2]}
+
+
+def multiply(*classes: Class) -> Class:
+    """The product of the classes, truncated above degree 4."""
+    out: Class = {(0, 0, 0): 1}
+    for factor in classes:
+        product: Class = {}
+        for (i1, j1, k1), c1 in out.items():
+            for (i2, j2, k2), c2 in factor.items():
+                if i1 + j1 + k1 + i2 + j2 + k2 <= 4:
+                    key = (i1 + i2, j1 + j2, k1 + k2)
+                    product[key] = product.get(key, 0) + c1 * c2
+        out = product
+    return out
+
+
+def part(c: Class, degree: int) -> Class:
+    """The degree-``degree`` part of c."""
+    return {m: v for m, v in c.items() if sum(m) == degree and v}
+
+
+def integrate(table: dict[tuple[int, int, int], int], c: Class) -> int | Fraction:
+    """The degree of the quartic part of c, by the Segre table."""
+    return sum(v * table[m] for m, v in part(c, 4).items())
+
+
+def _one_plus(D: tuple[int, int, int]) -> Class:
+    return {(0, 0, 0): 1, **linear(D)}
+
+
+def chern_class(i: int, delta: int, h12: int, a: int, d: int) -> Class:
+    """c(X) by Aluffi's formula, from (i, delta, h^{1,2}(Z), a, d) alone."""
+    c_Z = {(0, 0, 0): 1, (1, 0, 0): i, (2, 0, 0): Fraction(24, i * delta),
+           (3, 0, 0): Fraction(4 - 2 * h12, delta)}
+    # 1/(1 + d h), truncated: the powers of -d h up to h^4
+    inverse = {(n, 0, 0): (-d) ** n for n in range(5)}
+    return multiply(c_Z, _one_plus((0, 0, 1)), _one_plus((0, 1, -1)),
+                    _one_plus((-a, 1, 0)), _one_plus((d, 0, -1)), inverse)

@@ -251,12 +251,6 @@ def test_float_and_bool_scalars_are_rejected():
     with pytest.raises(TypeError):
         curve_combo(p, {CurveGen.F: True})
     with pytest.raises(TypeError):
-        2.0 * divisor(p, 1, 0, 0)
-    with pytest.raises(TypeError):
-        True * divisor(p, 1, 0, 0)
-    with pytest.raises(TypeError):
-        2.0 * curve_combo(p, {CurveGen.F: 1})
-    with pytest.raises(TypeError):
         from_alternate_basis(p, (0.5, 0, 0))
     # the constructors themselves, and _make and _replace through them,
     # refuse what divisor() and curve_combo() refuse
@@ -321,11 +315,12 @@ def test_curve_class_refuses_a_context_that_is_no_family():
 def test_classes_take_no_arithmetic():
     # a class is a tuple underneath: class * int must not repeat it, and
     # tuple + class or class + class must not join them; tuple * class is
-    # tuple's own repeat, which refuses a count that is no int
+    # tuple's own repeat, which refuses a count that is no int.  A float or
+    # bool scalar is refused as every other operand is
     p = FamilyParams(7, 1, 2)
     D, C = divisor(p, 1, 0, 0), curve_combo(p, {CurveGen.F: 1})
     for cls in (D, C):
-        for other in (2, Fraction(1, 2), (), (1, 0, 0), D, C):
+        for other in (2, 2.0, True, Fraction(1, 2), (), (1, 0, 0), D, C):
             for operation in (lambda: cls + other, lambda: other + cls,
                               lambda: cls - other, lambda: other - cls,
                               lambda: cls * other, lambda: other * cls):

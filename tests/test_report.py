@@ -320,7 +320,7 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
                 monkeypatch.setattr(module, attr, wrapper)
     build_all_records()
     # validate_params runs once per triple of enumerate_families' grid: the
-    # 28 families and 14 rejected triples, each built once as a FamilyParams
+    # 28 families, the only ones built, and 14 rejected triples
     validated = calls["validate_params"]
     assert sum(validated.values()) == 42
     assert set(validated.values()) == {1}
@@ -340,15 +340,77 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
         {"agree": 280, "at_least": 196, "integral": 173}
 
 
+def _library_op():
+    """One library op: the 28-family pass, verify_all and the three exports."""
+    records = build_all_records()
+    verify_all(records)
+    for fmt in ("json", "csv", "markdown"):
+        export(records, fmt)
+
+
+def _frames_entered(op):
+    """How many times each code object is entered in one warm run of op."""
+    import sys
+    from collections import Counter
+
+    op()   # every cache is warm
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_a_warm_pass_builds_only_the_28_families():
+    """enumerate_families validates each of the 42 triples of its grid once
+    and builds a FamilyParams only for the 28 admissible ones, through the
+    one builder of the class; the checked constructor is not entered."""
+    entered = _frames_entered(build_all_records)
+    assert entered[catalog_module.validate_params.__code__] == 42
+    assert entered[catalog_module._built.__code__] == 28
+    assert entered[FamilyParams.__new__.__code__] == 0
+
+
+def test_a_matching_op_diffs_only_the_table1_rows():
+    """Records that match tables 2 and 3 are compared with each table
+    whole: a warm op enters _diff only for the 7 rows of table 1."""
+    import fano4.report
+
+    entered = _frames_entered(_library_op)
+    assert entered[fano4.report._diff.__code__] == 7
+
+
+def test_records_out_of_table_order_give_the_same_report(records, monkeypatch):
+    # the by-label join and the whole-table comparison agree, on matching
+    # tables and on a table 3 that differs in one row
+    assert verify_all(records[::-1]) == verify_all(records)
+    assert verify_all(records[::-1]).ok
+    tables = golden_tables()
+    tampered = tables._replace(
+        table3=(tables.table3[0]._replace(chi_T=0),) + tables.table3[1:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+    report = verify_all(records)
+    assert verify_all(records[::-1]) == report
+    assert report.mismatches == (Mismatch("X^1_{0,1}", "chi_T", 0, -34),)
+
+
 @pytest.mark.parametrize("function", [
     "cones.ne_generators", "cones.nef_rays", "cones.cone_data", "report._diff",
 ])
 def test_the_per_family_functions_of_the_pass_build_no_cell(function):
     """The comprehension cells perf fact of PR 29: before Python 3.12 a
     comprehension that reads a local of its function makes that local a
-    cell, built on every call.  These functions run 84 + 63 times per pass,
-    so they use loops and hold no cell; from 3.12 on (PEP 709, inlined
-    comprehensions) this holds whichever is written."""
+    cell, built on every call.  The cone functions run 84 times per pass,
+    and ``_diff`` once per row of a table that differs (63 times when all
+    three do), so they use loops and hold no cell; from 3.12 on (PEP 709,
+    inlined comprehensions) this holds whichever is written."""
     import fano4.cones
     import fano4.report
 
@@ -380,32 +442,13 @@ def test_a_warm_library_op_enters_no_row_constructor():
     enters the generated ``__new__`` of a per-family row type or of the
     ``FamilyParams`` base, and only the two rows built once per op remain.
     ``_from_sums`` runs 28 times per pass and enters no comprehension."""
-    import sys
-    from collections import Counter
     from types import CodeType
 
     import fano4.classify
     import fano4.hodge
     import fano4.intersect
 
-    def op():
-        records = build_all_records()
-        verify_all(records)
-        for fmt in ("json", "csv", "markdown"):
-            export(records, fmt)
-
-    op()   # every cache is warm
-    entered = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered[frame.f_code] += 1
-
-    sys.setprofile(profile)
-    try:
-        op()
-    finally:
-        sys.setprofile(None)
+    entered = _frames_entered(_library_op)
     generated = _generated_constructors()
     per_family = {
         fano4.intersect.CanonicalDegrees, fano4.intersect.BundleInput,
@@ -438,6 +481,8 @@ def test_rows_built_unchecked_have_the_arity_of_their_class():
         assert cls(*value) == value
 
     for p in enumerate_families():
+        # enumerate_families builds its rows through catalog._built
+        assert_arity(p, FamilyParams)
         again = FamilyParams(*p)
         assert (p.is_admissible, p.threefold) == \
             (again.is_admissible, again.threefold)

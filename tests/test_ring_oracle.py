@@ -1,11 +1,14 @@
 """The Segre ring of ``ring_oracle`` against the records, table 2, the closed
-quartic form of D^4, the pairing table of ``fano4.cones`` and the nef rays.
+quartic form of D^4, the pairing table of ``fano4.cones`` and the nef rays,
+and its Chern class c(X) against the records, table 2 and Todd.
 
-Each test runs on all 28 families.  The oracle reads only (i, delta, a, d).
+Each test runs on all 28 families.  The oracle reads only (i, delta, a, d),
+and h^{1,2}(Z) for c(X).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -14,8 +17,9 @@ from fano4.catalog import enumerate_families
 from fano4.cones import CurveGen, RayLabel, nef_rays
 from fano4.golden import golden_tables
 from fano4.report import build_all_records
-from ring_oracle import (anticanonical, image_dimension, intersect,
-                         named_divisors, over_ring_basis, segre_table)
+from ring_oracle import (anticanonical, chern_class, image_dimension,
+                         integrate, intersect, linear, multiply,
+                         named_divisors, over_ring_basis, part, segre_table)
 
 FAMILIES = enumerate_families()
 
@@ -110,3 +114,50 @@ def test_image_dimension_of_every_nef_ray():
             counts[dimension] = counts.get(dimension, 0) + 1
     assert counts == {3: 28, 1: 10, 4: 60}
 
+
+
+def _chern_classes(p):
+    """c0..c4 of X by Aluffi's formula, from (i, delta, h^{1,2}(Z), a, d)."""
+    Z = p.threefold
+    c = chern_class(Z.index, Z.degree, Z.h12, p.a, p.d)
+    assert all(type(v) in (int, Fraction) for v in c.values())
+    return [part(c, k) for k in range(5)]
+
+
+def test_first_chern_class_is_the_anticanonical_class():
+    for p in FAMILIES:
+        _, antiK = _ring(p)
+        assert _chern_classes(p)[1] == linear(antiK), p.label
+
+
+def test_k2c2_of_the_chern_class_equals_the_record_and_table_2():
+    records = {r.label: r for r in build_all_records()}
+    table2 = {row.label: row for row in golden_tables().table2}
+    for p in FAMILIES:
+        table, _ = _ring(p)
+        _, c1, c2, _, _ = _chern_classes(p)
+        K2c2 = integrate(table, multiply(c1, c1, c2))
+        assert K2c2 == records[p.label].K2c2 == table2[p.label].K2c2, p.label
+
+
+def test_top_chern_class_is_the_euler_number_of_the_records():
+    # e(X) = sum (-1)^(p+q) h^{p,q} = 8 + h22 + 2 h13 - 4 h12 for rho = 3
+    records = {r.label: r for r in build_all_records()}
+    for p in FAMILIES:
+        table, _ = _ring(p)
+        r = records[p.label]
+        assert integrate(table, _chern_classes(p)[4]) == \
+            8 + r.h22 + 2 * r.h13 - 4 * r.h12, p.label
+
+
+def test_todd_genus_of_the_chern_class_is_one():
+    # chi(O_X) = (-c1^4 + 4 c1^2 c2 + 3 c2^2 + c1 c3 - c4)/720 = 1, as
+    # h^{0,q}(X) = 0 for q > 0 on a Fano 4-fold
+    for p in FAMILIES:
+        table, _ = _ring(p)
+        _, c1, c2, c3, c4 = _chern_classes(p)
+        numbers = [integrate(table, multiply(*factors)) for factors in (
+            (c1, c1, c1, c1), (c1, c1, c2), (c2, c2), (c1, c3), (c4,))]
+        weights = (-1, 4, 3, 1, -1)
+        todd = Fraction(sum(w * n for w, n in zip(weights, numbers)), 720)
+        assert todd == 1, p.label
