@@ -13,11 +13,12 @@ those entry points and the class constructors check a caller's input.
 A :class:`FamilyRecord` is the row: the json and csv exports write its
 fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
 the catalogue rows, with the reference rows, which use the same names.
-Records and reference rows are ``typing.NamedTuple`` classes: each diff runs
-over a reference row's ``_fields``, which must all be record fields.
-Mismatches are data, never exceptions, so a red table is an ordinary
-result, not a crash; only reference tables that are misaligned or name a field
-no record has raise IntegrityError.
+Records and reference rows are ``typing.NamedTuple`` classes.  One rule
+compares every reference table: whole, through one getter of the
+``_fields`` of its one row class, and a table that differs is explained row
+by row.  Mismatches are data, never exceptions, so a red table is an
+ordinary result, not a crash; only reference tables that are misaligned,
+mix row classes or name a field no record has raise IntegrityError.
 """
 
 from operator import attrgetter, eq
@@ -135,17 +136,19 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     default the 28 canonical ones, built here; an iterable is read once)
     against tables 2 and 3.
 
-    Table 1 must list the catalogue ids 1..7 in order, and tables 2 and 3 the
-    same families in the same order, naming only record fields, else
+    Table 1 must list the catalogue ids 1..7 in order, and tables 2 and 3
+    the same families in the same order; each table must hold rows of one
+    class, which for tables 2 and 3 names only record fields; else
     IntegrityError.  Each key of a reference row whose value differs from
     its catalogue row (family ``Z_<id>``) or record is one :class:`Mismatch`;
     the table-1 ones come first and count no family.  A family passes when
     it has exactly one record and no mismatch; the records whose label has
     no reference row fail as one family.
 
-    Records in table order are compared with each one-class table whole
-    (:func:`_matches`), and only a table that differs is diffed row by row;
-    any other input is joined to the tables by label, to the same report.
+    One rule compares every table: whole, through the getter of its row
+    class, with the catalogue or the records in table order; only a table
+    that differs is explained row by row (:func:`_diff`), and records out of
+    table order are joined to the tables by label, to the same report.
     """
     from .golden import golden_tables
 
@@ -158,17 +161,30 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     labels = [row.label for row in tables.table2]
     if labels != [row.label for row in tables.table3]:
         raise IntegrityError("reference tables 2 and 3 list different families")
+    for number, table in enumerate(tables, 1):
+        if len(set(map(type, table))) != 1:
+            raise IntegrityError(f"reference table {number} does not hold "
+                                 "rows of one class")
+    unknown = {*tables.table2[0]._fields, *tables.table3[0]._fields} - _RECORD_FIELDS
+    if unknown:
+        raise IntegrityError(f"reference row {labels[0]} names fields no "
+                             f"record has: {', '.join(sorted(unknown))}")
 
-    getters: dict[type, attrgetter] = {}   # this call's, for _diff
+    # each table whole, in a lazy map over the getter of its row class; one
+    # of a one-field class reads a value, never the 1-tuple, left to _diff
+    same1, same2, same3 = [
+        all(map(eq, map(attrgetter(*table[0]._fields), rows), table))
+        for rows, table in zip((threefolds, records, records), tables)]
     mismatches = []
-    for z, row in zip(threefolds, tables.table1):
-        mismatches += _diff(z.label, z, row, getters)
+    if not same1:
+        for z, row in zip(threefolds, tables.table1):
+            mismatches += _diff(z.label, z, row)
     # one record per family, in table order; the labels' dict is a third
     # of the size of their set
     in_order = (len(records) == len(labels) == len(dict.fromkeys(labels))
                 and all(map(eq, map(attrgetter("label"), records), labels)))
-    diff_families = not (in_order and _matches(records, tables.table2))
-    diff_tangents = not (in_order and _matches(records, tables.table3))
+    diff_families = not (in_order and same2)
+    diff_tangents = not (in_order and same3)
     if not (diff_families or diff_tangents):
         return VerificationReport(len(labels), 0, tuple(mismatches))
 
@@ -178,11 +194,6 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     passed = failed = 0
     for family_row, tangent_row in zip(tables.table2, tables.table3):
         label = family_row.label
-        if not (_RECORD_FIELDS.issuperset(family_row._fields)
-                and _RECORD_FIELDS.issuperset(tangent_row._fields)):
-            unknown = {*family_row._fields, *tangent_row._fields} - _RECORD_FIELDS
-            raise IntegrityError(f"reference row {label} names fields no "
-                                 f"record has: {', '.join(sorted(unknown))}")
         found = by_label.pop(label, [])
         if not found:
             family = [Mismatch(label, "label", label, None)]
@@ -192,9 +203,9 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
             # both rows hold the label, which the tables' alignment check
             # has matched already; the record found by it equals it too
             if diff_families:
-                family += _diff(label, found[0], family_row, getters)
+                family += _diff(label, found[0], family_row)
             if diff_tangents:
-                family += _diff(label, found[0], tangent_row, getters)
+                family += _diff(label, found[0], tangent_row)
         if family:
             failed += 1
             mismatches.extend(family)
@@ -206,35 +217,14 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
     return VerificationReport(passed, failed + len(by_label), tuple(mismatches))
 
 
-def _matches(records: list[FamilyRecord], table: tuple) -> bool:
-    """Whether ``table``, of one row class that names only record fields,
-    equals ``records`` row by row on the fields of that class.  A lazy
-    ``map`` over one getter compares them, so no computed row outlives its
-    comparison; any other table is False, to be diffed row by row."""
-    if len(set(map(type, table))) != 1:
-        return False
-    fields = table[0]._fields
-    return (_RECORD_FIELDS.issuperset(fields)
-            and all(map(eq, map(attrgetter(*fields), records), table)))
-
-
-def _diff(family: str, row: object, expected: tuple,
-          getters: dict[type, attrgetter]) -> list[Mismatch]:
+def _diff(family: str, row: object, expected: tuple) -> list[Mismatch]:
     """A Mismatch for each field of the reference row ``expected`` that
-    ``row`` differs on.  ``getters`` maps each reference-row class to the
-    getter of its ``_fields``, built on its first row and kept by the caller
-    for one verification only."""
-    get = getters.get(expected.__class__)
-    if get is None:
-        get = getters[expected.__class__] = attrgetter(*expected._fields)
-    computed = get(row)
-    if computed == expected:   # a matching row costs one tuple comparison
-        return []
-    fields = expected._fields
+    ``row`` differs on; it runs only for a table that differs."""
     # a loop, not a comprehension, which would make ``family`` a cell
     # built on every call before Python 3.12
     out = []
-    for key, want, got in zip(fields, expected, computed):
+    for key, want in zip(expected._fields, expected):
+        got = getattr(row, key)
         if got != want:
             out.append(Mismatch(family, key, want, got))
     return out

@@ -26,7 +26,9 @@ Proc. Cambridge Philos. Soc. 148, 2010), over c(Y) = c(Z)(1 + xi)(1 + xi - a h):
 with c(Z) = 1 + i H + (24/(i delta)) H^2 + (e(Z)/delta) H^3, since
 c2(Z).H = 24/i, and e(Z) = 4 - 2 h^{1,2}(Z).  A class is a dict from the
 exponents (i, j, k) of h^i xi^j E^k to its coefficient, truncated above
-degree 4.
+degree 4.  The Chern character and the Todd class, up to degree 4, give
+Hirzebruch-Riemann-Roch, chi(F) = int ch(F) td(X); a line bundle O_X(D) has
+c = 1 + D, so ch = exp(D).
 
 The module reads only the ints (i, delta, a, d), and h^{1,2}(Z) for c(X),
 computes in ints and ``Fraction``s, never floats, and imports nothing from
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _choices
+from math import factorial
 
 
 def segre_table(delta: int, a: int, d: int) -> dict[tuple[int, int, int], int]:
@@ -128,7 +131,8 @@ def integrate(table: dict[tuple[int, int, int], int], c: Class) -> int | Fractio
     return sum(v * table[m] for m, v in part(c, 4).items())
 
 
-def _one_plus(D: tuple[int, int, int]) -> Class:
+def one_plus(D: tuple[int, int, int]) -> Class:
+    """1 + D, the total Chern class of O_X(D)."""
     return {(0, 0, 0): 1, **linear(D)}
 
 
@@ -138,5 +142,49 @@ def chern_class(i: int, delta: int, h12: int, a: int, d: int) -> Class:
            (3, 0, 0): Fraction(4 - 2 * h12, delta)}
     # 1/(1 + d h), truncated: the powers of -d h up to h^4
     inverse = {(n, 0, 0): (-d) ** n for n in range(5)}
-    return multiply(c_Z, _one_plus((0, 0, 1)), _one_plus((0, 1, -1)),
-                    _one_plus((-a, 1, 0)), _one_plus((d, 0, -1)), inverse)
+    return multiply(c_Z, one_plus((0, 0, 1)), one_plus((0, 1, -1)),
+                    one_plus((-a, 1, 0)), one_plus((d, 0, -1)), inverse)
+
+
+def combine(*terms: tuple[int | Fraction, Class]) -> Class:
+    """The sum of weight * class over the (weight, class) pairs."""
+    out: Class = {}
+    for weight, c in terms:
+        for m, v in c.items():
+            out[m] = out.get(m, 0) + weight * v
+    return out
+
+
+def dual(c: Class) -> Class:
+    """The class with its degree-k part times (-1)^k: c(F*) from c(F), and
+    ch(F*) from ch(F)."""
+    return {m: (-1) ** sum(m) * v for m, v in c.items()}
+
+
+def chern_character(rank: int, c: Class) -> Class:
+    """ch of a bundle of rank ``rank`` and total Chern class c, up to degree
+    4: ch_k = p_k/k!, where the power sums p_k of the Chern roots follow
+    from Newton's identities, p_k = sum_{j<k} (-1)^(j-1) c_j p_(k-j) +
+    (-1)^(k-1) k c_k."""
+    cs = [part(c, k) for k in range(5)]
+    powers = [{(0, 0, 0): rank}]
+    for k in range(1, 5):
+        powers.append(combine(
+            *(((-1) ** (j - 1), multiply(cs[j], powers[k - j]))
+              for j in range(1, k)),
+            ((-1) ** (k - 1) * k, cs[k])))
+    return combine(*((Fraction(1, factorial(k)), p) for k, p in enumerate(powers)))
+
+
+def todd_class(c: Class) -> Class:
+    """td(X) from c(X), up to degree 4: 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24
+    + (-c1^4 + 4 c1^2 c2 + 3 c2^2 + c1 c3 - c4)/720."""
+    _, c1, c2, c3, c4 = (part(c, k) for k in range(5))
+    return combine(
+        (1, {(0, 0, 0): 1}), (Fraction(1, 2), c1),
+        (Fraction(1, 12), combine((1, multiply(c1, c1)), (1, c2))),
+        (Fraction(1, 24), multiply(c1, c2)),
+        (Fraction(1, 720), combine(
+            (-1, multiply(c1, c1, c1, c1)), (4, multiply(c1, c1, c2)),
+            (3, multiply(c2, c2)), (1, multiply(c1, c3)), (-1, c4))))
+

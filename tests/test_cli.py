@@ -274,6 +274,22 @@ def test_verify_exit_two_on_a_reference_field_no_record_has(capsys, monkeypatch)
                    "names fields no record has: extra\n")
 
 
+def test_verify_exit_two_on_a_table_of_mixed_row_classes(capsys, monkeypatch):
+    ChiRow = collections.namedtuple("ChiRow", ("label", "chi_T"))
+
+    tables = golden_tables()
+    row = tables.table2[5]
+    mixed = tables._replace(table2=tables.table2[:5]
+                            + (ChiRow(row.label, tables.table3[5].chi_T),)
+                            + tables.table2[6:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: mixed)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency error: reference table 2 does not "
+                   "hold rows of one class\n")
+
+
 def test_verify_prints_an_enum_mismatch_as_its_values(capsys, monkeypatch):
     tables = golden_tables()
     k = [row.label for row in tables.table2].index("X^7_{0,1}")

@@ -28,11 +28,13 @@ ALGEBRA = "exact_algebra workload"
 DEMO = "demo 02"
 INPUT = "checks caller input"
 PROTOCOL = "value-type protocol"
+EXPLAIN = "explains a reference table that differs"
 
 #: every def that no product path enters, with the reason it stays
 UNREACHED = {
     "fano4.__dir__": "PEP 562 dir()",
     "catalog.FamilyParams.__setattr__": "immutability guard",
+    "catalog.FanoThreefold.label": EXPLAIN,
     "cli.run": "process entry point, run in a child",
     "cones._load_fraction": ALGEBRA,
     "cones._exact": ALGEBRA,
@@ -59,6 +61,7 @@ UNREACHED = {
     "intersect.projective_bundle_invariants": ALGEBRA,
     "intersect.surface_blowup_invariants": ALGEBRA,
     "intersect.riemann_roch_chi": ALGEBRA,
+    "report._diff": EXPLAIN,
 }
 
 #: run by a fresh interpreter: the product paths under a profiler that keeps

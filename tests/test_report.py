@@ -378,13 +378,35 @@ def test_a_warm_pass_builds_only_the_28_families():
     assert entered[FamilyParams.__new__.__code__] == 0
 
 
-def test_a_matching_op_diffs_only_the_table1_rows():
-    """Records that match tables 2 and 3 are compared with each table
-    whole: a warm op enters _diff only for the 7 rows of table 1."""
+def test_a_matching_op_diffs_no_row():
+    """Every reference table, table 1 included, is compared whole: a warm
+    op whose tables all match enters _diff for no row."""
     import fano4.report
 
     entered = _frames_entered(_library_op)
-    assert entered[fano4.report._diff.__code__] == 7
+    assert entered[fano4.report._diff.__code__] == 0
+
+
+def test_a_table_that_differs_is_diffed_alone(records, monkeypatch):
+    """One table-3 row that differs makes _diff explain each of the 28 rows
+    of table 3, and no row of tables 1 and 2."""
+    import fano4.report
+
+    tables = golden_tables()
+    tampered = tables._replace(
+        table3=tables.table3[:-1] + (tables.table3[-1]._replace(h0_T=15),))
+    monkeypatch.setattr(golden, "golden_tables", lambda: tampered)
+    diffed = []
+    diff = fano4.report._diff
+
+    def counted(family, row, expected):
+        diffed.append(type(expected))
+        return diff(family, row, expected)
+
+    monkeypatch.setattr(fano4.report, "_diff", counted)
+    report = verify_all(records)
+    assert diffed == [GoldenTangentRow] * 28
+    assert report.mismatches == (Mismatch("X^7_{3,6}", "h0_T", 15, 16),)
 
 
 def test_records_out_of_table_order_give_the_same_report(records, monkeypatch):
@@ -648,9 +670,11 @@ def test_verify_all_names_each_tampered_table1_field(records, monkeypatch, field
             Mismatch(f"Z_{row.id}", field, getattr(bad, field), getattr(row, field)),)
 
 
-def test_verify_all_diffs_each_row_by_its_own_fields(records, monkeypatch):
-    """A table 2 that mixes two row classes is diffed by each row's own
-    fields, and the field getters do not outlive the call."""
+def test_verify_all_refuses_a_table_of_mixed_row_classes(records, monkeypatch):
+    """Each reference table holds rows of one class, compared through one
+    getter of its fields: a table 2 with one row of another class, of two
+    fields or of the label alone, is malformed reference data, and the
+    getters of a normal call, matching or not, do not outlive it."""
     import gc
     from operator import attrgetter
     from typing import NamedTuple
@@ -659,23 +683,62 @@ def test_verify_all_diffs_each_row_by_its_own_fields(records, monkeypatch):
         label: str
         chi_T: int
 
-    tables = golden_tables()
-    row = tables.table2[5]
-    chi_T = tables.table3[5].chi_T
-    mixed = tables._replace(table2=tables.table2[:5]
-                            + (ChiRow(row.label, chi_T + 1),)
-                            + tables.table2[6:])
-    monkeypatch.setattr(golden, "golden_tables", lambda: mixed)
+    class LabelRow(NamedTuple):
+        label: str
 
     def getters():
         return sum(type(o) is attrgetter for o in gc.get_objects())
 
     before = getters()
-    result = verify_all(records)
+    assert verify_all(records).ok
+    tables = golden_tables()
+    differs = tables._replace(table2=(tables.table2[0]._replace(K4=46),)
+                              + tables.table2[1:])
+    monkeypatch.setattr(golden, "golden_tables", lambda: differs)
+    assert verify_all(records).mismatches == (Mismatch("X^1_{0,1}", "K4", 46, 47),)
     assert getters() == before
-    assert (result.pass_count, result.fail_count) == (27, 1)
-    assert result.mismatches == (
-        Mismatch(row.label, "chi_T", chi_T + 1, chi_T),)
+
+    row = tables.table2[5]
+    for odd in (ChiRow(row.label, tables.table3[5].chi_T + 1), LabelRow(row.label)):
+        mixed = tables._replace(
+            table2=tables.table2[:5] + (odd,) + tables.table2[6:])
+        monkeypatch.setattr(golden, "golden_tables", lambda: mixed)
+        with pytest.raises(IntegrityError, match=(
+                r"^reference table 2 does not hold rows of one class$")):
+            verify_all(records)
+
+
+def test_a_table_of_one_field_rows_verifies(records, monkeypatch):
+    """The getter of a one-field row class reads a value, never its row's
+    1-tuple; _diff explains such a table field by field, so a table 2 that
+    holds only the labels matches the records."""
+    from typing import NamedTuple
+
+    class LabelRow(NamedTuple):
+        label: str
+
+    tables = golden_tables()
+    labels_only = tables._replace(
+        table2=tuple(LabelRow(row.label) for row in tables.table2))
+    monkeypatch.setattr(golden, "golden_tables", lambda: labels_only)
+    assert verify_all(records) == (28, 0, ())
+    assert verify_all(records[::-1]) == (28, 0, ())
+
+
+def test_a_family_listed_twice_fails_as_two(records, monkeypatch):
+    """Row 0 of tables 2 and 3 in place of row 1: the uniqueness test sends
+    the records to the by-label join, where the second X^1_{0,1} finds no
+    record and the X^1_{1,2} record finds no row."""
+    tables = golden_tables()
+    listed_twice = tables._replace(**{
+        name: (rows[0], rows[0]) + rows[2:]
+        for name, rows in (("table2", tables.table2), ("table3", tables.table3))})
+    monkeypatch.setattr(golden, "golden_tables", lambda: listed_twice)
+    report = verify_all(records)
+    assert (report.pass_count, report.fail_count) == (27, 2)
+    assert report.mismatches == (
+        Mismatch("X^1_{0,1}", "label", "X^1_{0,1}", None),
+        Mismatch("X^1_{1,2}", "label", None, "X^1_{1,2}"))
 
 
 def test_verify_all_names_a_mistyped_catalogue_degree(records, monkeypatch):
@@ -718,13 +781,19 @@ def test_verify_all_detects_missing_record(records):
 
 
 def test_verify_all_detects_duplicate_record(records):
-    result = verify_all(records + [records[16]])
-    assert not result.ok
-    assert (result.pass_count, result.fail_count) == (27, 1)
-    assert len(result.mismatches) == 1
-    m = result.mismatches[0]
-    assert (m.family, m.field) == ("X^7_{0,1}", "label")
-    assert m.computed == "2 records"
+    # of two records of one family, the first is the one diffed: a changed
+    # second copy adds only the "2 records" mismatch, a changed first copy
+    # its field mismatch too
+    two_records = Mismatch("X^7_{0,1}", "label", "1 record", "2 records")
+    changed = records[16]._replace(K4=430)
+    for given, mismatches in (
+            (records + [records[16]], (two_records,)),
+            (records + [changed], (two_records,)),
+            (records[:16] + [changed] + records[17:] + [records[16]],
+             (two_records, Mismatch("X^7_{0,1}", "K4", 431, 430)))):
+        result = verify_all(given)
+        assert (result.pass_count, result.fail_count) == (27, 1)
+        assert result.mismatches == mismatches
 
 
 def _k4_without(record, name):
