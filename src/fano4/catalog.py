@@ -33,9 +33,24 @@ class _ValueEnum(str, Enum):
 
 
 def _checked_tuple(name: str, fields: list[tuple[str, type]]) -> type:
-    """A ``NamedTuple`` base for a class that checks its fields in
-    ``__new__``: its ``_make``, and so ``_replace``, runs that constructor."""
+    """A ``NamedTuple`` base whose constructor refuses, with a TypeError
+    naming the class and the field, any value whose type is not exactly the
+    declared one (so a bool is no int, a float no int, a plain str no enum
+    member); its ``_make``, and so ``_replace``, runs the constructor.  A
+    class that checks its fields itself overrides ``__new__``."""
     base = NamedTuple(name, fields)
+    generated = base.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = generated(cls, *args, **kwargs)
+        for (field, kind), value in zip(fields, self):
+            if type(value) is not kind:
+                raise TypeError(f"{cls.__name__}.{field}: expected "
+                                f"{kind.__name__}, got {value!r}")
+        return self
+
+    __new__.__wrapped__ = generated   # inspect.signature shows the fields
+    base.__new__ = __new__
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 
@@ -55,22 +70,14 @@ class FanoThreefold(_checked_tuple("FanoThreefold", [
 
     ``degree`` is delta = H^3 for the ample generator H of Pic(Z); ``h12`` is
     the Hodge number h^{1,2}(Z); ``h0_tangent``/``h1_tangent`` are the
-    dimensions of H^0 and H^1 of the tangent sheaf.  The constructor, which
-    ``_make`` and ``_replace`` also run, checks the column types.  Reference
-    table 1 uses these names, and ``minus_K3``.
+    dimensions of H^0 and H^1 of the tangent sheaf.  The constructor of
+    ``_checked_tuple``, which ``_make`` and ``_replace`` also run, checks the
+    column types: the closed forms trust them, and a float or a bool would
+    pass through them as a plausible number.  Reference table 1 uses these
+    names, and ``minus_K3``.
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> FanoThreefold:
-        self = super().__new__(cls, *args, **kwargs)
-        # the closed forms trust these columns: a float or a bool would pass
-        # through them as a plausible number
-        numbers = (self.id, self.index, self.degree, self.h12,
-                   self.h0_tangent, self.h1_tangent)
-        if any(type(v) is not int for v in numbers) or type(self.rational) is not bool:
-            raise TypeError(f"mistyped catalogue row {self!r}")
-        return self
 
     @property
     def minus_K3(self) -> int:
@@ -78,7 +85,7 @@ class FanoThreefold(_checked_tuple("FanoThreefold", [
         return self.index**3 * self.degree
 
     @property
-    def label(self) -> str:   # in check messages and the table-1 diff
+    def label(self) -> str:   # in check messages, info and the table-1 diff
         return f"Z_{self.id}"
 
 

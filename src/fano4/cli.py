@@ -110,7 +110,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     cone = cones.cone_data(params)
     record, = report.build_records([params])
     Z = params.threefold
-    print(f"{record.label}: family over Z_{Z.id} ({Z.description}), "
+    print(f"{record.label}: family over {Z.label} ({Z.description}), "
           f"a={params.a}, d={params.d}")
     print(f"  base 3-fold: index {Z.index}, degree {Z.degree}, "
           f"h^{{1,2}} = {Z.h12}")

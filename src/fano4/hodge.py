@@ -192,7 +192,7 @@ def blowup_formula(eW: HodgePolynomial, eV: HodgePolynomial, c: int) -> HodgePol
     return eW + eV * _exceptional_factor(c)
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=16)
 def _exceptional_factor(c: int) -> HodgePolynomial:
     """e(P^{c-1}) - e(P^0): what a codimension-c centre adds per point."""
     return projective_space(c - 1) - projective_space(0)
@@ -228,7 +228,7 @@ def _threefold_hodge(h12: int) -> HodgePolynomial:
     })
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=16)
 def _bundle_over_threefold(h12: int) -> HodgePolynomial:
     """e(Z)*e(P^1) for every 3-fold Z with h^{1,2}(Z) = h12."""
     return bundle_formula(_threefold_hodge(h12), 1)

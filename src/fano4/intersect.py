@@ -21,21 +21,19 @@ chi(O(-K)) from K^4 and K^2.c2 by Riemann-Roch.  The first two routes, and
 is exact and no floats enter this module:
 each chi(O(-K)) formula is one integer numerator over a fixed denominator
 (6, 2 or 12) that must divide it, and ``fractions`` loads only for a p/q.  A
-float or bool input raises TypeError: ``FamilyParams`` refuses one in a
-triple, and the three raw-number operations (the two above and
-:func:`riemann_roch_chi`) refuse one in their own input, then run a private
-formula core.  The family-level functions trust the ``FamilyParams`` they
-take, so :func:`p1_bundle_invariants` and :func:`fano4_invariants` call those
-cores directly with the ints they compute from it; every cross-check still
-runs.  The rows they compute are built unchecked by ``_built``: only a
-caller's rows are checked, by the raw-number operations (types) and the
-class constructors (field count).
+float or bool input raises TypeError where it enters: ``FamilyParams``
+refuses one in a triple, the constructors of the three row types in a field
+(``catalog._checked_tuple``), and :func:`riemann_roch_chi` in its three
+ints.  Each formula is stated once, and the family-level functions call the
+same functions as a caller does.  The rows this module computes are built
+unchecked by ``_built``, from ints it computed from a checked
+``FamilyParams``.
 """
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from .catalog import FamilyParams, require_admissible
+from .catalog import FamilyParams, _checked_tuple, require_admissible
 from .errors import agree, at_least, integral
 from .hodge import surface_h02
 
@@ -50,39 +48,33 @@ __all__ = _EXPORTS["intersect"]
 _built = tuple.__new__
 
 
-class BundleInput(NamedTuple):
+class BundleInput(_checked_tuple("BundleInput", [
+        ("KW3", int),       # K_W^3
+        ("KW_c1sq", int),   # K_W . c1(E)^2
+        ("KW_c2E", int),    # K_W . c2(E)
+        ("KW_c2W", int),    # K_W . c2(W)
+        ("chi_O", int)])):  # chi(O_{P(E)})
     """Intersection numbers on a smooth 3-fold W carrying a rank-2 bundle E."""
 
-    KW3: int        # K_W^3
-    KW_c1sq: int    # K_W . c1(E)^2
-    KW_c2E: int     # K_W . c2(E)
-    KW_c2W: int     # K_W . c2(W)
-    chi_O: int      # chi(O_{P(E)})
+    __slots__ = ()
 
 
-class BlowupCentreData(NamedTuple):
+class BlowupCentreData(_checked_tuple("BlowupCentreData", [
+        ("KYV_sq", int),     # (K_Y|V)^2
+        ("KV_KYV", int),     # K_V . K_Y|V
+        ("KV_sq", int),      # K_V^2
+        ("c2N", int),        # c2(N_{V/Y})
+        ("chi_OV", int)])):  # chi(O_V)
     """Intersection numbers of a smooth surface V inside a smooth 4-fold Y."""
 
-    KYV_sq: int     # (K_Y|V)^2
-    KV_KYV: int     # K_V . K_Y|V
-    KV_sq: int      # K_V^2
-    c2N: int        # c2(N_{V/Y})
-    chi_OV: int     # chi(O_V)
+    __slots__ = ()
 
 
-class CanonicalDegrees(NamedTuple):
+class CanonicalDegrees(_checked_tuple("CanonicalDegrees", [
+        ("K4", int), ("K2c2", int), ("chi_antiK", int)])):
     """K^4, K^2.c2 and chi(O(-K)) of a smooth projective 4-fold."""
 
-    K4: int
-    K2c2: int
-    chi_antiK: int
-
-
-def _check_ints(what: str, values: Iterable[int]) -> None:
-    """TypeError unless each value is an int (a bool would pass for 0 or 1)."""
-    for v in values:  # a loop: any() would cost a generator per call
-        if type(v) is not int:
-            raise TypeError(f"{what}: expected ints, got {v!r}")
+    __slots__ = ()
 
 
 def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
@@ -93,11 +85,6 @@ def projective_bundle_invariants(data: BundleInput) -> CanonicalDegrees:
     (iii) chi(-K)  = chi(O) + 6 K_W.c2(E)
                      - (3 K_W^3 + 3 K_W.c1(E)^2)/2 - K_W.c2(W)/3
     """
-    _check_ints("the bundle input", data)
-    return _bundle_degrees(data)
-
-
-def _bundle_degrees(data: BundleInput) -> CanonicalDegrees:
     K4 = -8 * data.KW_c1sq + 32 * data.KW_c2E - 8 * data.KW3
     K2c2 = -2 * data.KW_c1sq + 8 * data.KW_c2E - 2 * data.KW3 - 4 * data.KW_c2W
     chi6 = (6 * data.chi_O + 36 * data.KW_c2E
@@ -114,12 +101,6 @@ def surface_blowup_invariants(base: CanonicalDegrees,
     (ii)  K^2.c2  = K_Y^2.c2 - 12 chi(O_V) + 2 K_V^2 - 2 K_V.K_Y|V - 2 c2(N)
     (iii) chi(-K) = chi(O_Y(-K_Y)) - chi(O_V) - ((K_Y|V)^2 + K_V.K_Y|V)/2
     """
-    _check_ints("the blow-up input", (*base, *centre))
-    return _blowup_degrees(base, centre)
-
-
-def _blowup_degrees(base: CanonicalDegrees,
-                    centre: BlowupCentreData) -> CanonicalDegrees:
     K4 = (base.K4 - 3 * centre.KYV_sq - 2 * centre.KV_KYV
           + centre.c2N - centre.KV_sq)
     K2c2 = (base.K2c2 - 12 * centre.chi_OV + 2 * centre.KV_sq
@@ -136,11 +117,9 @@ def riemann_roch_chi(K4: int, K2c2: int, chi_O: int) -> "int | Fraction":
     else the exact Fraction (only then is ``fractions`` imported); callers
     assert integrality where they are entitled to it.  A float or bool
     argument raises TypeError."""
-    _check_ints("K^4, K^2.c2 and chi(O)", (K4, K2c2, chi_O))
-    return _riemann_roch(K4, K2c2, chi_O)
-
-
-def _riemann_roch(K4: int, K2c2: int, chi_O: int) -> "int | Fraction":
+    if type(K4) is not int or type(K2c2) is not int or type(chi_O) is not int:
+        raise TypeError(f"K^4, K^2.c2 and chi(O) must be three ints, got "
+                        f"{(K4, K2c2, chi_O)!r}")
     numerator = 12 * chi_O + 2 * K4 + K2c2
     quotient, remainder = divmod(numerator, 12)
     if remainder:
@@ -193,7 +172,7 @@ def p1_bundle_invariants(params: FamilyParams) -> CanonicalDegrees:
     chi = integral(params, "chi(O_Y(-K_Y))", 18 + 3 * core, 2)
     closed = _built(CanonicalDegrees, (8 * core, 2 * core + 96, chi))
     return agree(params, "bundle degrees", "closed", closed, "generic",
-                 _bundle_degrees(split_bundle_base(params)))
+                 projective_bundle_invariants(split_bundle_base(params)))
 
 
 def k4_closed_terms(params: FamilyParams) -> dict[str, int]:
@@ -247,11 +226,11 @@ def fano4_invariants(params: FamilyParams) -> CanonicalDegrees:
     require_admissible(params)
     closed = agree(
         params, "canonical degrees", "closed", closed_degrees(params),
-        "pipeline", _blowup_degrees(p1_bundle_invariants(params),
-                                    surface_centre(params)))
+        "pipeline", surface_blowup_invariants(p1_bundle_invariants(params),
+                                              surface_centre(params)))
     K4, K2c2, chi = closed
     agree(params, "chi(O(-K))", "closed", chi, "Riemann-Roch",
-          _riemann_roch(K4, K2c2, 1))
+          riemann_roch_chi(K4, K2c2, 1))
     at_least(params, "K^4", K4, 1)
     at_least(params, "h^0(-K)", chi, 1)
     return closed

@@ -6,10 +6,10 @@ The 28-family pass, :func:`build_all_records` (behind :func:`verify_all` and
 family before it, as ``fano4 info`` does for its one family.  Each failure
 names the family once (see :mod:`fano4.errors`).  The layers take each
 family as a ``FamilyParams``, which checked its triple when it was built,
-and check no type of it again; the pass calls the formula cores of the
-raw-number functions of ``intersect``, not their type checks, and builds
-every row it computes unchecked, a :class:`FamilyRecord` included; only
-those entry points and the class constructors check a caller's input.
+and check no type of it again; the pass calls the same ``intersect``
+formulas as a caller does, and builds every row it computes unchecked, a
+:class:`FamilyRecord` included; only the class constructors, and
+``intersect.riemann_roch_chi`` for its three ints, check a caller's input.
 A :class:`FamilyRecord` is the row: the json and csv exports write its
 fields, ``fano4 info`` prints them, and :func:`verify_all` compares them, and
 the catalogue rows, with the reference rows, which use the same names.
@@ -18,14 +18,15 @@ compares every reference table: whole, through one getter of the
 ``_fields`` of its one row class, and a table that differs is explained row
 by row.  Mismatches are data, never exceptions, so a red table is an
 ordinary result, not a crash; only reference tables that are misaligned,
-mix row classes or name a field no record has raise IntegrityError.
+mix row classes or name a field no catalogue row or record has raise
+IntegrityError.
 """
 
 from operator import attrgetter, eq
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS, classify, cones, hodge, intersect
-from .catalog import FamilyParams, catalog, enumerate_families
+from .catalog import FamilyParams, FanoThreefold, catalog, enumerate_families
 from .errors import IntegrityError
 
 __all__ = _EXPORTS["report"]
@@ -138,9 +139,10 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
 
     Table 1 must list the catalogue ids 1..7 in order, and tables 2 and 3
     the same families in the same order; each table must hold rows of one
-    class, which for tables 2 and 3 names only record fields; else
-    IntegrityError.  Each key of a reference row whose value differs from
-    its catalogue row (family ``Z_<id>``) or record is one :class:`Mismatch`;
+    class, which names only catalogue row fields, ``minus_K3`` included
+    (table 1), or record fields (tables 2 and 3); else IntegrityError.  Each
+    key of a reference row whose value differs from its catalogue row
+    (family ``Z_<id>``) or record is one :class:`Mismatch`;
     the table-1 ones come first and count no family.  A family passes when
     it has exactly one record and no mismatch; the records whose label has
     no reference row fail as one family.
@@ -165,10 +167,15 @@ def verify_all(records: list[FamilyRecord] | None = None) -> VerificationReport:
         if len(set(map(type, table))) != 1:
             raise IntegrityError(f"reference table {number} does not hold "
                                  "rows of one class")
-    unknown = {*tables.table2[0]._fields, *tables.table3[0]._fields} - _RECORD_FIELDS
-    if unknown:
-        raise IntegrityError(f"reference row {labels[0]} names fields no "
-                             f"record has: {', '.join(sorted(unknown))}")
+    for label, fields, known, kind in (
+            (threefolds[0].label, tables.table1[0]._fields, _THREEFOLD_FIELDS,
+             "catalogue row"),
+            (labels[0], (*tables.table2[0]._fields, *tables.table3[0]._fields),
+             _RECORD_FIELDS, "record")):
+        unknown = set(fields) - known
+        if unknown:
+            raise IntegrityError(f"reference row {label} names fields no "
+                                 f"{kind} has: {', '.join(sorted(unknown))}")
 
     # each table whole, in a lazy map over the getter of its row class; one
     # of a one-field class reads a value, never the 1-tuple, left to _diff
@@ -231,6 +238,7 @@ def _diff(family: str, row: object, expected: tuple) -> list[Mismatch]:
 
 
 _RECORD_FIELDS = frozenset(FamilyRecord._fields)
+_THREEFOLD_FIELDS = frozenset((*FanoThreefold._fields, "minus_K3"))
 
 EXPORT_FIELDS = FamilyRecord._fields
 

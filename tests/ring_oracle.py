@@ -38,7 +38,6 @@ computes in ints and ``Fraction``s, never floats, and imports nothing from
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _choices
 from math import factorial
 
 
@@ -59,16 +58,9 @@ def segre_table(delta: int, a: int, d: int) -> dict[tuple[int, int, int], int]:
 
 
 def intersect(table: dict[tuple[int, int, int], int], *divisors) -> int:
-    """D1 D2 D3 D4 for four divisors over (h, xi, E), 4-linear in each."""
-    total = 0
-    for picks in _choices(range(3), repeat=4):
-        coefficient = 1
-        for D, n in zip(divisors, picks):
-            coefficient *= D[n]
-        if coefficient:
-            total += coefficient * table[(picks.count(0), picks.count(1),
-                                          picks.count(2))]
-    return total
+    """D1 D2 D3 D4 for four divisors over (h, xi, E): the degree of their
+    product in the ring."""
+    return integrate(table, multiply(*map(linear, divisors)))
 
 
 def over_ring_basis(coords: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from importlib import import_module
 
 import pytest
@@ -15,6 +16,7 @@ from fano4.catalog import (
     validate_params,
 )
 from fano4.errors import ConsistencyError, IntegrityError
+from fano4.intersect import BlowupCentreData, BundleInput, CanonicalDegrees
 
 
 def brute_force_admissible(index: int, a_max: int, d_max: int) -> set[tuple[int, int]]:
@@ -117,10 +119,51 @@ def test_threefold_rejects_non_int_id(z_id):
 def test_catalogue_rows_reject_mistyped_columns(column, value):
     # unchecked, a float degree makes the closed K^4 431.0, a bool index 5
     row = threefold(7)
-    with pytest.raises(TypeError, match="mistyped catalogue row"):
+    with pytest.raises(TypeError, match=rf"^FanoThreefold\.{column}: "):
         FanoThreefold(**{**row._asdict(), column: value})
-    with pytest.raises(TypeError, match="mistyped catalogue row"):
+    with pytest.raises(TypeError, match=rf"^FanoThreefold\.{column}: "):
         row._replace(**{column: value})
+
+
+#: one valid row of each class built on ``_checked_tuple`` without a
+#: ``__new__`` of its own; each value's type is its field's declared type
+CHECKED_ROWS = (
+    threefold(7),
+    BundleInput(-64, 0, 0, -24, 1),
+    BlowupCentreData(16, 12, 9, 0, 1),
+    CanonicalDegrees(512, 224, 105),
+)
+
+#: declared type -> values of another type that pass for one of it
+MISTYPED = {int: (1.0, True), bool: (1,), str: (HBaseLocus.EMPTY,),
+            HBaseLocus: ("empty",)}
+
+#: how a caller builds a row with one field changed
+BUILDS = {
+    "constructor": lambda row, field, value: type(row)(
+        **{**row._asdict(), field: value}),
+    "_make": lambda row, field, value: type(row)._make(
+        value if name == field else old for name, old in row._asdict().items()),
+    "_replace": lambda row, field, value: row._replace(**{field: value}),
+}
+
+
+@pytest.mark.parametrize("row,field,value,build", [
+    pytest.param(row, field, value, build,
+                 id=f"{type(row).__name__}-{field}-{type(value).__name__}-{build}")
+    for row in CHECKED_ROWS for field, good in row._asdict().items()
+    for value in MISTYPED[type(good)] for build in BUILDS])
+def test_a_checked_row_refuses_each_mistyped_field(row, field, value, build):
+    make = BUILDS[build]
+    assert make(row, field, getattr(row, field)) == row   # the valid value
+    with pytest.raises(TypeError,
+                       match=rf"^{type(row).__name__}\.{field}: expected "):
+        make(row, field, value)
+
+
+@pytest.mark.parametrize("row", CHECKED_ROWS, ids=lambda row: type(row).__name__)
+def test_a_checked_row_class_keeps_its_fields_as_its_signature(row):
+    assert tuple(inspect.signature(type(row)).parameters) == row._fields
 
 
 def test_validate_params_examples():

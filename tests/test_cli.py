@@ -274,6 +274,22 @@ def test_verify_exit_two_on_a_reference_field_no_record_has(capsys, monkeypatch)
                    "names fields no record has: extra\n")
 
 
+def test_verify_exit_two_on_a_table1_field_no_catalogue_row_has(capsys,
+                                                               monkeypatch):
+    WiderRow = collections.namedtuple(
+        "WiderRow", (*golden.GoldenThreefold._fields, "extra"), defaults=(0,))
+
+    tables = golden_tables()
+    wider = tables._replace(
+        table1=tuple(WiderRow(**row._asdict()) for row in tables.table1))
+    monkeypatch.setattr(golden, "golden_tables", lambda: wider)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert err == ("internal consistency error: reference row Z_1 "
+                   "names fields no catalogue row has: extra\n")
+
+
 def test_verify_exit_two_on_a_table_of_mixed_row_classes(capsys, monkeypatch):
     ChiRow = collections.namedtuple("ChiRow", ("label", "chi_T"))
 

@@ -296,7 +296,7 @@ def test_positivity_guard_fires_when_every_route_agrees(monkeypatch):
     # which Riemann-Roch also gives: 1 + (2*0 - 12)/12 = 0
     monkeypatch.setattr(intersect, "closed_degrees",
                         lambda params: CanonicalDegrees(0, -12, 0))
-    monkeypatch.setattr(intersect, "_blowup_degrees",
+    monkeypatch.setattr(intersect, "surface_blowup_invariants",
                         lambda base, centre: CanonicalDegrees(0, -12, 0))
     assert riemann_roch_chi(0, -12, 1) == 0
     with pytest.raises(IntegrityError) as exc:

@@ -34,7 +34,6 @@ EXPLAIN = "explains a reference table that differs"
 UNREACHED = {
     "fano4.__dir__": "PEP 562 dir()",
     "catalog.FamilyParams.__setattr__": "immutability guard",
-    "catalog.FanoThreefold.label": EXPLAIN,
     "cli.run": "process entry point, run in a child",
     "cones._load_fraction": ALGEBRA,
     "cones._exact": ALGEBRA,
@@ -57,10 +56,6 @@ UNREACHED = {
     "hodge.HodgePolynomial.__hash__": PROTOCOL,
     "hodge.HodgePolynomial.__repr__": PROTOCOL,
     "hodge.hodge_of_threefold": DEMO,
-    "intersect._check_ints": ALGEBRA,
-    "intersect.projective_bundle_invariants": ALGEBRA,
-    "intersect.surface_blowup_invariants": ALGEBRA,
-    "intersect.riemann_roch_chi": ALGEBRA,
     "report._diff": EXPLAIN,
 }
 

@@ -179,12 +179,12 @@ RECORD_FAULTS = {
                                  lambda e: e + _H13, hodge_of_fourfold,
                                  _HODGE_MESSAGE),
     "bundle_generic_form": (
-        "intersect", "_bundle_degrees",
+        "intersect", "projective_bundle_invariants",
         lambda c: c._replace(K4=c.K4 + 8), fano4_invariants,
         "X^6_{2,4}: bundle degrees disagree: closed CanonicalDegrees(K4=624, "
         "K2c2=252, chi_antiK=126), generic CanonicalDegrees(K4=632, K2c2=252, "
         "chi_antiK=126)"),
-    "riemann_roch": ("intersect", "_riemann_roch", lambda chi: chi + 1,
+    "riemann_roch": ("intersect", "riemann_roch_chi", lambda chi: chi + 1,
                      fano4_invariants,
                      "X^6_{2,4}: chi(O(-K)) disagree: closed 40, "
                      "Riemann-Roch 41"),
@@ -296,8 +296,10 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     import fano4.hodge
     import fano4.intersect
 
-    calls = {"validate_params": Counter(), "_check_ints": Counter(),
-             "surface_h02": Counter(), "agree": Counter(),
+    calls = {"validate_params": Counter(), "surface_h02": Counter(),
+             "projective_bundle_invariants": Counter(),
+             "surface_blowup_invariants": Counter(),
+             "riemann_roch_chi": Counter(), "agree": Counter(),
              "at_least": Counter(), "integral": Counter()}
 
     def counted(name, original):
@@ -310,10 +312,11 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     # rebind every name a fano4 module holds for each function, so that a
     # by-name import cannot hide a call
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "fano4"]
-    for original in (fano4.catalog.validate_params,
-                     fano4.intersect._check_ints, fano4.hodge.surface_h02,
-                     fano4.errors.agree, fano4.errors.at_least,
-                     fano4.errors.integral):
+    for original in (fano4.catalog.validate_params, fano4.hodge.surface_h02,
+                     fano4.intersect.projective_bundle_invariants,
+                     fano4.intersect.surface_blowup_invariants,
+                     fano4.intersect.riemann_roch_chi, fano4.errors.agree,
+                     fano4.errors.at_least, fano4.errors.integral):
         wrapper = counted(original.__name__, original)
         for module in modules:
             for attr in [a for a, v in vars(module).items() if v is original]:
@@ -324,9 +327,11 @@ def test_a_warm_pass_checks_each_triple_once(monkeypatch):
     validated = calls["validate_params"]
     assert sum(validated.values()) == 42
     assert set(validated.values()) == {1}
-    # _check_ints guards raw numbers from callers; the pass runs the formula
-    # cores on ints it computed from checked FamilyParams
-    assert sum(calls["_check_ints"].values()) == 0
+    # each formula of intersect has one def, which the pass calls once per
+    # family, as a caller does: no unchecked twin stands in for it
+    for name in ("projective_bundle_invariants", "surface_blowup_invariants",
+                 "riemann_roch_chi"):
+        assert sum(calls[name].values()) == 28, name
     # h^{0,2}(A) is counted three times per family: by the closed route and
     # the pipeline's centre in intersect, and by hodge_of_surface
     counted_h02 = calls["surface_h02"]
@@ -442,8 +447,10 @@ def test_the_per_family_functions_of_the_pass_build_no_cell(function):
 
 
 def _generated_constructors():
-    """The code of every ``__new__`` that ``typing.NamedTuple`` generated for
-    a class of fano4, a checked class's base included, with its class name."""
+    """The code of the ``__new__`` of every ``typing.NamedTuple`` class of
+    fano4, with its class name: the generated one, or, for a base built by
+    ``catalog._checked_tuple``, its checking constructor, the only caller of
+    the generated one and one code shared by every such base."""
     import sys
 
     found = {}
@@ -461,9 +468,11 @@ def _generated_constructors():
 def test_a_warm_library_op_enters_no_row_constructor():
     """The pass builds each row it computes unchecked (``tuple.__new__``):
     no frame of a warm op (the pass, verify_all and the three exports)
-    enters the generated ``__new__`` of a per-family row type or of the
-    ``FamilyParams`` base, and only the two rows built once per op remain.
-    ``_from_sums`` runs 28 times per pass and enters no comprehension."""
+    enters the ``__new__`` of a per-family row type or of the
+    ``FamilyParams`` base, nor the one checking constructor of
+    ``catalog._checked_tuple``, and only the two rows built once per op
+    remain.  ``_from_sums`` runs 28 times per pass and enters no
+    comprehension."""
     from types import CodeType
 
     import fano4.classify
@@ -477,6 +486,14 @@ def test_a_warm_library_op_enters_no_row_constructor():
         fano4.intersect.BlowupCentreData, fano4.hodge.FourfoldHodge,
         fano4.classify.TangentBounds, FamilyRecord, FamilyParams.__mro__[1]}
     assert {cls.__new__.__code__ for cls in per_family} <= generated.keys()
+    # the three intersect rows, the catalogue rows and the FamilyParams base
+    # share the checking constructor of _checked_tuple
+    checked = catalog_module.FanoThreefold.__new__.__code__
+    assert FamilyParams.__mro__[1].__new__.__code__ is checked
+    assert {fano4.intersect.CanonicalDegrees.__new__.__code__,
+            fano4.intersect.BundleInput.__new__.__code__,
+            fano4.intersect.BlowupCentreData.__new__.__code__} == {checked}
+    assert entered[checked] == 0
     assert {generated[code]: n for code, n in entered.items()
             if code in generated} == {"GoldenTables": 1,
                                       "VerificationReport": 1}
@@ -668,6 +685,39 @@ def test_verify_all_names_each_tampered_table1_field(records, monkeypatch, field
         assert not result.ok
         assert result.mismatches == (
             Mismatch(f"Z_{row.id}", field, getattr(bad, field), getattr(row, field)),)
+
+
+def test_verify_all_refuses_a_table1_field_no_catalogue_row_has(records,
+                                                              monkeypatch):
+    """Table 1 may name what a catalogue row has, its fields and
+    ``minus_K3``, and no more: a row class with one field beyond them is
+    malformed reference data, refused before any comparison, with the row
+    and the field named, as tables 2 and 3 are.  A class that names fewer
+    fields is compared on those."""
+    from typing import NamedTuple
+
+    class WiderRow(NamedTuple):
+        id: int
+        minus_K3: int
+        extra: int
+
+    class NarrowRow(NamedTuple):
+        id: int
+        minus_K3: int
+
+    tables = golden_tables()
+    for shift in (0, 1):   # refused whether the known fields match or not
+        wider = tables._replace(table1=tuple(
+            WiderRow(row.id, row.minus_K3 + shift, 0) for row in tables.table1))
+        monkeypatch.setattr(golden, "golden_tables", lambda: wider)
+        with pytest.raises(IntegrityError, match=(
+                r"^reference row Z_1 names fields no catalogue row has: "
+                r"extra$")):
+            verify_all(records)
+    narrow = tables._replace(
+        table1=tuple(NarrowRow(row.id, row.minus_K3) for row in tables.table1))
+    monkeypatch.setattr(golden, "golden_tables", lambda: narrow)
+    assert verify_all(records) == (28, 0, ())
 
 
 def test_verify_all_refuses_a_table_of_mixed_row_classes(records, monkeypatch):
