@@ -24,8 +24,9 @@ Raw input is checked where it enters: the ``HodgePolynomial`` constructor is
 the one term check, ``projective_space``, ``bundle_formula`` and
 ``blowup_formula`` check their n or c, and the family-level functions trust
 their ``FamilyParams``.  ``_built``, the one polynomial builder that checks
-nothing, builds sums, products and e(A) from the family's own checked ints;
-every other polynomial, and every caller's terms, goes through the
+nothing, builds sums (one merge of the sorted terms), products and e(A) from
+the family's own checked ints; ``_from_sums`` sorts a general product only.
+Every other polynomial, and every caller's terms, goes through the
 constructor.  The ``FourfoldHodge`` row is built unchecked too.
 """
 
@@ -54,14 +55,14 @@ class HodgePolynomial:
     one term check: a key must be a plain ``tuple`` of two non-negative
     ``int`` exponents and a coefficient exactly an ``int`` (a float, Fraction
     or bool raises TypeError); zero entries are dropped.  ``coeff`` and
-    ``betti`` take ``int`` exponents only, as the constructor does.  +, -
-    (one merge) and * (the product), all the structure formulas need, take
-    only another ``HodgePolynomial``.  ``_built``, the one builder that
-    checks nothing, builds their results and e(A) (:func:`hodge_of_surface`)
-    from the family's own checked ints; the constructor stays the one check
-    of a caller's terms.  A product by one term, such as the
-    blow-up factor e(P^1) - e(P^0) = uv, shifts the left factor's terms
-    instead of sorting.
+    ``betti`` take ``int`` exponents only, as the constructor does.  + and -
+    (one linear merge of the two sorted term tuples) and * (the product),
+    all the structure formulas need, take only another ``HodgePolynomial``.
+    ``_built``, the one builder that checks nothing, builds their results
+    and e(A) (:func:`hodge_of_surface`) from the family's own checked ints;
+    the constructor stays the one check of a caller's terms.  A product by
+    one term, such as the blow-up factor e(P^1) - e(P^0) = uv, shifts the
+    left factor's terms; only a general product sorts (``_from_sums``).
     """
 
     __slots__ = ("_terms",)
@@ -104,14 +105,26 @@ class HodgePolynomial:
 
     def _merged(self, other: "HodgePolynomial",
                 op: Callable[[int, int], int]) -> "HodgePolynomial":
-        # self op other for op = add or sub; a loop, not a comprehension:
+        # self op other for op = add or sub: one merge of the two sorted term
+        # tuples, with no dict and no sort; a loop, not a comprehension:
         # before Python 3.12 one reading ``op`` would make it a cell
         if other.__class__ is not HodgePolynomial:
             return NotImplemented
-        out = dict(self._terms)
+        left, terms = self._terms, []
+        i, n = 0, len(left)
         for pq, c in other._terms:
-            out[pq] = op(out.get(pq, 0), c)
-        return _from_sums(out)
+            while i < n and left[i][0] < pq:   # a key of self alone
+                terms.append(left[i])
+                i += 1
+            if i < n and left[i][0] == pq:     # a key of both
+                c = op(left[i][1], c)
+                i += 1
+                if c:
+                    terms.append((pq, c))
+            else:                              # a key of other alone
+                terms.append((pq, op(0, c)))
+        terms += left[i:]
+        return _built(terms)
 
     def __add__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         return self._merged(other, add)

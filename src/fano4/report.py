@@ -22,6 +22,7 @@ mix row classes or name a field no catalogue row or record has raise
 IntegrityError.
 """
 
+from itertools import chain
 from operator import attrgetter, eq
 from typing import Iterable, NamedTuple
 
@@ -278,12 +279,12 @@ def export(records: Iterable[FamilyRecord], format: str) -> bytes:
         import json
 
         # the bytes of json.dumps(rows, indent=2), from one call into the C
-        # encoder, which indent turns off, over the records as flat arrays.
-        # An encoded value never holds a raw newline nor ends in "]", so the
-        # "\n" separators and the "]\n[" row boundaries split out exactly
-        # the values, which fill the keyed row template.
-        encoded = json.JSONEncoder(separators=("\n", ": ")).encode(records)
-        values = encoded[2:-2].replace("]\n[", "\n").split("\n")
+        # encoder, which indent turns off, over the records' values as one
+        # flat list.  An encoded scalar never holds a raw newline, so the
+        # "\n" separators split out exactly the values, which fill the
+        # keyed row template.
+        values = json.JSONEncoder(separators=("\n", ": ")).encode(
+            list(chain.from_iterable(records)))[1:-1].split("\n")
         return ("[\n" + ",\n".join([_JSON_ROW] * len(records)) % tuple(values)
                 + "\n]\n").encode("utf-8")
     if format == "csv":

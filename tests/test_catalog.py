@@ -135,7 +135,7 @@ CHECKED_ROWS = (
 )
 
 #: declared type -> values of another type that pass for one of it
-MISTYPED = {int: (1.0, True), bool: (1,), str: (HBaseLocus.EMPTY,),
+MISTYPED = {int: (1.0, True), bool: (1, 1.0), str: (HBaseLocus.EMPTY,),
             HBaseLocus: ("empty",)}
 
 #: how a caller builds a row with one field changed

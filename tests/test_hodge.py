@@ -172,6 +172,36 @@ def test_a_product_with_a_one_term_factor_is_the_convolution(f, m):
         assert product == HodgePolynomial(product.as_dict())
 
 
+def _coefficientwise(f, g, sign):
+    out = dict(f)
+    for pq, c in g.items():
+        out[pq] = out.get(pq, 0) + sign * c
+    return {pq: c for pq, c in out.items() if c}
+
+
+@given(_signed_polynomials(_WIDE), _signed_polynomials(_WIDE))
+@example(HodgePolynomial({}), HodgePolynomial({(0, 2): -7, (1, 1): 5}))
+@example(HodgePolynomial({(1, 1): 5}), HodgePolynomial({}))
+# the left operand runs out first: (3, 3) is the right's alone
+@example(HodgePolynomial({(0, 0): 1, (1, 2): 4}),
+         HodgePolynomial({(0, 0): 2, (2, 1): -3, (3, 3): -1}))
+# the right operand runs out first: (3, 3) is the left's alone
+@example(HodgePolynomial({(0, 0): 1, (2, 1): 4, (3, 3): 6}),
+         HodgePolynomial({(1, 1): 2, (2, 1): 10**30}))
+# every shared term cancels: in the sum, and in the difference
+@example(HodgePolynomial({(0, 0): 1, (1, 2): -10**30, (2, 2): 3}),
+         HodgePolynomial({(0, 0): -1, (1, 2): 10**30, (3, 0): 2}))
+@example(HodgePolynomial({(0, 0): 1, (1, 2): -10**30}),
+         HodgePolynomial({(0, 0): 1, (1, 2): -10**30}))
+def test_a_sum_or_difference_is_the_coefficientwise_merge(f, g):
+    # + and - merge the two sorted term tuples: the result is the
+    # coefficientwise dict sum, its terms sorted and zero-free
+    for result, sign in ((f + g, 1), (f - g, -1)):
+        assert result.as_dict() == _coefficientwise(f.as_dict(), g.as_dict(),
+                                                    sign)
+        assert result == HodgePolynomial(result.as_dict())
+
+
 @given(_signed_polynomials(), _signed_polynomials())
 def test_arithmetic_results_equal_the_checked_constructor(f, g):
     # +, - and * build their results without the coefficient checks; equality

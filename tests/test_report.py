@@ -471,8 +471,9 @@ def test_a_warm_library_op_enters_no_row_constructor():
     enters the ``__new__`` of a per-family row type or of the
     ``FamilyParams`` base, nor the one checking constructor of
     ``catalog._checked_tuple``, and only the two rows built once per op
-    remain.  ``_from_sums`` runs 28 times per pass and enters no
-    comprehension."""
+    remain.  The 28 sums e(Z)*e(P^1) + e(A)*uv of the pass each run
+    ``HodgePolynomial._merged`` once, which merges the sorted terms, and no
+    general product runs ``_from_sums``; neither enters a comprehension."""
     from types import CodeType
 
     import fano4.classify
@@ -497,9 +498,12 @@ def test_a_warm_library_op_enters_no_row_constructor():
     assert {generated[code]: n for code, n in entered.items()
             if code in generated} == {"GoldenTables": 1,
                                       "VerificationReport": 1}
-    nested = [c for c in fano4.hodge._from_sums.__code__.co_consts
+    merged = fano4.hodge.HodgePolynomial._merged.__code__
+    from_sums = fano4.hodge._from_sums.__code__
+    assert entered[merged] == 28
+    assert entered[from_sums] == 0
+    nested = [c for code in (merged, from_sums) for c in code.co_consts
               if isinstance(c, CodeType)]
-    assert entered[fano4.hodge._from_sums.__code__] >= 28
     assert not [c for c in nested if entered[c]]
 
 
