@@ -39,7 +39,9 @@ and returns the namespace argparse would.  Anything else -- ``--help``,
 to :func:`build_parser`, so argparse writes every help text and usage error.
 One table, ``_COMMANDS``, names each command with its handler, the kind of
 its arguments and its help text; both parsers and :func:`main`'s dispatch
-read it.
+read it.  A family argument is an optional ``-`` followed by ASCII digits
+(``_integer``): ``_recognise`` takes the unsigned ones, and argparse reads
+the same grammar, so any other token is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -76,6 +78,22 @@ def _family_arg(args: argparse.Namespace) -> FamilyParams:
         message = str(exc)
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _integer(token: str) -> int:
+    """A family argument: an optional ``-`` followed by ASCII digits.
+
+    ``int()`` alone also reads other Unicode digits, a ``+``, surrounding
+    whitespace and ``_`` between digits; argparse reports each of those as
+    a usage error.
+    """
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)   # too many digits raise ValueError too
+
+
+_integer.__name__ = "int"   # argparse's error reads "invalid int value"
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -215,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, kind, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         if kind == "family":
-            cmd.add_argument("i", type=int, help="base 3-fold id (1..7)")
-            cmd.add_argument("a", type=int, help="bundle twist a >= 0")
-            cmd.add_argument("d", type=int,
+            cmd.add_argument("i", type=_integer, help="base 3-fold id (1..7)")
+            cmd.add_argument("a", type=_integer, help="bundle twist a >= 0")
+            cmd.add_argument("d", type=_integer,
                              help="degree d >= 1 of the blown-up surface")
         elif kind == "export":
             cmd.add_argument("--format", choices=_FORMATS, required=True)
@@ -231,7 +249,8 @@ def _recognise(argv: list[str]) -> SimpleNamespace | None:
     that the README documents; ``None`` for anything else.
 
     Those are an optional leading ``--quiet``, then ``list`` or ``verify``
-    alone, ``info`` or ``cones`` with three ASCII-digit tokens, or ``export``
+    alone, ``info`` or ``cones`` with three ASCII-digit tokens (a ``-`` is
+    left to argparse, which reads the same grammar), or ``export``
     with ``--format F`` and at most one ``--out P`` (P not starting with
     ``-``), in either order.
     """

@@ -21,6 +21,9 @@ N_G = O_Z(-a), N_Ghat = O_Z(-(d-a)):
     Ghat         1     0      0      a-d
     E           -1     1      0       d
 
+``_pairing_columns`` builds this table per call, as the tuple of its four
+columns, and never caches it: no table outlives the call that reads it.
+
 The effective curve cone NE(X) needs only three of the four generators unless
 0 < a < d; the nef cone is its dual, with three or four extremal rays.
 :func:`cone_data` computes -K, the NE generators, the nef rays and the -K
@@ -49,7 +52,6 @@ instead of one gcd per ``Fraction`` step (Knuth, TAOCP Vol. 2, 4.5.1).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, NoReturn
 
@@ -219,20 +221,24 @@ def curve_combo(params: FamilyParams,
     return CurveClass(combo.items(), params)
 
 
-@lru_cache(maxsize=128)
-def _pairing_columns(a: int, d: int) -> dict[CurveGen, tuple[int, int, int]]:
-    # Shared by every caller: read it, never mutate it.
-    return {
-        CurveGen.F: (0, 1, -1),
-        CurveGen.F_HAT: (0, 0, 1),
-        CurveGen.C_G: (1, 0, 0),
-        CurveGen.C_G_HAT: (1, a - d, d),
-    }
+# a generator's position in the columns of _pairing_columns
+_COLUMN = {gen: position for position, gen in enumerate(_CURVE_GENS)}
+
+
+def _pairing_columns(a: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """The columns of F, Fhat, C_G and C_Ghat over (phi*H, Ghat, E), in
+    ``_CURVE_GENS`` order; ``_COLUMN`` gives a generator's position.
+
+    Built per call and never cached: a 4-tuple costs about what a cache hit
+    does, and a process-lifetime cache would count in full in the memory of
+    the first pass.  Each caller gets its own immutable table.
+    """
+    return ((0, 1, -1), (0, 0, 1), (1, 0, 0), (1, a - d, d))
 
 
 def pairing_matrix(params: FamilyParams) -> dict[CurveGen, tuple[int, int, int]]:
     """Columns of the divisor-curve pairing over the basis (phi*H, Ghat, E)."""
-    return dict(_pairing_columns(params.a, params.d))
+    return dict(zip(_CURVE_GENS, _pairing_columns(params.a, params.d)))
 
 
 def pairing(D: DivisorClass, C: CurveClass) -> Rational:
@@ -252,7 +258,7 @@ def pairing(D: DivisorClass, C: CurveClass) -> Rational:
         x, y, z, den = _over_lcm(x, y, z)
     total, cden = 0, 1
     for gen, c in C.combo:
-        p, q, r = columns[gen]
+        p, q, r = columns[_COLUMN[gen]]
         value = x * p + y * q + z * r
         if type(c) is int:
             total += c * cden * value
@@ -385,7 +391,7 @@ def nef_rays(params: FamilyParams) -> list[NefRay]:
     # a loop, as in cone_data
     kind_columns = []
     for kind in _ne_kinds(a, d):
-        kind_columns.append((kind, columns[kind]))
+        kind_columns.append((kind, columns[_COLUMN[kind]]))
     out = []
     for label, name, coords in rays:
         x, y, z = coords
@@ -457,7 +463,7 @@ def is_fano(params: FamilyParams) -> bool:
     ample = True
     for kind in _ne_kinds(a, d):
         # -K = (i-a)*phi*H + 2*Ghat + E on the generator's pairing column
-        p, q, r = columns[kind]
+        p, q, r = columns[_COLUMN[kind]]
         if (i - a) * p + 2 * q + r <= 0:
             ample = False
             break

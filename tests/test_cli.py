@@ -475,11 +475,49 @@ def test_recogniser_declines_every_other_form(argv):
     assert cli._recognise(argv) is None
 
 
-def test_a_declined_fullwidth_triple_runs_through_argparse(capsys):
-    # argparse's int() reads any Unicode decimal digit
-    code, out, err = run(capsys, *DECLINED["fullwidth digit"])
+# A family argument is an optional "-" followed by ASCII digits, in both
+# parsers; every other token that int() would read is an argparse usage error.
+
+#: argv outside the grammar -> the argument argparse names
+MALFORMED = {
+    "arabic-indic digit": (["info", "\u0661", "0", "1"], "i"),
+    "arabic-indic pair": (["cones", "7", "\u0660", "\u0661"], "a"),
+    "fullwidth digit": (DECLINED["fullwidth digit"], "i"),
+    "superscript digit": (["info", "7", "0", "\u00b9"], "d"),
+    "plus sign": (["info", "1", "0", "+1"], "d"),
+    "leading space": (["info", " 1", "0", "1"], "i"),
+    "trailing space": (["cones", "7", "0", "1 "], "d"),
+    "underscore": (["cones", "7", "0", "0_1"], "d"),
+    "bare minus": (["info", "7", "0", "-"], "d"),
+}
+
+
+@pytest.mark.parametrize("argv, argument", MALFORMED.values(), ids=MALFORMED)
+def test_a_family_argument_outside_the_grammar_is_a_usage_error(capsys, argv,
+                                                                argument):
+    assert cli._recognise(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith(f"usage: fano4 {argv[0]} ")
+    token = argv[1 + "iad".index(argument)]
+    assert lines[-1] == (f"fano4 {argv[0]}: error: argument {argument}: "
+                         f"invalid int value: {token!r}")
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    (["info", "7", "0", "01"], ["info", "7", "0", "1"]),
+    (["cones", "07", "00", "001"], ["cones", "7", "0", "1"]),
+    (["info", "7", "-0", "1"], ["info", "7", "0", "1"]),
+], ids=["leading zero", "leading zeros", "minus zero"])
+def test_a_family_argument_in_the_grammar_reads_as_its_integer(capsys, argv,
+                                                               canonical):
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out == run(capsys, "info", "7", "2", "5")[1]
+    assert out == run(capsys, *canonical)[1]
 
 
 def test_a_declined_overlong_number_is_an_argparse_usage_error(capsys):

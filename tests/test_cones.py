@@ -636,12 +636,14 @@ def _coords_with(**changed):
 
 
 def _columns_with(**changed):
+    # the pairing columns of F, Fhat, C_G and C_Ghat, with some replaced
     original = cones._pairing_columns
 
     def columns(a, d):
-        out = dict(original(a, d))
-        out.update({CurveGen[k]: v for k, v in changed.items()})
-        return out
+        out = list(original(a, d))
+        for k, v in changed.items():
+            out[cones._COLUMN[CurveGen[k]]] = v
+        return tuple(out)
     return columns
 
 
